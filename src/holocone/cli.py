@@ -3,8 +3,8 @@
 Exit-code contract: 0 success/true, 1 false/mismatch, 2 usage or parse
 error.  All outputs are deterministic; any timing or progress chatter
 goes to stderr.  The LR memo cache persists under HOLOCONE_CACHE_DIR
-when that variable is set; the cache is advisory and never changes
-results.
+when that variable is set; the cache is advisory, and a file that fails
+`lr.load_cache`'s checks is ignored, so it never changes results.
 """
 
 from __future__ import annotations
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--gamma")
         sp.add_argument("--w1")
         sp.add_argument("--w2")
-        sp.add_argument("--jobs", type=int, default=1)
         return sp
 
     add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}")
@@ -352,8 +351,6 @@ def _cache_path() -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error("--jobs must be >= 1")
 
     cache = _cache_path()
     if cache and os.path.exists(cache):

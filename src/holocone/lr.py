@@ -5,24 +5,34 @@ shifting with multiples of (1,...,1), which leaves all multiplicities
 unchanged.  Coefficients are counted by enumerating skew semistandard
 tableaux whose reverse reading word is a lattice word.
 
-The memo caches are plain dicts guarded by a lock so concurrent callers
-are safe; results never depend on interleaving.
+The public functions (`lr_coefficient`, `tensor_expand`,
+`triple_multiplicity`) validate their input and raise ValueError on
+weights of unequal length or that are not weakly decreasing.  The private
+functions `_lr`, `_expand` and `_triple` trust their caller: they take
+tuples already validated (`_expand` takes partitions ending in 0) and
+check nothing, so code that has validated its weights once calls them in
+its inner loops.
+
+Both memo caches are keyed canonically: lam and mu are shifted so that
+their last part is 0, and nu by the same total, so a key does not depend
+on how a weight happened to be shifted.  The caches are plain dicts and
+the module is not thread-safe.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterator, List, Tuple
 
 GLWeight = Tuple[int, ...]
 
-_lock = threading.RLock()
 _lr_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight], int] = {}
 _expand_cache: Dict[Tuple[GLWeight, GLWeight], Dict[GLWeight, int]] = {}
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
+# Persisted entries `load_cache` recomputes before it trusts a file.
+CACHE_SAMPLE = 64
 
 
 def is_weakly_decreasing(w) -> bool:
@@ -41,13 +51,6 @@ def _check(lam: GLWeight, *others: GLWeight) -> None:
 
 def shift(lam: GLWeight, a: int) -> GLWeight:
     return tuple(x + a for x in lam)
-
-
-def normalize_pair(lam: GLWeight, mu: GLWeight):
-    """Shift both weights to partitions; returns (lam0, mu0, a, b)."""
-    a = -min(lam) if lam and min(lam) < 0 else 0
-    b = -min(mu) if mu and min(mu) < 0 else 0
-    return shift(lam, a), shift(mu, b), a, b
 
 
 def _strip_zeros(lam: GLWeight) -> GLWeight:
@@ -113,18 +116,33 @@ def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
 def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     """c^nu_{lam,mu} for U(n) weights of equal length n."""
     _check(lam, mu, nu)
-    lam0, mu0, a, b = normalize_pair(lam, mu)
-    nu0 = shift(nu, a + b)
-    if min(nu0, default=0) < 0:
+    return _lr(tuple(lam), tuple(mu), tuple(nu))
+
+
+def _canonical(lam: GLWeight, mu: GLWeight):
+    """(lam0, mu0, s): lam and mu shifted to end in 0, s the total removed."""
+    a = lam[-1] if lam else 0
+    b = mu[-1] if mu else 0
+    if a:
+        lam = tuple(x - a for x in lam)
+    if b:
+        mu = tuple(x - b for x in mu)
+    return lam, mu, a + b
+
+
+def _lr(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
+    """lr_coefficient on validated tuples, memoised under the canonical key."""
+    if sum(nu) != sum(lam) + sum(mu):
         return 0
-    key = (lam0, mu0, nu0)
-    with _lock:
-        hit = _lr_cache.get(key)
-    if hit is not None:
-        return hit
-    val = lr_count_tableaux(lam0, mu0, nu0)
-    with _lock:
-        _lr_cache[key] = val
+    lam, mu, s = _canonical(lam, mu)
+    if s:
+        nu = shift(nu, -s)
+    if nu and nu[-1] < 0:
+        return 0
+    key = (lam, mu, nu)
+    val = _lr_cache.get(key)
+    if val is None:
+        val = _lr_cache[key] = lr_count_tableaux(lam, mu, nu)
     return val
 
 
@@ -154,24 +172,26 @@ def _candidate_nus(lam: GLWeight, mu: GLWeight, n: int) -> Iterator[GLWeight]:
 def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
     """Full decomposition of V_lam (x) V_mu for U(n), n = len(lam)."""
     _check(lam, mu)
-    n = len(lam)
-    lam0, mu0, a, b = normalize_pair(lam, mu)
-    key = (lam0, mu0)
-    with _lock:
-        hit = _expand_cache.get(key)
+    lam0, mu0, s = _canonical(tuple(lam), tuple(mu))
+    return {shift(nu0, s): c for nu0, c in _expand(lam0, mu0).items()}
+
+
+def _expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
+    """The memoised decomposition for partitions lam and mu ending in 0.
+
+    The returned dict is the cached one; callers must not change it.
+    """
+    hit = _expand_cache.get((lam, mu))
     if hit is None:
         # Smaller second factor keeps the tableau search shallow.
-        l0, m0 = (lam0, mu0) if sum(mu0) <= sum(lam0) else (mu0, lam0)
-        out: Dict[GLWeight, int] = {}
-        for nu0 in _candidate_nus(_strip_zeros(l0), m0, n):
-            c = lr_coefficient(l0, m0, nu0)
+        l0, m0 = (lam, mu) if sum(mu) <= sum(lam) else (mu, lam)
+        hit = {}
+        for nu0 in _candidate_nus(_strip_zeros(l0), m0, len(lam)):
+            c = _lr(l0, m0, nu0)
             if c:
-                out[nu0] = c
-        hit = out
-        with _lock:
-            _expand_cache[key] = hit
-    s = a + b
-    return {shift(nu0, -s): c for nu0, c in hit.items()}
+                hit[nu0] = c
+        _expand_cache[(lam, mu)] = hit
+    return hit
 
 
 def triple_multiplicity(
@@ -179,11 +199,19 @@ def triple_multiplicity(
 ) -> int:
     """Multiplicity of V_nu in V_lam (x) V_mu (x) V_delta."""
     _check(lam, mu, delta, nu)
+    return _triple(tuple(lam), tuple(mu), tuple(delta), tuple(nu))
+
+
+def _triple(lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight) -> int:
+    """triple_multiplicity on validated tuples."""
     if sum(lam) + sum(mu) + sum(delta) != sum(nu):
         return 0
+    # Expand lam (x) mu in the canonical frame and shift nu into it.
+    lam0, mu0, s = _canonical(lam, mu)
+    nu0 = shift(nu, -s) if s else nu
     total = 0
-    for kappa, c in tensor_expand(lam, mu).items():
-        c2 = lr_coefficient(kappa, delta, nu)
+    for kappa, c in _expand(lam0, mu0).items():
+        c2 = _lr(kappa, delta, nu0)
         if c2:
             total += c * c2
     return total
@@ -223,48 +251,79 @@ def partitions(total: int, max_parts: int, max_part: int | None = None):
 
 
 def clear_caches() -> None:
-    with _lock:
-        _lr_cache.clear()
-        _expand_cache.clear()
+    """Empty the LR memo caches and symq's memo of Cauchy components."""
+    from . import symq  # symq imports this module
+
+    _lr_cache.clear()
+    _expand_cache.clear()
+    symq._cauchy_cache.clear()
 
 
 # ---------------------------------------------------------------------------
-# Optional cache persistence (advisory: absence never changes results).
+# Optional cache persistence.  A loaded file is checked before any entry is
+# used (canonical keys, a checksum, a recomputed sample), so a stale or
+# edited file is rejected rather than changing results.
+
+
+def _checksum(lines) -> str:
+    # Imported here: hashlib costs about 5 ms and 4 MB at start-up, and
+    # only cache persistence needs it.
+    import hashlib
+
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
 
 
 def save_cache(path) -> None:
-    with _lock:
-        items = sorted(_lr_cache.items())
+    lines = [
+        "|".join(",".join(map(str, w)) for w in key) + f" {c}\n"
+        for key, c in sorted(_lr_cache.items())
+    ]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"holocone-lr-cache {CACHE_FORMAT_VERSION}\n")
-        for (lam, mu, nu), c in items:
-            fh.write(
-                "{}|{}|{} {}\n".format(
-                    ",".join(map(str, lam)),
-                    ",".join(map(str, mu)),
-                    ",".join(map(str, nu)),
-                    c,
-                )
-            )
+        fh.write(f"holocone-lr-cache {CACHE_FORMAT_VERSION} {_checksum(lines)}\n")
+        fh.writelines(lines)
+
+
+def _is_canonical_key(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> bool:
+    """A key `_lr` can store: partitions, lam and mu ending in 0."""
+    return (
+        len(lam) == len(mu) == len(nu)
+        and all(is_weakly_decreasing(w) and min(w, default=0) >= 0 for w in (lam, mu, nu))
+        and (not lam or lam[-1] == mu[-1] == 0)
+        and sum(nu) == sum(lam) + sum(mu)
+    )
 
 
 def load_cache(path) -> int:
-    """Merge a persisted cache; returns the number of entries loaded."""
-    loaded = 0
+    """Merge a persisted cache; returns the number of entries loaded.
+
+    Raises ValueError, and merges nothing, unless the file has this
+    version's header, its checksum matches, every key is canonical and
+    an evenly spaced sample of CACHE_SAMPLE entries agrees with
+    `lr_count_tableaux`.
+    """
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if header[:1] != ["holocone-lr-cache"] or int(header[1]) != CACHE_FORMAT_VERSION:
-            raise ValueError("unrecognized cache file")
-        for line in fh:
-            keypart, val = line.rsplit(" ", 1)
-            lam, mu, nu = (
-                tuple(int(x) for x in block.split(",") if x != "")
-                for block in keypart.split("|")
-            )
-            with _lock:
-                _lr_cache[(lam, mu, nu)] = int(val)
-            loaded += 1
-    return loaded
+        lines = fh.readlines()
+    if header[:2] != ["holocone-lr-cache", str(CACHE_FORMAT_VERSION)] or len(header) != 3:
+        raise ValueError("unrecognized cache file")
+    if header[2] != _checksum(lines):
+        raise ValueError("cache file checksum mismatch")
+    entries = []
+    for line in lines:
+        keypart, val = line.rsplit(" ", 1)
+        key = tuple(
+            tuple(int(x) for x in block.split(",") if x != "")
+            for block in keypart.split("|")
+        )
+        if len(key) != 3 or not _is_canonical_key(*key) or int(val) < 0:
+            raise ValueError(f"not a canonical cache entry: {line.strip()!r}")
+        entries.append((key, int(val)))
+    step = -(-len(entries) // CACHE_SAMPLE)
+    for key, c in entries[::step or 1]:
+        if lr_count_tableaux(*key) != c:
+            raise ValueError(f"cache entry disagrees with recomputation: {key}")
+    _lr_cache.update(entries)
+    return len(entries)
 
 
 def sym_power_dimension(space_dim: int, degree: int) -> int:

@@ -333,33 +333,36 @@ def _exact_row(row) -> tuple:
 def _worst_violators(pts, normals, lins):
     """One worst offender per violated constraint, deterministically.
 
-    Uses integer matrix products via numpy when the data is small enough
-    for exact int64 arithmetic, else plain Python.  Returns [] iff every
+    Uses integer matrix products via numpy when the points are integers
+    and every product sum is bounded by max ||constraint||_1 * max |x|
+    < 2**63, so int64 cannot overflow; otherwise plain Python (rational
+    points and integers beyond int64 included).  Returns [] iff every
     point satisfies normal . x >= 0 and lin . x == 0.
     """
     constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
-    small = all(
-        abs(x) < 2**20 for v in (list(normals) + list(lins)) for x in v
-    )
     out = []
     arr64 = None
-    if small and len(pts) > 512:
+    if constraints and len(pts) > 512:
         import numpy as np
 
         try:
-            arr64 = np.asarray(pts, dtype=np.int64)
+            arr = np.asarray(pts)
         except (TypeError, ValueError):
-            arr64 = None
+            arr = None
+        # Python ints beyond int64 and Fractions give an object array.
+        if arr is not None and arr.dtype.kind == "i":
+            arr64 = arr.astype(np.int64)
+            c_max = max(sum(abs(x) for x in c) for c, _ in constraints)
+            x_max = max(-int(arr64.min(initial=0)), int(arr64.max(initial=0)), 1)
+            if c_max * x_max >= 2**63:
+                arr64 = None
     if arr64 is not None:
-        import numpy as np
-
-        arr = arr64
         for c, is_eq in constraints:
             vals = arr64 @ np.array(c, dtype=np.int64)
             bad = np.abs(vals) if is_eq else -vals
             i = int(bad.argmax())
             if bad[i] > 0:
-                out.append(tuple(int(v) for v in arr[i]))
+                out.append(tuple(int(v) for v in arr64[i]))
     else:
         for c, is_eq in constraints:
             worst, wv = None, 0

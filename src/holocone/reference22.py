@@ -81,11 +81,3 @@ def canonical_reference_facets():
             for n in ALL_INEQUALITIES
         )
     )
-
-
-def canonical_dominance_facets():
-    """Canonical forms of just the six chamber (dominance) facets."""
-    return frozenset(
-        reduce_mod_lineality(n, (TRACE_EQUALITY,))
-        for n in DOMINANCE_INEQUALITIES
-    )

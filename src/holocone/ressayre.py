@@ -20,14 +20,13 @@ from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
-from .polyhedral import primitive, rank, dot, reduce_mod_lineality
+from .polyhedral import primitive, reduce_mod_lineality
 from .symq import q_module_weights
 from .weights import (
     Shape,
     WeylElement,
-    all_roots,
     all_weyl_elements,
-    blocks,
+    check_length,
     compact_positive_roots,
     longest_weyl,
     pairing,
@@ -61,14 +60,20 @@ def admissible(gamma: Sequence, shape: Shape) -> bool:
     Lie algebra; its span is the coordinate-sum-zero hyperplane.  The
     right-hand side has dimension n-1 when gamma is orthogonal to that
     hyperplane (gamma central) and n-2 otherwise.
+
+    Closed form: for gamma != 0, admissible iff gamma takes at most two
+    distinct values.  Proof sketch: the tight roots are the e_i - e_j
+    with gamma_i = gamma_j.  Group the coordinates into the k classes
+    of equal gamma value; within a class of size m the roots e_i - e_j
+    span an (m-1)-dimensional space, and distinct classes span
+    independent spaces, so the left-hand side has dimension n - k.
+    For k = 1 (gamma central) that is n-1 as required; for k >= 2 the
+    condition n - k == n - 2 holds exactly when k == 2.  The rank-based
+    definition is kept as the oracle in the test suite.
     """
     _check_gamma(gamma)
-    roots = all_roots(shape)
-    tight = [a for a in roots if pairing(a, gamma) == 0]
-    n = shape.rank
-    central = all(gamma[0] == v for v in gamma)
-    want = n - 1 if central else n - 2
-    return rank(tight) == want if tight else want == 0
+    check_length(gamma, shape)
+    return len(set(gamma)) <= 2
 
 
 def relation_A(c: RessayreCandidate, shape: Shape) -> bool:

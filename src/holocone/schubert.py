@@ -14,7 +14,6 @@ position i, matching the WeylElement convention of the weights module.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .weights import Shape, blocks
@@ -28,7 +27,6 @@ Poly = Dict[Tuple[int, ...], int]  # exponent vector -> coefficient
 # must be reproduced); flipping it negates odd-rank Euler classes.
 EULER_SIGN = -1
 
-_lock = threading.RLock()
 _schubert_poly_cache: Dict[Tuple[int, Perm], Poly] = {}
 
 
@@ -102,8 +100,7 @@ def schubert_polynomial(w: Perm) -> Poly:
     """The Schubert polynomial of w as a sparse exponent map."""
     n = len(w)
     key = (n, w)
-    with _lock:
-        hit = _schubert_poly_cache.get(key)
+    hit = _schubert_poly_cache.get(key)
     if hit is not None:
         return hit
     w0 = longest_perm(n)
@@ -116,8 +113,7 @@ def schubert_polynomial(w: Perm) -> Poly:
         ws = list(w)
         ws[i], ws[i + 1] = ws[i + 1], ws[i]
         val = _divided_difference(i, schubert_polynomial(tuple(ws)), n)
-    with _lock:
-        _schubert_poly_cache[key] = val
+    _schubert_poly_cache[key] = val
     return val
 
 
@@ -389,5 +385,4 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
 
 
 def clear_caches() -> None:
-    with _lock:
-        _schubert_poly_cache.clear()
+    _schubert_poly_cache.clear()

@@ -153,9 +153,3 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
             buf.append(v & 0xFF)
     arr = np.frombuffer(bytes(buf), dtype=np.int8)
     return arr.reshape(-1, ncols)
-
-
-def triples_as_points(triples) -> List[Tuple[int, ...]]:
-    return [l + m + n for (l, m, n) in triples]
-
-

@@ -24,6 +24,9 @@ class CauchyComponent(NamedTuple):
     degree: int
 
 
+_cauchy_cache: Dict[Tuple[int, int, int], Tuple[CauchyComponent, ...]] = {}
+
+
 def natural_negation(delta: Sequence[int], q: int) -> Tuple[int, ...]:
     """delta^nat = (-delta_q, ..., -delta_1) after padding to q parts."""
     padded = tuple(delta) + (0,) * (q - len(delta))
@@ -44,20 +47,28 @@ def q_module_weights(shape: Shape) -> List[Vector]:
 
 
 def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
-    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically."""
+    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically.
+
+    Memoised per (shape, degree); `lr.clear_caches` empties the memo.
+    """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return [
-            CauchyComponent((), (0,) * shape.p, (0,) * shape.q, 0)
-        ]
-    out = []
-    for delta in lr.partitions(degree, shape.q):
-        up = tuple(delta) + (0,) * (shape.p - len(delta))
-        out.append(
-            CauchyComponent(tuple(delta), up, natural_negation(delta, shape.q), degree)
-        )
-    return sorted(out)
+    key = (shape.p, shape.q, degree)
+    if key not in _cauchy_cache:
+        if degree == 0:
+            comps = [CauchyComponent((), (0,) * shape.p, (0,) * shape.q, 0)]
+        else:
+            comps = sorted(
+                CauchyComponent(
+                    tuple(delta),
+                    tuple(delta) + (0,) * (shape.p - len(delta)),
+                    natural_negation(delta, shape.q),
+                    degree,
+                )
+                for delta in lr.partitions(degree, shape.q)
+            )
+        _cauchy_cache[key] = tuple(comps)
+    return list(_cauchy_cache[key])
 
 
 def _split_dominant(x: Sequence[int], shape: Shape):
@@ -73,6 +84,9 @@ def holomorphic_multiplicity(
     lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], shape: Shape
 ) -> int:
     """m(lam, mu, nu) = [V_nu : V_lam (x) V_mu (x) Sym(M_{p,q})]."""
+    # With p >= q every Cauchy weight has the length of its block, and the
+    # blocks are validated below, so the unchecked LR functions apply.
+    shape.validate()
     lp, lq = _split_dominant(lam, shape)
     mp, mq = _split_dominant(mu, shape)
     np_, nq = _split_dominant(nu, shape)
@@ -81,10 +95,10 @@ def holomorphic_multiplicity(
         return 0
     total = 0
     for comp in cauchy_components(shape, d):
-        t_p = lr.triple_multiplicity(lp, mp, comp.up_weight, np_)
+        t_p = lr._triple(lp, mp, comp.up_weight, np_)
         if not t_p:
             continue
-        t_q = lr.triple_multiplicity(lq, mq, comp.uq_weight, nq)
+        t_q = lr._triple(lq, mq, comp.uq_weight, nq)
         if t_q:
             total += t_p * t_q
     return total

@@ -10,7 +10,7 @@ normalization of the invariant bilinear form never matters.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 Coord = Fraction  # or int; both occur
 Vector = Tuple[Coord, ...]
@@ -30,10 +30,6 @@ class Shape(NamedTuple):
         if not (self.p >= self.q >= 1):
             raise ValueError(f"need p >= q >= 1, got {self}")
         return self
-
-
-def _as_tuple(x: Iterable) -> Vector:
-    return tuple(x)
 
 
 def check_length(x: Sequence, shape: Shape) -> None:

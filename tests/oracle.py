@@ -5,10 +5,12 @@ definitions, deliberately avoiding the package's own algorithms:
 Schur polynomials come from semistandard-tableau monomial expansion,
 characters are multiplied as sparse Laurent polynomials, and dominant
 multiplicities are read off by repeated highest-weight stripping.
+The admissibility oracle takes ranks by plain Gaussian elimination.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
@@ -184,3 +186,38 @@ def oracle_lr(lam, mu, nu) -> int:
     n = len(lam)
     prod = poly_mul(gl_character(tuple(lam)), gl_character(tuple(mu)))
     return strip_dominant(prod, (n,)).get(tuple(nu), 0)
+
+
+def rank_rationals(rows) -> int:
+    """Rank over Q by Fraction Gaussian elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(m[0]) if m else 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def oracle_admissible(gamma, n: int) -> bool:
+    """span(R_o cap gamma-perp) == span(R_o) cap gamma-perp, by ranks.
+
+    R_o is the set of roots e_i - e_j (i != j) of gl_n; its span is the
+    coordinate-sum-zero hyperplane, whose intersection with gamma-perp has
+    dimension n-1 for central gamma and n-2 otherwise.
+    """
+    tight = []
+    for i in range(n):
+        for j in range(n):
+            if i != j and gamma[i] == gamma[j]:
+                v = [0] * n
+                v[i], v[j] = 1, -1
+                tight.append(v)
+    want = n - 1 if all(g == gamma[0] for g in gamma) else n - 2
+    return rank_rationals(tight) == want

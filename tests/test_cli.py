@@ -195,6 +195,24 @@ class TestCache:
         )
         assert out1 == out2  # cache is advisory: same result either way
 
+    def test_edited_cache_is_ignored(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
+        argv = ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"]
+        lr.clear_caches()
+        assert run(argv, capsys) == (0, "2\n")
+        cache_file = tmp_path / "lr-cache.txt"
+        header, *lines = cache_file.read_text().splitlines(keepends=True)
+        lines = [line.replace(" 2\n", " 5\n") for line in lines]
+        checksum = lr._checksum(lines)
+        cache_file.write_text(
+            f"holocone-lr-cache {lr.CACHE_FORMAT_VERSION} {checksum}\n" + "".join(lines)
+        )
+        lr.clear_caches()
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (0, "2\n")
+        assert "ignoring unreadable cache" in captured.err
+
     def test_absent_cache_dir_is_fine(self, capsys, monkeypatch):
         monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)
         code, _ = run(
@@ -213,6 +231,15 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "1"
+
+    def test_jobs_flag_is_gone(self):
+        # --jobs was parsed but never read; it no longer promises parallelism.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(
+                ["lr", "--n", "2", "--lam", "1,0", "--mu", "1,0", "--nu", "2,0",
+                 "--jobs", "2"]
+            )
+        assert exc.value.code == 2
 
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(

@@ -110,6 +110,34 @@ class TestFacetsOfPoints:
         assert plain == seeded
 
 
+class TestWorstViolators:
+    # 861 points of the half plane x + y >= 0 (z = 0), enough to take the
+    # numpy path, and one point whose dot product with the half plane's
+    # normal (1, 1, 0) is -2**63 - 1, which wraps around in int64.
+    SMALL = [(i, j, 0) for i in range(-20, 21) for j in range(-20, 21) if i + j >= 0]
+    BIG = (-(2**62), -(2**62) - 1, 0)
+
+    def test_int64_overflow_falls_back_to_exact_arithmetic(self):
+        pts = self.SMALL + [self.BIG]
+        assert len(pts) > 512
+        assert ph._worst_violators(pts, [(1, 1, 0)], []) == [self.BIG]
+        assert ph._worst_violators(pts, [(1, 1, 0)], [(0, 0, 1)]) == [self.BIG]
+        assert ph._worst_violators(self.SMALL, [(1, 1, 0)], [(0, 0, 1)]) == []
+
+    def test_rational_points_are_not_truncated(self):
+        # int64 conversion would turn (-1/2, 1/3, 0) into the origin.
+        off = (Fraction(-1, 2), Fraction(1, 3), 0)
+        assert ph._worst_violators(self.SMALL + [off], [(1, 1, 0)], []) == [off]
+
+    def test_hull_includes_an_overflowing_point(self):
+        seed = [(1, -1, 0), (-1, 1, 0), (1, 0, 0)]
+        ineqs, eqs = ph.facets_of_points(self.SMALL, 3, seed=seed)
+        assert ineqs == ((1, 1, 0),) and eqs == ((0, 0, 1),)
+        # the extra point lies beyond the half plane: the hull is z = 0
+        ineqs, eqs = ph.facets_of_points(self.SMALL + [self.BIG], 3, seed=seed)
+        assert ineqs == () and eqs == ((0, 0, 1),)
+
+
 class TestAdditivePrune:
     def test_keeps_generators(self):
         pts = [(1, 0), (0, 1), (1, 1), (2, 1), (2, 2)]

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from holocone import reference22, ressayre, semigroup
 from holocone.polyhedral import dot, primitive
 from holocone.weights import Shape, WeylElement, all_weyl_elements, identity_weyl
@@ -34,6 +37,36 @@ class TestAdmissible:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ressayre.admissible((0, 0), Shape(1, 1))
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            ressayre.admissible((1, 0, 0), Shape(2, 2))
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_closed_form_matches_rank_oracle(self, data):
+        shape = data.draw(
+            st.sampled_from(
+                [Shape(1, 1), Shape(2, 1), Shape(2, 2), Shape(3, 1), Shape(3, 2), Shape(3, 3)]
+            )
+        )
+        values = st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2)])
+        gamma = tuple(
+            data.draw(st.lists(values, min_size=shape.rank, max_size=shape.rank))
+        )
+        if not any(gamma):
+            return
+        assert ressayre.admissible(gamma, shape) == oracle.oracle_admissible(
+            gamma, shape.rank
+        )
+
+    def test_closed_form_matches_rank_oracle_exhaustive(self):
+        for shape in (Shape(2, 1), Shape(2, 2), Shape(3, 2)):
+            for gamma in product((-1, 0, Fraction(1, 2), 1), repeat=shape.rank):
+                if any(gamma):
+                    assert ressayre.admissible(gamma, shape) == (
+                        oracle.oracle_admissible(gamma, shape.rank)
+                    ), gamma
 
 
 class TestRelationA:

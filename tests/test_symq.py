@@ -202,6 +202,46 @@ class TestHolomorphicMultiplicity:
                 (0, 1, 0), (0, 0, 0), (0, 1, 0), Shape(2, 1)
             )
 
+    def test_matches_public_lr_composition_and_s_fold(self):
+        # holomorphic_multiplicity runs on the unchecked LR functions; the
+        # Cauchy sum composed from the validating public ones, and the
+        # s-fold contraction, are independent paths to the same number.
+        def via_public_lr(lam, mu, nu, shape):
+            p = shape.p
+            d = sum(nu[:p]) - sum(lam[:p]) - sum(mu[:p])
+            total = 0
+            for comp in symq.cauchy_components(shape, d):
+                factors = []
+                for blk, delta in ((slice(0, p), comp.up_weight), (slice(p, None), comp.uq_weight)):
+                    factors.append(sum(
+                        c * lr.lr_coefficient(kappa, delta, nu[blk])
+                        for kappa, c in lr.tensor_expand(lam[blk], mu[blk]).items()
+                    ))
+                total += factors[0] * factors[1]
+            return total
+
+        rng = random.Random(31)
+        nonzero = 0
+        for shape, bound in ((Shape(2, 1), 3), (Shape(2, 2), 2), (Shape(3, 1), 2)):
+            p = shape.p
+            pb, qb = dominant_box(p, bound), dominant_box(shape.q, bound)
+            checked = 0
+            while checked < 60:
+                lam = rng.choice(pb) + rng.choice(qb)
+                mu = rng.choice(pb) + rng.choice(qb)
+                d = rng.randint(0, 2 * shape.q)
+                cp = [v for v in pb if sum(v) == sum(lam[:p]) + sum(mu[:p]) + d]
+                cq = [v for v in qb if sum(v) == sum(lam[p:]) + sum(mu[p:]) - d]
+                if not (cp and cq):
+                    continue
+                nu = rng.choice(cp) + rng.choice(cq)
+                m = symq.holomorphic_multiplicity(lam, mu, nu, shape)
+                assert m == via_public_lr(lam, mu, nu, shape), (lam, mu, nu, shape)
+                assert m == symq.s_fold_multiplicity([lam, mu], nu, shape)
+                checked += 1
+                nonzero += m > 0
+        assert nonzero >= 30
+
 
 class TestSFold:
     def test_s2_matches_pairwise(self):
