@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from . import lr, polyhedral, ressayre, semigroup, symq, verify
-from .weights import Shape, WeylElement, format_weight, parse_weight
+from .weights import Shape, WeylElement, parse_weight
 
 POINTS_FILE_VERSION = 1
 
@@ -65,12 +65,11 @@ def _parse_triple(args, shape: Shape):
 def _parse_perm(text: str, size: int) -> Tuple[int, ...]:
     """One-line permutation: "21" or "2,1" (1-based images)."""
     text = text.strip()
-    vals = (
-        [int(x) for x in text.split(",")]
-        if "," in text
-        else [int(ch) for ch in text]
-    )
-    if sorted(vals) != list(range(1, size + 1)):
+    try:
+        vals = [int(x) for x in (text.split(",") if "," in text else text)]
+    except ValueError:
+        vals = None
+    if vals is None or sorted(vals) != list(range(1, size + 1)):
         raise UsageError(f"{text!r} is not a permutation of 1..{size}")
     return tuple(v - 1 for v in vals)
 
@@ -96,6 +95,23 @@ def _shape_of(args) -> Shape:
         raise UsageError(str(e)) from None
 
 
+def _bound_of(args) -> int:
+    if not 0 <= args.bound <= semigroup.MAX_BOUND:
+        raise UsageError(f"--bound must be in 0..{semigroup.MAX_BOUND}")
+    return args.bound
+
+
+def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
+    """A cone file over triples of `shape`; any defect is a UsageError."""
+    try:
+        cone = polyhedral.load_cone(path)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise UsageError(f"unreadable cone file {path}: {e!r}") from None
+    if cone.ambient_dim != 3 * shape.rank:
+        raise UsageError(f"cone file {path} does not live on triples of {shape}")
+    return cone
+
+
 # ---------------------------------------------------------------------------
 # Point file interchange (versioned text, one triple per line)
 
@@ -111,20 +127,23 @@ def save_points(points, shape: Shape, bound: int, path) -> None:
 
 
 def load_points(path):
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if (
-            header[:1] != ["holocone-points"]
-            or int(header[1]) != POINTS_FILE_VERSION
-        ):
-            raise UsageError(f"unrecognized points file: {path}")
-        fields = dict(kv.split("=") for kv in header[2:])
-        shape = Shape(int(fields["p"]), int(fields["q"]))
-        pts = [
-            tuple(int(x) for x in line.split(","))
-            for line in fh
-            if line.strip()
-        ]
+    """(points, shape) from a points file; any defect is a UsageError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().split()
+            if header[:2] != ["holocone-points", str(POINTS_FILE_VERSION)]:
+                raise ValueError("not a holocone-points file of this version")
+            fields = dict(kv.split("=") for kv in header[2:])
+            shape = Shape(int(fields["p"]), int(fields["q"])).validate()
+            pts = [
+                tuple(int(x) for x in line.split(","))
+                for line in fh
+                if line.strip()
+            ]
+        if not pts or any(len(x) != 3 * shape.rank for x in pts):
+            raise ValueError(f"need rows of {3 * shape.rank} entries")
+    except (OSError, ValueError, KeyError) as e:
+        raise UsageError(f"unreadable points file {path}: {e!r}") from None
     return pts, shape
 
 
@@ -177,8 +196,9 @@ def cmd_enumerate(args) -> int:
     shape = _shape_of(args)
     if args.out is None:
         raise UsageError("need --out")
-    points = semigroup.enumerate_semigroup_points(shape, args.bound)
-    save_points(points, shape, args.bound, args.out)
+    bound = _bound_of(args)
+    points = semigroup.enumerate_semigroup_points(shape, bound)
+    save_points(points, shape, bound, args.out)
     print(f"{len(points)} triples")
     return 0
 
@@ -201,8 +221,8 @@ def cmd_hull(args) -> int:
 def cmd_cone_member(args) -> int:
     if args.infile is None:
         raise UsageError("need --in")
-    cone = polyhedral.load_cone(args.infile)
     shape = _shape_of(args)
+    cone = _load_cone(args.infile, shape)
     lam, mu, nu = _parse_triple(args, shape)
     inside = polyhedral.cone_member(cone, lam + mu + nu)
     print(inside)
@@ -212,8 +232,8 @@ def cmd_cone_member(args) -> int:
 def _sliced(args):
     if args.infile is None:
         raise UsageError("need --in")
-    cone = polyhedral.load_cone(args.infile)
     shape = _shape_of(args)
+    cone = _load_cone(args.infile, shape)
     a = _parse_block_weight(args.lam, shape) if args.lam else None
     b = _parse_block_weight(args.mu, shape) if args.mu else None
     if a is None or b is None:
@@ -247,7 +267,10 @@ def cmd_ressayre(args) -> int:
     if args.mode == "verify":
         if args.gamma is None or args.w1 is None or args.w2 is None:
             raise UsageError("verify needs --gamma, --w1, --w2")
-        gamma, gshape = parse_weight(args.gamma)
+        try:
+            gamma, gshape = parse_weight(args.gamma)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         if gshape != shape:
             raise UsageError(
                 f"gamma has shape {gshape}, expected {shape}"
@@ -274,7 +297,7 @@ def cmd_ressayre(args) -> int:
     # search mode
     if args.infile is None or args.out is None:
         raise UsageError("search needs --in and --out")
-    cone = polyhedral.load_cone(args.infile).with_h_rep()
+    cone = _load_cone(args.infile, shape).with_h_rep()
     results = ressayre.search_certificates(shape, cone.inequalities)
     ressayre.save_certificates(results, shape, args.out)
     missing = [
@@ -291,7 +314,7 @@ def cmd_ressayre(args) -> int:
 
 def cmd_verify22(args) -> int:
     corrupt = verify.inject_extra_point if args.inject_fault else None
-    return verify.verify22(bound=args.bound, corrupt=corrupt)
+    return verify.verify22(bound=_bound_of(args), corrupt=corrupt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Exact rational polyhedral cones: double description, facets, slices.
 
-Cones are kept in exact arithmetic throughout (python ints / Fractions).
-The double description pass inserts inequalities in a fixed order and
-canonicalizes every generator to a primitive integer vector, so all
-outputs are deterministic.
+Every elimination runs on Python ints.  One fraction-free Gauss-Jordan
+kernel (`_echelon`) serves ranks, null spaces, reduction modulo the
+equalities and canonical facets; the double description pass inserts
+inequalities in a fixed order and keeps every generator a primitive
+integer vector, so all outputs are exact and deterministic.  Fractions
+are accepted only where input is coerced to integers: by `primitive`,
+in cone files and as `Polyhedron` constants.
 
 Conversions:
   * rays_from_halfspaces: H-representation -> extreme rays + lineality
@@ -16,17 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-Vec = Tuple[Fraction, ...]
 IntVec = Tuple[int, ...]
 
 CONE_FILE_VERSION = 1
-
-
-def _frac(v) -> Fraction:
-    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def dot(a: Sequence, b: Sequence):
@@ -39,7 +37,7 @@ def primitive(v: Sequence) -> IntVec:
     if all(type(x) is int for x in v):
         ints = list(v)
     else:
-        fr = [_frac(x) for x in v]
+        fr = [Fraction(x) for x in v]
         den = 1
         for x in fr:
             den = den * x.denominator // gcd(den, x.denominator)
@@ -61,54 +59,52 @@ def primitive_signed(v: Sequence) -> IntVec:
     return w
 
 
-def rref(rows: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Reduced row echelon form over the rationals (destructive copy)."""
-    m = [list(map(_frac, r)) for r in rows]
-    if not m:
-        return []
-    ncols = len(m[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(m)):
-            if m[r][col] != 0:
-                pr = r
-                break
+def _echelon(rows: Sequence[Sequence]) -> Tuple[List[IntVec], List[int]]:
+    """Fraction-free Gauss-Jordan elimination over the integers.
+
+    Returns (rows, pivots): the nonzero rows of a reduced echelon form,
+    each a positive integer multiple of the corresponding row of the
+    rational RREF (positive pivot, zero in every other pivot column), so
+    `primitive_signed` of a row is that of the rational RREF row.
+    """
+    m = [primitive(r) for r in rows]
+    pivots: List[int] = []
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        pr = next((i for i in range(top, len(m)) if m[i][col]), None)
         if pr is None:
             continue
-        m[pivot_row], m[pr] = m[pr], m[pivot_row]
-        piv = m[pivot_row][col]
-        m[pivot_row] = [x / piv for x in m[pivot_row]]
-        for r in range(len(m)):
-            if r != pivot_row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(m):
+        m[top], m[pr] = m[pr], m[top]
+        if m[top][col] < 0:
+            m[top] = tuple(-x for x in m[top])
+        prow = m[top]
+        piv = prow[col]
+        for i, r in enumerate(m):
+            f = r[col]
+            if i != top and f:
+                m[i] = primitive([piv * a - f * b for a, b in zip(r, prow)])
+        pivots.append(col)
+        if len(pivots) == len(m):
             break
-    return [r for r in m[:pivot_row]]
+    return m[: len(pivots)], pivots
 
 
 def rank(vectors: Sequence[Sequence]) -> int:
-    return len(rref([list(v) for v in vectors]))
+    return len(_echelon(vectors)[1])
 
 
 def null_space_basis(rows: Sequence[Sequence], dim: int) -> List[IntVec]:
     """Primitive integer basis of {x : r . x = 0 for all rows}."""
-    red = rref([list(r) for r in rows])
-    pivots = []
-    for r in red:
-        for c, x in enumerate(r):
-            if x != 0:
-                pivots.append(c)
-                break
-    free = [c for c in range(dim) if c not in pivots]
+    red, pivots = _echelon(rows)
+    scale = lcm(*(r[pc] for r, pc in zip(red, pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * dim
-        v[fc] = Fraction(1)
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        v = [0] * dim
+        v[fc] = scale
         for r, pc in zip(red, pivots):
-            v[pc] = -r[fc]
+            v[pc] = -r[fc] * scale // r[pc]
         basis.append(primitive_signed(v))
     return basis
 
@@ -137,12 +133,7 @@ def rays_from_halfspaces(
             dim = len(equalities[0])
         else:
             raise ValueError("dimension undetermined")
-    if equalities:
-        lineality = null_space_basis(equalities, dim)
-    else:
-        lineality = [
-            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-        ]
+    lineality = null_space_basis(equalities, dim)
     rays: List[IntVec] = []
     zerosets: List[set] = []  # per ray: indices of processed tight ineqs
 
@@ -296,10 +287,7 @@ class RationalCone:
             v = reduce_mod_lineality(a, eqs)
             if not _is_zero(v):
                 normals.add(v)
-        eq_canon = tuple(
-            primitive_signed(r)
-            for r in rref([list(map(Fraction, e)) for e in eqs])
-        )
+        eq_canon = tuple(primitive_signed(r) for r in _echelon(eqs)[0])
         return eq_canon, tuple(sorted(normals))
 
 
@@ -310,18 +298,11 @@ def reduce_mod_lineality(normal: Sequence, equalities: Sequence[Sequence]) -> In
     exactly when their reductions agree; this eliminates the pivot
     coordinates of the RREF of the equality rows.
     """
-    eqs = rref([list(map(Fraction, e)) for e in equalities])
-    pivots = []
-    for r in eqs:
-        for i, x in enumerate(r):
-            if x != 0:
-                pivots.append(i)
-                break
-    v = list(map(Fraction, normal))
-    for r, pc in zip(eqs, pivots):
+    v = list(primitive(normal))
+    for r, pc in zip(*_echelon(equalities)):
         f = v[pc]
         if f:
-            v = [x - f * y for x, y in zip(v, r)]
+            v = [r[pc] * x - f * y for x, y in zip(v, r)]
     return primitive(v)
 
 
@@ -559,10 +540,6 @@ def delta_K_pbar(shape) -> RationalCone:
 # Cone file interchange (versioned structured text; exact rational strings)
 
 
-def _num_to_str(x) -> str:
-    return str(x)
-
-
 def _str_to_num(s: str):
     f = Fraction(s)
     return int(f) if f.denominator == 1 else f
@@ -577,7 +554,7 @@ def save_cone(cone: RationalCone, path) -> None:
     for name in ("rays", "inequalities", "equalities", "lineality"):
         val = getattr(cone, name)
         if val is not None:
-            obj[name] = [[_num_to_str(x) for x in v] for v in val]
+            obj[name] = [[str(x) for x in v] for v in val]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=1, sort_keys=True)
         fh.write("\n")
@@ -586,14 +563,18 @@ def save_cone(cone: RationalCone, path) -> None:
 def load_cone(path) -> RationalCone:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("version") != CONE_FILE_VERSION:
-        raise ValueError(f"unsupported cone file version: {obj.get('version')}")
+    version = obj.get("version") if isinstance(obj, dict) else None
+    if version != CONE_FILE_VERSION:
+        raise ValueError(f"unsupported cone file version: {version}")
+    dim = obj["ambient_dim"]
     kwargs = {}
     for name in ("rays", "inequalities", "equalities", "lineality"):
         if name in obj:
             kwargs[name] = tuple(
                 tuple(_str_to_num(x) for x in v) for v in obj[name]
             )
+            if any(len(v) != dim for v in kwargs[name]):
+                raise ValueError(f"every row of {name} needs {dim} entries")
     return RationalCone(
-        obj["ambient_dim"], provenance=obj.get("provenance", "unspecified"), **kwargs
+        dim, provenance=obj.get("provenance", "unspecified"), **kwargs
     )

@@ -186,25 +186,28 @@ def _monk_x(cls: Dict[Perm, int], k: int, n: int) -> Dict[Perm, int]:
     return out
 
 
+def _monk_joint(
+    cls: CohomologyElement, k: int, block: int, shape: Shape
+) -> CohomologyElement:
+    """Multiply a joint class by x_k (block 0) or y_k (block 1)."""
+    n = shape.q if block else shape.p
+    out: CohomologyElement = {}
+    for pair, c in cls.items():
+        for w, c2 in _monk_x({pair[block]: c}, k, n).items():
+            key = (pair[0], w) if block else (w, pair[1])
+            out[key] = out.get(key, 0) + c2
+    return out
+
+
 def _mult_monomial(
     cls: CohomologyElement, ex: Sequence[int], ey: Sequence[int], shape: Shape
 ) -> CohomologyElement:
     """Multiply by x^ex * y^ey, one Chern root at a time."""
-    cur = dict(cls)
-    for k, e in enumerate(ex):
-        for _ in range(e):
-            nxt: CohomologyElement = {}
-            for (wp, wq), c in cur.items():
-                for wp2, c2 in _monk_x({wp: c}, k, shape.p).items():
-                    nxt[(wp2, wq)] = nxt.get((wp2, wq), 0) + c2
-            cur = nxt
-    for k, e in enumerate(ey):
-        for _ in range(e):
-            nxt = {}
-            for (wp, wq), c in cur.items():
-                for wq2, c2 in _monk_x({wq: c}, k, shape.q).items():
-                    nxt[(wp, wq2)] = nxt.get((wp, wq2), 0) + c2
-            cur = nxt
+    cur = cls
+    for block, exps in enumerate((ex, ey)):
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                cur = _monk_joint(cur, k, block, shape)
     return {k: v for k, v in cur.items() if v}
 
 
@@ -226,22 +229,13 @@ def multiply_by_joint_linear(
     cls: CohomologyElement, form: Tuple[Tuple[int, ...], Tuple[int, ...]], shape: Shape
 ) -> CohomologyElement:
     """Multiply by a degree-1 class sum_k a_k x_k + sum_k b_k y_k."""
-    ax, by = form
     out: CohomologyElement = {}
-    for k, a in enumerate(ax):
-        if not a:
-            continue
-        for (wp, wq), c in cls.items():
-            for wp2, c2 in _monk_x({wp: c}, k, shape.p).items():
-                key = (wp2, wq)
-                out[key] = out.get(key, 0) + a * c2
-    for k, b in enumerate(by):
-        if not b:
-            continue
-        for (wp, wq), c in cls.items():
-            for wq2, c2 in _monk_x({wq: c}, k, shape.q).items():
-                key = (wp, wq2)
-                out[key] = out.get(key, 0) + b * c2
+    for block, coeffs in enumerate(form):
+        for k, a in enumerate(coeffs):
+            if not a:
+                continue
+            for key, c in _monk_joint(cls, k, block, shape).items():
+                out[key] = out.get(key, 0) + a * c
     return {k: v for k, v in out.items() if v}
 
 

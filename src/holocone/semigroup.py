@@ -21,6 +21,8 @@ from .weights import Shape
 Vector = Tuple[int, ...]
 Triple = Tuple[Vector, Vector, Vector]
 
+MAX_BOUND = 127  # the largest box bound an int8 point matrix holds
+
 
 def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
     """All weakly decreasing integer vectors with entries in [-bound, bound]."""
@@ -140,7 +142,7 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     """
     import numpy as np
 
-    if bound > 127:
+    if bound > MAX_BOUND:
         raise ValueError("bound too large for the packed representation")
     ncols = 3 * shape.rank
     buf = bytearray()

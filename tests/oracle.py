@@ -5,13 +5,16 @@ definitions, deliberately avoiding the package's own algorithms:
 Schur polynomials come from semistandard-tableau monomial expansion,
 characters are multiplied as sparse Laurent polynomials, and dominant
 multiplicities are read off by repeated highest-weight stripping.
-The admissibility oracle takes ranks by plain Gaussian elimination.
+The admissibility oracle takes ranks by plain Gaussian elimination,
+and the polyhedral elimination oracles run on a Fraction Gauss-Jordan
+reduced row echelon form (`rref`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 Monomial = Tuple[int, ...]
@@ -221,3 +224,69 @@ def oracle_admissible(gamma, n: int) -> bool:
                 tight.append(v)
     want = n - 1 if all(g == gamma[0] for g in gamma) else n - 2
     return rank_rationals(tight) == want
+
+
+def rref(rows):
+    """Reduced row echelon form over Q (nonzero rows only), by Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivot_row = 0
+    for col in range(len(m[0]) if m else 0):
+        pr = next((r for r in range(pivot_row, len(m)) if m[r][col] != 0), None)
+        if pr is None:
+            continue
+        m[pivot_row], m[pr] = m[pr], m[pivot_row]
+        piv = m[pivot_row][col]
+        m[pivot_row] = [x / piv for x in m[pivot_row]]
+        for r in range(len(m)):
+            if r != pivot_row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(m):
+            break
+    return m[:pivot_row]
+
+
+def _pivots(red):
+    return [next(c for c, x in enumerate(r) if x != 0) for r in red]
+
+
+def primitive(v) -> Tuple[int, ...]:
+    """Coprime integer positive multiple of v."""
+    fr = [Fraction(x) for x in v]
+    den = lcm(*(x.denominator for x in fr))
+    ints = [int(x * den) for x in fr]
+    g = gcd(*ints) or 1
+    return tuple(x // g for x in ints)
+
+
+def primitive_signed(v) -> Tuple[int, ...]:
+    """primitive(v), negated if its first nonzero entry is negative."""
+    p = primitive(v)
+    return tuple(-x for x in p) if next((x for x in p if x), 0) < 0 else p
+
+
+def oracle_null_space_basis(rows, dim: int):
+    """One vector per free column of the RREF: 1 there, -RREF entries on pivots."""
+    red = rref(rows)
+    pivots = _pivots(red)
+    basis = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * dim
+        v[fc] = Fraction(1)
+        for r, pc in zip(red, pivots):
+            v[pc] = -r[fc]
+        basis.append(primitive_signed(v))
+    return basis
+
+
+def oracle_reduce_mod(normal, equalities):
+    """Positive primitive multiple of normal with the RREF pivots eliminated."""
+    red = rref(equalities)
+    v = [Fraction(x) for x in normal]
+    for r, pc in zip(red, _pivots(red)):
+        f = v[pc]
+        v = [x - f * y for x, y in zip(v, r)]
+    return primitive(v)

@@ -29,7 +29,6 @@ from holocone.weights import (
     Shape,
     in_chamber_rho,
     in_holomorphic_chamber,
-    is_dominant,
     rho_scaling_factor,
 )
 

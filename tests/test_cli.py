@@ -1,6 +1,5 @@
 """Command-line interface: behavior, exit codes, files, determinism."""
 
-import os
 import subprocess
 import sys
 
@@ -122,6 +121,68 @@ class TestPipelineFiles:
         run(["hull", "--in", str(pts), "--out", str(c1)], capsys)
         run(["hull", "--in", str(pts), "--out", str(c2)], capsys)
         assert c1.read_bytes() == c2.read_bytes()
+
+
+POINTS_HEADER = "holocone-points 1 p=1 q=1 bound=1\n"
+BAD_POINTS = {
+    "header-only": "holocone-points\n",
+    "field-without-=": "holocone-points 1 p2 q=1 bound=1\n1,0,0,0,1,-1\n",
+    "entry-x": POINTS_HEADER + "x\n",
+    "short-row": POINTS_HEADER + "1,0,1\n",
+    "no-points": POINTS_HEADER,
+    "missing-file": None,
+}
+CONE_COMMANDS = {
+    "cone-member": ["--triple", "1;0|1;0|2;0"],
+    "slice": ["--lam", "2;0", "--mu", "2;0"],
+    "recession": ["--lam", "2;0", "--mu", "2;0"],
+}
+BAD_CONES = {
+    "version-2": '{"version": 2, "ambient_dim": 6}',
+    "no-ambient_dim": '{"version": 1}',
+    "not-JSON": "nope",
+    "wrong-dimension": '{"version": 1, "ambient_dim": 3, "inequalities": [["1", "0", "0"]]}',
+    "short-row": '{"version": 1, "ambient_dim": 6, "inequalities": [["1"]]}',
+    "top-level-list": "[]",
+}
+BOUND_COMMANDS = {
+    "enumerate": ["enumerate", "--p", "1", "--q", "1", "--out", "OUT"],
+    "verify22": ["verify22"],
+}
+RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
+
+
+@pytest.mark.parametrize(
+    "file_text, argv",
+    [
+        *(
+            pytest.param(text, ["hull", "--in", "IN", "--out", "OUT"], id=f"hull-{why}")
+            for why, text in BAD_POINTS.items()
+        ),
+        *(
+            pytest.param(text, [cmd, "--p", "1", "--q", "1", "--in", "IN", *args],
+                         id=f"{cmd}-{why}")
+            for cmd, args in CONE_COMMANDS.items()
+            for why, text in BAD_CONES.items()
+        ),
+        *(
+            pytest.param(None, [*args, "--bound", bound], id=f"{cmd}-bound{bound}")
+            for cmd, args in BOUND_COMMANDS.items()
+            for bound in ("-1", "200")
+        ),
+        pytest.param(None, [*RESSAYRE_VERIFY, "--gamma", "1,0;0,0", "--w1", "2x;12", "--w2", "12"],
+                     id="ressayre-w1-2x"),
+        pytest.param(None, [*RESSAYRE_VERIFY, "--gamma", "1,x;0,0", "--w1", "12", "--w2", "12"],
+                     id="ressayre-gamma-x"),
+    ],
+)
+def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
+    infile = tmp_path / "in.txt"
+    if file_text is not None:
+        infile.write_text(file_text)
+    argv = [{"IN": str(infile), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestRessayreCommands:

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from holocone import polyhedral as ph
 from holocone.weights import Shape
 
@@ -200,6 +203,80 @@ class TestCanonicalFacets:
         a = ph.reduce_mod_lineality((2, 0, 0), eqs)
         b = ph.reduce_mod_lineality((1, -1, -1), eqs)
         assert a == b
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def row_lists(dim, **sizes):
+    return st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim), **sizes)
+
+
+@st.composite
+def systems(draw, dim):
+    """Rows of int and Fraction entries, maybe with a dependent and a zero row."""
+    rows = draw(row_lists(dim, max_size=4))
+    if rows and draw(st.booleans()):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(ENTRIES)
+        rows.append([x - c * y for x, y in zip(a, b)])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * dim)
+    return rows
+
+
+class TestEchelonAgainstFractionOracle:
+    """The integer elimination kernel gives the Fraction RREF's answers."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_and_null_space_basis(self, data):
+        dim = data.draw(st.integers(1, 5))
+        rows = data.draw(systems(dim))
+        assert ph.rank(rows) == len(oracle.rref(rows)) == oracle.rank_rationals(rows)
+        basis = ph.null_space_basis(rows, dim)
+        assert basis == oracle.oracle_null_space_basis(rows, dim)
+        assert all(ph.dot(r, v) == 0 for r in rows for v in basis)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_mod_lineality_and_canonical_facets(self, data):
+        dim = data.draw(st.integers(1, 5))
+        eqs = data.draw(systems(dim))
+        ineqs = data.draw(row_lists(dim, min_size=1, max_size=4))
+        for a in ineqs:
+            assert ph.reduce_mod_lineality(a, eqs) == oracle.oracle_reduce_mod(a, eqs)
+        cone = ph.RationalCone(dim, inequalities=tuple(ineqs), equalities=tuple(eqs))
+        want_normals = {oracle.oracle_reduce_mod(a, eqs) for a in ineqs} - {(0,) * dim}
+        assert cone.canonical_facets() == (
+            tuple(oracle.primitive_signed(r) for r in oracle.rref(eqs)),
+            tuple(sorted(want_normals)),
+        )
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rays_from_halfspaces_with_equalities(self, data):
+        dim = data.draw(st.integers(1, 5))
+        eqs = data.draw(systems(dim))
+        ineqs = data.draw(row_lists(dim, max_size=5))
+        rays, lin = ph.rays_from_halfspaces(ineqs, eqs, dim)
+        with mock.patch.object(ph, "null_space_basis", oracle.oracle_null_space_basis):
+            assert ph.rays_from_halfspaces(ineqs, eqs, dim) == (rays, lin)
+        # The lineality space is the null space of all rows; rays are
+        # feasible and extreme modulo it.
+        assert len(lin) == oracle.rank_rationals(lin) == len(
+            oracle.oracle_null_space_basis(ineqs + eqs, dim)
+        )
+        assert all(ph.dot(r, v) == 0 for r in ineqs + eqs for v in lin)
+        for x in rays:
+            assert all(ph.dot(e, x) == 0 for e in eqs)
+            assert all(ph.dot(a, x) >= 0 for a in ineqs)
+            tight = [a for a in ineqs if ph.dot(a, x) == 0]
+            assert oracle.rank_rationals(tight + eqs) == dim - len(lin) - 1
 
 
 class TestSliceAndRecession:

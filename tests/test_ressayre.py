@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from holocone import reference22, ressayre, semigroup
 from holocone.polyhedral import dot, primitive
-from holocone.weights import Shape, WeylElement, all_weyl_elements, identity_weyl
+from holocone.weights import Shape, all_weyl_elements, identity_weyl
 
 
 def cand(gamma, w1, w2):

@@ -1,7 +1,6 @@
 """Schubert calculus: polynomials, Monk products, duality, Euler classes."""
 
 import random
-from itertools import permutations
 
 import pytest
 
