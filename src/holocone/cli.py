@@ -252,7 +252,9 @@ def cmd_slice(args) -> int:
 
 def cmd_recession(args) -> int:
     poly, _ = _sliced(args)
-    rec = polyhedral.recession_cone(poly).with_v_rep()
+    if poly.is_empty():
+        raise UsageError("the slice is empty: no C completes --lam and --mu in the cone")
+    rec = polyhedral.recession_cone(poly)
     for l in rec.lineality or ():
         print("line " + ",".join(map(str, l)))
     for r in rec.rays or ():

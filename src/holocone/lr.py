@@ -25,6 +25,8 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterator, List, Tuple
 
+from . import polyhedral
+
 GLWeight = Tuple[int, ...]
 
 _lr_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight], int] = {}
@@ -251,12 +253,14 @@ def partitions(total: int, max_parts: int, max_part: int | None = None):
 
 
 def clear_caches() -> None:
-    """Empty the LR memo caches and symq's memo of Cauchy components."""
+    """Empty the LR memo caches, symq's memo of Cauchy components and
+    polyhedral's slice tables."""
     from . import symq  # symq imports this module
 
     _lr_cache.clear()
     _expand_cache.clear()
     symq._cauchy_cache.clear()
+    polyhedral.clear_caches()
 
 
 # ---------------------------------------------------------------------------

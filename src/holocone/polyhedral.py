@@ -12,6 +12,14 @@ Conversions:
   * rays_from_halfspaces: H-representation -> extreme rays + lineality
   * cone_from_points:     V-representation -> irredundant facets, via the
     dual cone (facet normals are the extreme rays of the dual)
+
+Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
+part (N, E), so each (N, E) gets one memoised table of two double
+descriptions: the Farkas cone {(y, z) : y >= 0, N^T y + E^T z = 0},
+whose rays and lineality decide emptiness by the signs of (c, f)
+against them (Farkas' lemma), and the recession cone {N x >= 0,
+E x = 0}.  A slice query then runs no double description;
+`clear_caches` empties the table.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 IntVec = Tuple[int, ...]
 
@@ -480,23 +488,45 @@ class Polyhedron:
             dot(n, x) + c == 0 for n, c in self.equalities
         )
 
-    def homogenization(self):
-        """Cone in dim+1 coordinates (x, t), t >= 0."""
-        ineqs = [tuple(n) + (c,) for n, c in self.inequalities]
-        ineqs.append((0,) * self.ambient_dim + (1,))
-        eqs = [tuple(n) + (c,) for n, c in self.equalities]
-        return ineqs, eqs
-
     def is_empty(self) -> bool:
-        ineqs, eqs = self.homogenization()
-        rays, lin = rays_from_halfspaces(ineqs, eqs, self.ambient_dim + 1)
-        for r in rays:
-            if r[-1] > 0:
-                return False
-        for l in lin:
-            if l[-1] != 0:
-                return False
-        return True
+        """Farkas' lemma: empty iff some (y >= 0, z) with N^T y + E^T z = 0
+        has c . y + f . z < 0, i.e. iff a lineality vector of that cone
+        pairs nonzero with (c, f) or an extreme ray pairs negative."""
+        (rays, lin), _ = _slice_tables(self)
+        cf = tuple(c for _, c in self.inequalities) + tuple(f for _, f in self.equalities)
+        return any(dot(l, cf) != 0 for l in lin) or any(dot(r, cf) < 0 for r in rays)
+
+
+# (N, E, ambient_dim) -> (Farkas cone, recession cone), each as the
+# (rays, lineality) of `rays_from_halfspaces`; filled by `_slice_tables`.
+_slice_cache: Dict[tuple, tuple] = {}
+
+
+def clear_caches() -> None:
+    """Empty the per-cone slice tables (`lr.clear_caches` calls this)."""
+    _slice_cache.clear()
+
+
+def _slice_tables(poly: Polyhedron):
+    """The Farkas and recession cones of the normal part (N, E) of `poly`.
+
+    Neither depends on the constants, so every slice of one cone shares
+    one entry.  The Farkas cone lives in one coordinate per constraint:
+    y >= 0 on the inequalities, z free on the equalities.
+    """
+    ns = tuple(tuple(n) for n, _ in poly.inequalities)
+    es = tuple(tuple(n) for n, _ in poly.equalities)
+    key = (ns, es, poly.ambient_dim)
+    tables = _slice_cache.get(key)
+    if tables is None:
+        d = len(ns) + len(es)
+        signs = [tuple(int(i == j) for j in range(d)) for i in range(len(ns))]
+        columns = [tuple(row[k] for row in ns + es) for k in range(poly.ambient_dim)]
+        tables = _slice_cache[key] = (
+            rays_from_halfspaces(signs, columns, d),
+            rays_from_halfspaces(ns, es, poly.ambient_dim),
+        )
+    return tables
 
 
 def slice_at(cone: RationalCone, fixed_a: Sequence, fixed_b: Sequence) -> Polyhedron:
@@ -516,12 +546,16 @@ def slice_at(cone: RationalCone, fixed_a: Sequence, fixed_b: Sequence) -> Polyhe
 
 
 def recession_cone(poly: Polyhedron) -> RationalCone:
+    """{x : N x >= 0, E x = 0}, with both representations already set."""
     if poly.is_empty():
         raise ValueError("recession cone of an empty polyhedron")
+    rays, lin = _slice_tables(poly)[1]
     return RationalCone(
         poly.ambient_dim,
+        rays=rays,
         inequalities=tuple(n for n, _ in poly.inequalities),
         equalities=tuple(n for n, _ in poly.equalities),
+        lineality=lin,
         provenance="recession",
     )
 

@@ -17,6 +17,7 @@ C-block and scans the finitely many Weyl pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
@@ -193,12 +194,17 @@ def is_chamber_facet(normal: Sequence, shape: Shape) -> bool:
     Chamber facets bound the product of dominant chambers rather than
     reflecting any branching condition, so they carry no certificate.
     """
-    eqs = (trace_equality_normal(shape),)
-    key = reduce_mod_lineality(normal, eqs)
-    return any(
-        key == reduce_mod_lineality(c, eqs)
-        for c in chamber_facet_normals(shape)
+    return (
+        reduce_mod_lineality(normal, (trace_equality_normal(shape),))
+        in _chamber_keys(shape)
     )
+
+
+@lru_cache(maxsize=None)
+def _chamber_keys(shape: Shape) -> frozenset:
+    """The chamber normals of a shape, each reduced modulo the sum identity."""
+    eqs = (trace_equality_normal(shape),)
+    return frozenset(reduce_mod_lineality(c, eqs) for c in chamber_facet_normals(shape))
 
 
 def _gamma_from_normal(normal: Sequence, shape: Shape):
@@ -264,10 +270,13 @@ def _fmt_weyl(w: WeylElement) -> str:
 
 def _parse_weyl(s: str) -> WeylElement:
     a, b = s.split("|")
-    return WeylElement(
+    w = WeylElement(
         tuple(int(x) for x in a.split(",")),
         tuple(int(x) for x in b.split(",")),
     )
+    if any(sorted(perm) != list(range(len(perm))) for perm in w):
+        raise ValueError(f"not a pair of permutations: {s}")
+    return w
 
 
 def save_certificates(results, shape: Shape, path) -> None:
@@ -290,28 +299,33 @@ def save_certificates(results, shape: Shape, path) -> None:
 
 
 def load_certificates(path):
-    """Parse a certificate file back into (normal, certificate-or-None)."""
+    """Parse a certificate file back into (normal, certificate-or-None).
+
+    Raises ValueError for any malformed header or line.
+    """
     out = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if header[:1] != ["holocone-certificates"] or int(header[1]) != CERT_FILE_VERSION:
+        if header[:2] != ["holocone-certificates", str(CERT_FILE_VERSION)]:
             raise ValueError("unrecognized certificate file")
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             parts = line.split()
-            if not parts:
-                continue
-            normal = tuple(int(x) for x in parts[1].split(","))
-            if parts[2] == "UNCERTIFIED":
-                out.append((normal, None))
-                continue
-            fields = dict(p.split("=", 1) for p in parts[3:])
-            gamma = tuple(int(x) for x in fields["gamma"].split(","))
-            cert = FacetCertificate(
-                RessayreCandidate(
-                    gamma, _parse_weyl(fields["w1"]), _parse_weyl(fields["w2"])
-                ),
-                int(fields["k"]),
-                normal,
-            )
-            out.append((normal, cert))
+            if parts:
+                try:
+                    out.append(_parse_certificate(parts))
+                except (IndexError, KeyError, ValueError) as e:
+                    raise ValueError(f"line {lineno}: malformed certificate: {e!r}") from None
     return out
+
+
+def _parse_certificate(parts: List[str]):
+    """(normal, certificate-or-None) from the fields of one facet line."""
+    if parts[0] != "facet" or parts[2] not in ("CERTIFIED", "UNCERTIFIED"):
+        raise ValueError("expected 'facet NORMAL CERTIFIED|UNCERTIFIED ...'")
+    normal = tuple(int(x) for x in parts[1].split(","))
+    if parts[2] == "UNCERTIFIED":
+        return normal, None
+    fields = dict(p.split("=", 1) for p in parts[3:])
+    gamma = tuple(int(x) for x in fields["gamma"].split(","))
+    cand = RessayreCandidate(gamma, _parse_weyl(fields["w1"]), _parse_weyl(fields["w2"]))
+    return normal, FacetCertificate(cand, int(fields["k"]), normal)

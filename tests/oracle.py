@@ -7,7 +7,8 @@ characters are multiplied as sparse Laurent polynomials, and dominant
 multiplicities are read off by repeated highest-weight stripping.
 The admissibility oracle takes ranks by plain Gaussian elimination,
 and the polyhedral elimination oracles run on a Fraction Gauss-Jordan
-reduced row echelon form (`rref`).
+reduced row echelon form (`rref`).  Emptiness of a polyhedron is decided
+by homogenising it and running one double description per query.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Tuple
+
+from holocone.polyhedral import rays_from_halfspaces
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, int]
@@ -290,3 +293,19 @@ def oracle_reduce_mod(normal, equalities):
         f = v[pc]
         v = [x - f * y for x, y in zip(v, r)]
     return primitive(v)
+
+
+def homogenization(poly):
+    """H-representation of the cone over `poly` in coordinates (x, t), t >= 0."""
+    ineqs = [tuple(n) + (c,) for n, c in poly.inequalities]
+    ineqs.append((0,) * poly.ambient_dim + (1,))
+    eqs = [tuple(n) + (c,) for n, c in poly.equalities]
+    return ineqs, eqs
+
+
+def oracle_is_empty(poly) -> bool:
+    """A polyhedron is empty iff its homogenisation meets t > 0 nowhere:
+    no extreme ray with t > 0 and no lineality vector with t != 0."""
+    ineqs, eqs = homogenization(poly)
+    rays, lin = rays_from_halfspaces(ineqs, eqs, poly.ambient_dim + 1)
+    return all(r[-1] <= 0 for r in rays) and all(l[-1] == 0 for l in lin)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from holocone import cli, lr
+from holocone import cli, lr, polyhedral, reference22
 
 
 def run(argv, capsys):
@@ -183,6 +183,16 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
     argv = [{"IN": str(infile), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_recession_of_empty_slice_is_usage_error(tmp_path, capsys):
+    cone = tmp_path / "ref.json"
+    polyhedral.save_cone(reference22.reference_cone(), cone)
+    argv = ["recession", "--p", "2", "--q", "2", "--in", str(cone), "--mu", "1,0;0,0"]
+    assert cli.main(argv + ["--lam", "0,1;0,0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert cli.main(argv + ["--lam", "1,0;0,-1"]) == 0
+    assert capsys.readouterr().out == "ray 1,0,0,-1\nray 1,1,-1,-1\n"
 
 
 class TestRessayreCommands:

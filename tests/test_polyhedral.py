@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from holocone import polyhedral as ph
+from holocone import lr, polyhedral as ph
 from holocone.weights import Shape
 
 
@@ -297,11 +297,12 @@ class TestSliceAndRecession:
 
     def test_empty_slice_detected(self):
         cone = ph.RationalCone(
-            3, inequalities=((0, 0, 1),), equalities=((0, 0, 1),)
+            3, inequalities=((1, 0, 1),), equalities=((0, 0, 1),)
         )
-        poly = ph.slice_at(cone, (-1,), (0,))
-        # constraints on C: c >= 0 and c = 0 shifted by fixed part
-        assert isinstance(poly.is_empty(), bool)
+        # constraints on C: a + c >= 0 and c = 0
+        assert ph.slice_at(cone, (-1,), (0,)).is_empty()
+        assert not ph.slice_at(cone, (0,), (0,)).is_empty()
+        assert not ph.slice_at(cone, (2,), (0,)).is_empty()
 
     def test_orthant_recession(self):
         poly = ph.Polyhedron(
@@ -335,6 +336,74 @@ class TestSliceAndRecession:
         poly = ph.slice_at(self._rank_one_cone(), (1, -1), (1, -1))
         rec = ph.recession_cone(poly).with_v_rep()
         assert rec.rays == ((1, -1),)
+
+    def test_slices_of_one_cone_share_one_table(self):
+        cone = self._rank_one_cone()
+        lr.clear_caches()
+        with mock.patch.object(
+            ph, "rays_from_halfspaces", wraps=ph.rays_from_halfspaces
+        ) as dd:
+            for a in range(-3, 4):
+                poly = ph.slice_at(cone, (a, -a), (1, -1))
+                assert poly.is_empty() == oracle.oracle_is_empty(poly)
+                if not poly.is_empty():
+                    assert ph.recession_cone(poly).rays == ((1, -1),)
+        # one Farkas cone and one recession cone for all seven slices
+        assert dd.call_count == 2
+        assert len(ph._slice_cache) == 1
+
+    def test_lr_clear_caches_empties_slice_tables(self):
+        ph.slice_at(self._rank_one_cone(), (1, -1), (1, -1)).is_empty()
+        assert ph._slice_cache
+        lr.clear_caches()
+        assert not ph._slice_cache
+
+
+@st.composite
+def polyhedra(draw, dim):
+    """Polyhedron over `systems` normals with int and Fraction constants."""
+    ineqs = draw(systems(dim))
+    eqs = draw(systems(dim))
+    return ph.Polyhedron(
+        dim,
+        tuple((tuple(n), draw(ENTRIES)) for n in ineqs),
+        tuple((tuple(n), draw(ENTRIES)) for n in eqs),
+    )
+
+
+class TestFarkasAgainstHomogenisation:
+    """The Farkas table decides emptiness as the homogenised DD does."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_is_empty_and_recession_cone(self, data):
+        dim = data.draw(st.integers(0, 4))
+        poly = data.draw(polyhedra(dim))
+        empty = poly.is_empty()
+        assert empty == oracle.oracle_is_empty(poly)
+        if empty:
+            with pytest.raises(ValueError):
+                ph.recession_cone(poly)
+            return
+        rec = ph.recession_cone(poly)
+        ns = [n for n, _ in poly.inequalities]
+        es = [n for n, _ in poly.equalities]
+        assert (rec.rays, rec.lineality) == ph.rays_from_halfspaces(ns, es, dim)
+        assert rec.with_v_rep() is rec
+
+    def test_no_constraints_and_dimension_zero(self):
+        assert not ph.Polyhedron(3, (), ()).is_empty()
+        assert not ph.Polyhedron(0, (), ()).is_empty()
+        rec = ph.recession_cone(ph.Polyhedron(2, (), ()))
+        assert rec.rays == () and rec.lineality == ((0, 1), (1, 0))
+        for c, f, empty in ((0, 0, False), (Fraction(-1, 2), 0, True), (1, 3, True)):
+            poly = ph.Polyhedron(0, (((), c),), (((), f),))
+            assert poly.is_empty() == oracle.oracle_is_empty(poly) == empty
+
+    def test_zero_normal_row(self):
+        for c in (Fraction(-1, 3), 0, 2):
+            poly = ph.Polyhedron(2, (((0, 0), c), ((1, 0), 5)), ())
+            assert poly.is_empty() == (c < 0) == oracle.oracle_is_empty(poly)
 
 
 class TestDeltaKPbar:

@@ -251,6 +251,28 @@ class TestCertifyNormals:
         )
         assert ressayre.is_chamber_facet(shifted, s)
 
+    def test_chamber_keys_match_per_call_reduction(self):
+        def per_call(normal, shape):
+            eqs = (ressayre.trace_equality_normal(shape),)
+            key = oracle.oracle_reduce_mod(normal, eqs)
+            return any(
+                key == oracle.oracle_reduce_mod(c, eqs)
+                for c in ressayre.chamber_facet_normals(shape)
+            )
+
+        rng = random.Random(4)
+        for shape in (Shape(1, 1), Shape(2, 1), Shape(2, 2), Shape(3, 1)):
+            n = 3 * shape.rank
+            trace = ressayre.trace_equality_normal(shape)
+            normals = list(ressayre.chamber_facet_normals(shape))
+            normals += [tuple(x + 2 * t for x, t in zip(c, trace)) for c in normals]
+            normals += [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(200)]
+            if shape == Shape(2, 2):
+                normals += reference22.CROSS_INEQUALITIES + reference22.DOMINANCE_INEQUALITIES
+            for nrm in normals:
+                if any(nrm):
+                    assert ressayre.is_chamber_facet(nrm, shape) == per_call(nrm, shape)
+
     def test_zero_c_block_has_no_certificate(self):
         s = Shape(2, 2)
         assert (
@@ -281,3 +303,55 @@ class TestCertificateFiles:
         path.write_text("wrong 1\n")
         with pytest.raises(ValueError):
             ressayre.load_certificates(path)
+
+
+CERT_HEADER = "holocone-certificates 1 p=2 q=2\n"
+CERT_LINE = "facet 0,-1,0,0,0,-1,0,0,0,1,0,0 CERTIFIED"
+CERT_FIELDS = {"gamma": "0,0,-1,0", "w1": "0,1|0,1", "w2": "1,0|0,1", "k": "1"}
+
+
+def cert_line(**changes):
+    fields = {**CERT_FIELDS, **changes}
+    return CERT_LINE + "".join(
+        f" {k}={v}" for k, v in fields.items() if v is not None
+    ) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("", id="empty-file"),
+        pytest.param("holocone-certificates\n", id="header-only"),
+        pytest.param("holocone-certificates x p=2 q=2\n", id="version-x"),
+        pytest.param(CERT_HEADER + "facet 1,0\n", id="two-fields"),
+        pytest.param(CERT_HEADER + "facet\n", id="one-field"),
+        pytest.param(CERT_HEADER + "edge 1,0 UNCERTIFIED\n", id="not-a-facet"),
+        pytest.param(CERT_HEADER + cert_line().replace("CERTIFIED", "MAYBE"), id="unknown-status"),
+        pytest.param(CERT_HEADER + "facet 1,x UNCERTIFIED\n", id="normal-x"),
+        pytest.param(CERT_HEADER + "facet 1,0.5 UNCERTIFIED\n", id="normal-0.5"),
+        *(
+            pytest.param(CERT_HEADER + cert_line(**{key: None}), id=f"missing-{key}")
+            for key in CERT_FIELDS
+        ),
+        pytest.param(CERT_HEADER + CERT_LINE + " gamma\n", id="field-without-="),
+        pytest.param(CERT_HEADER + cert_line(gamma="0,0,x,0"), id="gamma-x"),
+        pytest.param(CERT_HEADER + cert_line(k="1/2"), id="k-1/2"),
+        pytest.param(CERT_HEADER + cert_line(w1="0,1"), id="w1-no-bar"),
+        pytest.param(CERT_HEADER + cert_line(w1="0,1|0|1"), id="w1-two-bars"),
+        pytest.param(CERT_HEADER + cert_line(w2="0,y|0,1"), id="w2-y"),
+        pytest.param(CERT_HEADER + cert_line(w2="0,0|0,1"), id="w2-not-a-permutation"),
+    ],
+)
+def test_malformed_certificate_file_is_value_error(tmp_path, text):
+    path = tmp_path / "certs.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        ressayre.load_certificates(path)
+
+
+def test_certificate_fixture_line_parses(tmp_path):
+    path = tmp_path / "certs.txt"
+    path.write_text(CERT_HEADER + cert_line())
+    [(normal, cert)] = ressayre.load_certificates(path)
+    assert cert.normal == normal and cert.k == 1
+    assert cert.candidate.w2 == ressayre.WeylElement((1, 0), (0, 1))
