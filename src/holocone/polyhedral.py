@@ -30,9 +30,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .weights import parse_number
+
 IntVec = Tuple[int, ...]
 
 CONE_FILE_VERSION = 1
+# Largest point set `facets_of_points` seeds itself, by `additive_prune`.
+AUTO_SEED_LIMIT = 1_000_000
 
 
 def dot(a: Sequence, b: Sequence):
@@ -371,23 +375,18 @@ def additive_prune(points) -> List[IntVec]:
     Sound for any integer point set (x is then a positive combination of
     the parts); on semigroup samples it shrinks the set by orders of
     magnitude.  Strict l1 descent on both parts keeps the recursion
-    well-founded, so the kept points generate the same cone.
+    well-founded, so the kept points generate the same cone.  Zero rows
+    and duplicates are dropped; the result is sorted.
     """
-    pts = set(_exact_row(p) for p in points)
-    pts = {p for p in pts if not _is_zero(p)}
-
-    def l1(v):
-        return sum(abs(x) for x in v)
-
-    kept: List[IntVec] = []
-    for x in sorted(pts, key=lambda v: (l1(v), v)):
-        nx = l1(x)
+    # l1 norms, computed once; the zero point (norm 0) is left out.
+    norm = {x: n for x in map(_exact_row, points) if (n := sum(map(abs, x)))}
+    kept: List[IntVec] = []  # in increasing norm
+    for x, nx in sorted(norm.items(), key=lambda item: (item[1], item[0])):
         reducible = False
         for g in kept:
-            if l1(g) >= nx:
+            if norm[g] >= nx:
                 break
-            h = tuple(a - b for a, b in zip(x, g))
-            if l1(h) < nx and h in pts:
+            if norm.get(tuple(a - b for a, b in zip(x, g)), nx) < nx:
                 reducible = True
                 break
         if not reducible:
@@ -417,7 +416,7 @@ def facets_of_points(points: Sequence[Sequence], dim: int, seed=None):
     if seed is not None:
         active = [primitive(_exact_row(s)) for s in seed]
         active = sorted(set(a for a in active if not _is_zero(a)))
-    elif npts <= 1_000_000:
+    elif npts <= AUTO_SEED_LIMIT:
         active = additive_prune(points)
     else:
         raise ValueError(
@@ -574,11 +573,6 @@ def delta_K_pbar(shape) -> RationalCone:
 # Cone file interchange (versioned structured text; exact rational strings)
 
 
-def _str_to_num(s: str):
-    f = Fraction(s)
-    return int(f) if f.denominator == 1 else f
-
-
 def save_cone(cone: RationalCone, path) -> None:
     obj = {
         "version": CONE_FILE_VERSION,
@@ -605,7 +599,7 @@ def load_cone(path) -> RationalCone:
     for name in ("rays", "inequalities", "equalities", "lineality"):
         if name in obj:
             kwargs[name] = tuple(
-                tuple(_str_to_num(x) for x in v) for v in obj[name]
+                tuple(parse_number(x) for x in v) for v in obj[name]
             )
             if any(len(v) != dim for v in kwargs[name]):
                 raise ValueError(f"every row of {name} needs {dim} entries")

@@ -22,7 +22,6 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
-from .symq import q_module_weights
 from .weights import (
     Shape,
     WeylElement,
@@ -30,6 +29,7 @@ from .weights import (
     check_length,
     compact_positive_roots,
     longest_weyl,
+    noncompact_positive_roots,
     pairing,
     positive_roots,
 )
@@ -89,7 +89,7 @@ def relation_A(c: RessayreCandidate, shape: Shape) -> bool:
         + sum(1 for a in rc_pos if pairing(a, g) > 0)
     )
     rhs = 2 * sum(1 for a in rc_pos if pairing(a, g) != 0) + sum(
-        1 for h in q_module_weights(shape) if pairing(h, g) > 0
+        1 for h in noncompact_positive_roots(shape) if pairing(h, g) > 0
     )
     return lhs == rhs
 

@@ -5,17 +5,23 @@ semigroup when [V_nu : V_lam (x) V_mu (x) Sym(M_{p,q})] is nonzero.  The
 box bound is on every coordinate; negative entries are essential, so a
 degree bound would not do.
 
-The enumeration works blockwise: for each pair of p-block weights and
-each Cauchy partition delta, the possible p-blocks of nu are tabulated
-once, and likewise on the q side; the two tables are then joined over
-delta.  Everything is deterministic and sorted.
+Membership needs only the support of each tensor product: Littlewood-
+Richardson coefficients are never negative, so a sum of their products
+is positive exactly when one term is, and no multiplicity is added up.
+For each pair of p-block weights and each Cauchy component
+(`symq.cauchy_components`), the set of boxed p-blocks of nu is
+tabulated once, from one expansion per distinct (kappa, delta); likewise
+on the q side.  The two tables are joined over the components: the nu
+of a p-pair and a q-pair are the union of the products of their sets.
+Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from itertools import chain, product
+from typing import Dict, Iterator, List, Set, Tuple
 
-from . import lr
+from . import lr, symq
 from .weights import Shape
 
 Vector = Tuple[int, ...]
@@ -45,22 +51,27 @@ def _block_table(
     pairs: List[Tuple[Vector, Vector]],
     deltas: List[Vector],
     bound: int,
-) -> Dict[Tuple[Vector, Vector], Dict[Vector, Dict[Vector, int]]]:
-    """pair -> delta -> {result block: multiplicity}, boxed."""
-    table: Dict[Tuple[Vector, Vector], Dict[Vector, Dict[Vector, int]]] = {}
-    for a, b in pairs:
-        base = lr.tensor_expand(a, b)
-        per_delta: Dict[Vector, Dict[Vector, int]] = {}
+) -> Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]]:
+    """pair -> Cauchy weight delta -> set of boxed blocks in a (x) b (x) delta."""
+    bases = {(a, b): lr.tensor_expand(a, b) for a, b in pairs}
+    support = {
+        (kappa, delta): {
+            res
+            for res in lr.tensor_expand(kappa, delta)
+            if res[0] <= bound and res[-1] >= -bound
+        }
+        for kappa in set().union(*bases.values())
+        for delta in deltas
+    }
+    table: Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]] = {}
+    for pair, base in bases.items():
+        per_delta = {}
         for delta in deltas:
-            acc: Dict[Vector, int] = {}
-            for kappa, c in base.items():
-                for res, c2 in lr.tensor_expand(kappa, delta).items():
-                    if res[0] <= bound and res[-1] >= -bound:
-                        acc[res] = acc.get(res, 0) + c * c2
-            if acc:
-                per_delta[delta] = acc
+            blocks = set().union(*(support[kappa, delta] for kappa in base))
+            if blocks:
+                per_delta[delta] = blocks
         if per_delta:
-            table[(a, b)] = per_delta
+            table[pair] = per_delta
     return table
 
 
@@ -74,18 +85,7 @@ def _iter_semigroup(shape: Shape, bound: int) -> Iterator[Triple]:
     # d = |nu'|-|lam'|-|mu'| <= p*bound + 2*p*bound, and symmetrically
     # d = |lam''|+|mu''|-|nu''| <= 2*q*bound + q*bound; q <= p wins.
     max_deg = 3 * q * bound
-
-    deltas_by_deg: Dict[int, List[Vector]] = {
-        d: (lr.partitions(d, q) if d else [()]) for d in range(max_deg + 1)
-    }
-
-    # Precompute per-degree padded weights once.
-    def pad_p(delta: Vector) -> Vector:
-        return tuple(delta) + (0,) * (p - len(delta))
-
-    def nat_q(delta: Vector) -> Vector:
-        padded = tuple(delta) + (0,) * (q - len(delta))
-        return tuple(-v for v in reversed(padded))
+    comps = [symq.cauchy_components(shape, d) for d in range(max_deg + 1)]
 
     p_pairs = [
         (a, b)
@@ -99,30 +99,24 @@ def _iter_semigroup(shape: Shape, bound: int) -> Iterator[Triple]:
         for b in qvecs
         if sum(a) + sum(b) >= -q * bound
     ]
-    all_deltas = [d for lst in deltas_by_deg.values() for d in lst]
-    p_table = _block_table(p_pairs, [pad_p(d) for d in all_deltas], bound)
-    q_table = _block_table(q_pairs, [nat_q(d) for d in all_deltas], bound)
+    all_comps = list(chain.from_iterable(comps))
+    p_table = _block_table(p_pairs, [c.up_weight for c in all_comps], bound)
+    q_table = _block_table(q_pairs, [c.uq_weight for c in all_comps], bound)
 
     for (lp, mp), p_per_delta in p_table.items():
         base_deg = sum(lp) + sum(mp)
         for (lq, mq), q_per_delta in q_table.items():
             budget = sum(lq) + sum(mq)
             dmax = min(p * bound - base_deg, budget + q * bound, max_deg)
-            acc: Dict[Tuple[Vector, Vector], int] = {}
-            for d in range(0, dmax + 1):
-                for delta in deltas_by_deg[d]:
-                    pm = p_per_delta.get(pad_p(delta))
-                    if not pm:
-                        continue
-                    qm = q_per_delta.get(nat_q(delta))
-                    if not qm:
-                        continue
-                    for np_, c1 in pm.items():
-                        for nq, c2 in qm.items():
-                            acc[(np_, nq)] = acc.get((np_, nq), 0) + c1 * c2
-            for (np_, nq), m in acc.items():
-                if m > 0:
-                    yield (lp + lq, mp + mq, np_ + nq)
+            nus: Set[Tuple[Vector, Vector]] = set()
+            for d in range(dmax + 1):
+                for comp in comps[d]:
+                    pm = p_per_delta.get(comp.up_weight)
+                    qm = q_per_delta.get(comp.uq_weight)
+                    if pm and qm:
+                        nus.update(product(pm, qm))
+            for np_, nq in nus:
+                yield (lp + lq, mp + mq, np_ + nq)
 
 
 def enumerate_semigroup(shape: Shape, bound: int) -> List[Triple]:
@@ -135,23 +129,17 @@ def enumerate_semigroup(shape: Shape, bound: int) -> List[Triple]:
 def enumerate_semigroup_points(shape: Shape, bound: int):
     """Box-bounded semigroup triples as a compact numpy int8 matrix.
 
-    One row per triple, columns (lam, mu, nu) concatenated.  Row order is
-    the deterministic enumeration order (not sorted); entries fit in int8
-    for any practical bound.  This is the memory-safe path for the large
-    (2,2) verification runs, where the triple count reaches 10^7.
+    One row per triple, columns (lam, mu, nu) concatenated; the rows are
+    the triples of `enumerate_semigroup`, each once.  Their order is the
+    enumeration order: not sorted, but the same on every run.  Entries
+    fit in int8 for every bound up to MAX_BOUND, and the matrix is
+    filled straight from the enumeration, without a list of rows, so it
+    is the memory-safe path for the large (2,2) verification runs, where
+    the triple count reaches 10^7.
     """
     import numpy as np
 
     if bound > MAX_BOUND:
         raise ValueError("bound too large for the packed representation")
-    ncols = 3 * shape.rank
-    buf = bytearray()
-    for l, m, n in _iter_semigroup(shape, bound):
-        for v in l:
-            buf.append(v & 0xFF)
-        for v in m:
-            buf.append(v & 0xFF)
-        for v in n:
-            buf.append(v & 0xFF)
-    arr = np.frombuffer(bytes(buf), dtype=np.int8)
-    return arr.reshape(-1, ncols)
+    flat = chain.from_iterable(l + m + n for l, m, n in _iter_semigroup(shape, bound))
+    return np.fromiter(flat, dtype=np.int8).reshape(-1, 3 * shape.rank)

@@ -33,19 +33,6 @@ def natural_negation(delta: Sequence[int], q: int) -> Tuple[int, ...]:
     return tuple(-v for v in reversed(padded))
 
 
-def q_module_weights(shape: Shape) -> List[Vector]:
-    """T-weights e_i - e_{p+j} of M_{p,q}; pq of them, coordinate sum 0."""
-    n = shape.rank
-    out = []
-    for i in range(shape.p):
-        for j in range(shape.q):
-            v = [0] * n
-            v[i] = 1
-            v[shape.p + j] = -1
-            out.append(tuple(v))
-    return out
-
-
 def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
     """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically.
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional, TextIO
 
 from . import reference22, ressayre, semigroup
 from .polyhedral import (
+    AUTO_SEED_LIMIT,
     additive_prune,
     facets_of_points,
     primitive_signed,
@@ -34,7 +35,7 @@ def facets_of_points_seeded(points, shape: Shape, bound: int):
     `facets_of_points` then makes the result exact for the full set.
     """
     dim = 3 * shape.rank
-    if len(points) <= 1_000_000:
+    if len(points) <= AUTO_SEED_LIMIT:
         return facets_of_points(points, dim)
     seed_pts = semigroup.enumerate_semigroup_points(shape, min(bound, 2))
     seed = additive_prune(seed_pts)

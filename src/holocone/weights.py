@@ -43,6 +43,19 @@ def blocks(x: Sequence, shape: Shape):
     return tuple(x[: shape.p]), tuple(x[shape.p :])
 
 
+def parse_number(s):
+    """An exact number from text such as "3", " -3/2" or "0.25".
+
+    Integers come back as ints, other rationals as Fractions.  Malformed
+    text, a zero denominator included, raises ValueError.
+    """
+    try:
+        f = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {s!r}") from None
+    return int(f) if f.denominator == 1 else f
+
+
 def parse_weight(text: str):
     """Parse "2,1;0,-1" into (coords, Shape(2, 2)).
 
@@ -51,14 +64,8 @@ def parse_weight(text: str):
     parts = text.strip().split(";")
     if len(parts) != 2:
         raise ValueError(f"expected one ';' separating blocks: {text!r}")
-
-    def parse_num(s: str):
-        s = s.strip()
-        f = Fraction(s)
-        return int(f) if f.denominator == 1 else f
-
-    pb = tuple(parse_num(s) for s in parts[0].split(",") if s.strip() != "")
-    qb = tuple(parse_num(s) for s in parts[1].split(",") if s.strip() != "")
+    pb = tuple(parse_number(s) for s in parts[0].split(",") if s.strip() != "")
+    qb = tuple(parse_number(s) for s in parts[1].split(",") if s.strip() != "")
     if not pb or not qb:
         raise ValueError(f"empty block in weight {text!r}")
     return pb + qb, Shape(len(pb), len(qb))

@@ -8,7 +8,8 @@ multiplicities are read off by repeated highest-weight stripping.
 The admissibility oracle takes ranks by plain Gaussian elimination,
 and the polyhedral elimination oracles run on a Fraction Gauss-Jordan
 reduced row echelon form (`rref`).  Emptiness of a polyhedron is decided
-by homogenising it and running one double description per query.
+by homogenising it and running one double description per query.  The
+additive prune oracle sums each l1 norm again wherever it needs one.
 """
 
 from __future__ import annotations
@@ -309,3 +310,31 @@ def oracle_is_empty(poly) -> bool:
     ineqs, eqs = homogenization(poly)
     rays, lin = rays_from_halfspaces(ineqs, eqs, poly.ambient_dim + 1)
     return all(r[-1] <= 0 for r in rays) and all(l[-1] == 0 for l in lin)
+
+
+def oracle_additive_prune(points):
+    """The additive prune with every l1 norm summed where it is needed.
+
+    Drops each point x = g + h with g kept earlier, h in the set and both
+    parts of smaller l1 norm than x; zero points are dropped too.
+    """
+    pts = {tuple(int(x) for x in p) for p in points}
+    pts = {p for p in pts if any(p)}
+
+    def l1(v):
+        return sum(abs(x) for x in v)
+
+    kept = []
+    for x in sorted(pts, key=lambda v: (l1(v), v)):
+        nx = l1(x)
+        reducible = False
+        for g in kept:
+            if l1(g) >= nx:
+                break
+            h = tuple(a - b for a, b in zip(x, g))
+            if l1(h) < nx and h in pts:
+                reducible = True
+                break
+        if not reducible:
+            kept.append(x)
+    return sorted(kept)

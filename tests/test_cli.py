@@ -144,6 +144,7 @@ BAD_CONES = {
     "wrong-dimension": '{"version": 1, "ambient_dim": 3, "inequalities": [["1", "0", "0"]]}',
     "short-row": '{"version": 1, "ambient_dim": 6, "inequalities": [["1"]]}',
     "top-level-list": "[]",
+    "zero-denominator": '{"version": 1, "ambient_dim": 6, "inequalities": [["1/0", "0", "0", "0", "0", "0"]]}',
 }
 BOUND_COMMANDS = {
     "enumerate": ["enumerate", "--p", "1", "--q", "1", "--out", "OUT"],
@@ -174,6 +175,10 @@ RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
                      id="ressayre-w1-2x"),
         pytest.param(None, [*RESSAYRE_VERIFY, "--gamma", "1,x;0,0", "--w1", "12", "--w2", "12"],
                      id="ressayre-gamma-x"),
+        pytest.param(None, [*RESSAYRE_VERIFY, "--gamma", "1/0,0;0,0", "--w1", "12", "--w2", "12"],
+                     id="ressayre-gamma-zero-denominator"),
+        pytest.param(None, ["mult", "--p", "1", "--q", "1", "--lam", "1/0;0", "--mu", "0;0", "--nu", "0;0"],
+                     id="mult-zero-denominator"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):

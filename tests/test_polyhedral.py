@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from holocone import lr, polyhedral as ph
+from holocone import lr, polyhedral as ph, semigroup
 from holocone.weights import Shape
 
 
@@ -163,6 +164,30 @@ class TestAdditivePrune:
             a = ph.cone_from_points(pts)
             b = ph.cone_from_points(kept)
             assert ph.same_cone(a, b)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, data):
+        dim = data.draw(st.integers(1, 4))
+        row = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)
+        rows = data.draw(st.lists(row, max_size=40))
+        if rows and data.draw(st.booleans()):
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=6))
+        if data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), [0] * dim)
+        want = oracle.oracle_additive_prune(rows)
+        assert ph.additive_prune(rows) == want
+        assert ph.additive_prune(np.array(rows, dtype=np.int8).reshape(-1, dim)) == want
+
+    def test_edge_sets_and_semigroups_match_oracle(self):
+        empty = np.zeros((0, 3), dtype=np.int8)
+        assert ph.additive_prune([]) == ph.additive_prune(empty) == []
+        assert ph.additive_prune([(0, 0), (0, 0)]) == []
+        twice = np.array([[1, -1], [1, -1], [0, 0], [2, -2]], dtype=np.int8)
+        assert ph.additive_prune(twice) == [(1, -1)]
+        for shape in (Shape(2, 2), Shape(3, 1)):
+            pts = semigroup.enumerate_semigroup_points(shape, 1)
+            assert ph.additive_prune(pts) == oracle.oracle_additive_prune(pts)
 
 
 class TestConeMembership:

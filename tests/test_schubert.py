@@ -307,8 +307,7 @@ class TestEulerClass:
         assert sc.euler_class_q_positive((1, 0), s) == {}
 
     def test_homogeneous_of_expected_codegree(self):
-        from holocone.symq import q_module_weights
-        from holocone.weights import pairing
+        from holocone.weights import noncompact_positive_roots, pairing
 
         rng = random.Random(35)
         s = Shape(2, 2)
@@ -317,7 +316,7 @@ class TestEulerClass:
             if all(v == 0 for v in g):
                 continue
             rank = sum(
-                1 for h in q_module_weights(s) if pairing(h, g) > 0
+                1 for h in noncompact_positive_roots(s) if pairing(h, g) > 0
             )
             cls = sc.euler_class_q_positive(g, s)
             for (wp, wq), _c in cls.items():

@@ -10,6 +10,19 @@ from holocone import semigroup, symq
 from holocone.weights import Shape
 
 
+# (shape, bound) pairs small enough for a scan of every box triple.
+SCAN_CASES = [(Shape(2, 1), 1), (Shape(1, 1), 2), (Shape(2, 2), 1), (Shape(3, 1), 1)]
+
+
+def dominant_box(length, bound):
+    vals = range(-bound, bound + 1)
+    return [
+        w
+        for w in product(vals, repeat=length)
+        if all(a >= b for a, b in zip(w, w[1:]))
+    ]
+
+
 class TestRankOne:
     def test_bound_one_closed_form(self):
         # (1,1): membership iff c1 = a1+b1+d and c2 = a2+b2-d with d >= 0.
@@ -44,37 +57,45 @@ class TestGeneralities:
             assert symq.holomorphic_multiplicity(lam, mu, nu, shape) > 0
 
     def test_completeness_against_direct_scan(self):
-        # Every box triple with positive multiplicity must be listed.
-        shape = Shape(2, 1)
-        got = set(semigroup.enumerate_semigroup(shape, 1))
-        doms = [
-            pb + (qv,)
-            for pb in [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a >= b]
-            for qv in (-1, 0, 1)
-        ]
-        for lam in doms:
-            for mu in doms:
-                for nu in doms:
-                    member = symq.holomorphic_multiplicity(
-                        lam, mu, nu, shape
-                    ) > 0
-                    assert ((lam, mu, nu) in got) == member
+        # The listed triples are exactly the box triples of positive
+        # multiplicity.  Only |A| + |B| = |C| is scanned: every other
+        # triple has multiplicity 0.
+        for shape, bound in SCAN_CASES:
+            got = set(semigroup.enumerate_semigroup(shape, bound))
+            doms = [
+                pb + qb
+                for pb in dominant_box(shape.p, bound)
+                for qb in dominant_box(shape.q, bound)
+            ]
+            want = {
+                (lam, mu, nu)
+                for lam in doms
+                for mu in doms
+                for nu in doms
+                if sum(lam) + sum(mu) == sum(nu)
+                and symq.holomorphic_multiplicity(lam, mu, nu, shape) > 0
+            }
+            assert got == want, (shape, bound)
 
     def test_two_two_bound_one_count_frozen(self):
         # Regression fixture; the value was verified once against the
         # multiplicity scan and frozen.
         assert len(semigroup.enumerate_semigroup(Shape(2, 2), 1)) == 2916
 
+    def test_larger_counts_frozen(self):
+        # Regression fixtures, frozen from the enumeration that kept
+        # multiplicities; U(3,1) box 2 is the benchmark's cone31 set.
+        assert len(semigroup.enumerate_semigroup_points(Shape(3, 1), 2)) == 149730
+        assert len(semigroup.enumerate_semigroup_points(Shape(3, 3), 1)) == 41947
+
 
 class TestPackedPoints:
     def test_matches_tuple_enumeration(self):
-        shape = Shape(2, 1)
-        pts = semigroup.enumerate_semigroup_points(shape, 1)
-        triples = semigroup.enumerate_semigroup(shape, 1)
-        rows = sorted(tuple(int(v) for v in r) for r in pts)
-        assert rows == sorted(
-            l + m + n for (l, m, n) in triples
-        )
+        for shape, bound in SCAN_CASES:
+            pts = semigroup.enumerate_semigroup_points(shape, bound)
+            triples = semigroup.enumerate_semigroup(shape, bound)
+            rows = sorted(tuple(int(v) for v in r) for r in pts)
+            assert rows == [l + m + n for (l, m, n) in triples], (shape, bound)
 
     def test_dtype_and_shape(self):
         shape = Shape(2, 2)

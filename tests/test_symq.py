@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from holocone import lr, symq
-from holocone.weights import Shape
+from holocone.weights import Shape, noncompact_positive_roots
 
 
 def dominant_box(length, bound):
@@ -21,9 +21,9 @@ def dominant_box(length, bound):
 
 class TestQModuleWeights:
     def test_examples(self):
-        assert symq.q_module_weights(Shape(1, 1)) == [(1, -1)]
-        assert symq.q_module_weights(Shape(2, 1)) == [(1, 0, -1), (0, 1, -1)]
-        w22 = symq.q_module_weights(Shape(2, 2))
+        assert noncompact_positive_roots(Shape(1, 1)) == [(1, -1)]
+        assert noncompact_positive_roots(Shape(2, 1)) == [(1, 0, -1), (0, 1, -1)]
+        w22 = noncompact_positive_roots(Shape(2, 2))
         assert len(w22) == 4 and all(sum(v) == 0 for v in w22)
 
 
