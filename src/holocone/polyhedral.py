@@ -2,9 +2,11 @@
 
 Every elimination runs on Python ints.  One fraction-free Gauss-Jordan
 kernel (`_echelon`) serves ranks, null spaces, reduction modulo the
-equalities and canonical facets; the double description pass inserts
-inequalities in a fixed order and keeps every generator a primitive
-integer vector, so all outputs are exact and deterministic.  Fractions
+equalities and canonical facets; the double description pass keeps
+every generator a primitive integer vector and inserts the deduplicated
+inequalities in one fixed order, by l1 norm and then lexicographically,
+whatever order the caller gives, so all outputs are exact and
+deterministic and the cost does not depend on the row order.  Fractions
 are accepted only where input is coerced to integers: by `primitive`,
 in cone files and as `Polyhedron` constants.
 
@@ -133,28 +135,31 @@ def rays_from_halfspaces(
     """Extreme rays and lineality basis of {x : A x >= 0, E x = 0}.
 
     Returns (rays, lineality) as sorted tuples of primitive int vectors.
-    Rays are extreme modulo the lineality space.
+    Rays are extreme modulo the lineality space.  The inequalities are
+    made primitive, deduplicated and inserted in (l1 norm, lex) order, so
+    neither the order of the rows nor repeated rows change the result or
+    the work done.
     """
     # Scaling an inequality by a positive factor changes nothing, so work
     # with primitive integer normals; all ray arithmetic then stays in int.
-    ineqs = [primitive(a) for a in inequalities]
+    ineqs = {primitive(a) for a in inequalities}
     if dim is None:
         if ineqs:
-            dim = len(ineqs[0])
+            dim = len(next(iter(ineqs)))
         elif equalities:
             dim = len(equalities[0])
         else:
             raise ValueError("dimension undetermined")
+    # Short normals first: the intermediate cones stay small this way.
+    ineqs = sorted((a for a in ineqs if any(a)), key=lambda a: (sum(map(abs, a)), a))
     lineality = null_space_basis(equalities, dim)
+    space_dim = len(lineality)  # dimension of {x : E x = 0}
     rays: List[IntVec] = []
-    zerosets: List[set] = []  # per ray: indices of processed tight ineqs
+    zerosets: List[int] = []  # per ray: bitmask of processed tight ineqs
 
     for idx, a in enumerate(ineqs):
-        pivot = None
-        for l in lineality:
-            if dot(a, l) != 0:
-                pivot = l
-                break
+        bit = 1 << idx
+        pivot = next((l for l in lineality if dot(a, l) != 0), None)
         if pivot is not None:
             pa = dot(a, pivot)
             if pa < 0:
@@ -169,16 +174,13 @@ def rays_from_halfspaces(
                 if not _is_zero(cand):
                     new_lin.append(primitive(cand))
             lineality = new_lin
+            # All old rays now lie on the hyperplane a.x = 0, and the
+            # promoted ray is tight on every inequality seen so far.
             rays = [
                 tuple(pa * x - dot(a, r) * px for x, px in zip(r, pivot))
                 for r in rays
-            ]
-            # all old rays now lie on the hyperplane a.x = 0
-            for zs in zerosets:
-                zs.add(idx)
-            rays.append(pivot)
-            # the promoted ray is tight on every inequality seen so far
-            zerosets.append(set(range(idx)))
+            ] + [pivot]
+            zerosets = [zs | bit for zs in zerosets] + [bit - 1]
             # drop rays that collapsed to zero
             keep = [i for i, r in enumerate(rays) if not _is_zero(r)]
             rays = [primitive(rays[i]) for i in keep]
@@ -186,24 +188,20 @@ def rays_from_halfspaces(
             continue
 
         vals = [dot(a, r) for r in rays]
-        pos = [i for i, v in enumerate(vals) if v > 0]
         neg = [i for i, v in enumerate(vals) if v < 0]
-        zero = [i for i, v in enumerate(vals) if v == 0]
         if not neg:
-            for i in zero:
-                zerosets[i].add(idx)
+            zerosets = [zs | bit if v == 0 else zs for zs, v in zip(zerosets, vals)]
             continue
-        new_rays: List[IntVec] = []
-        new_zs: List[set] = []
-        for i in pos + zero:
-            if i in zero:
-                zerosets[i].add(idx)
-            new_rays.append(rays[i])
-            new_zs.append(zerosets[i])
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        new_rays = [r for r, v in zip(rays, vals) if v >= 0]
+        new_zs = [zs | bit if v == 0 else zs for zs, v in zip(zerosets, vals) if v >= 0]
+        # Adjacent rays share at least d - 2 tight inequalities, d being
+        # the dimension of the current cone modulo its lineality.
+        need = space_dim - len(lineality) - 2
         for i in pos:
             for j in neg:
                 common = zerosets[i] & zerosets[j]
-                if not _adjacent(common, zerosets, i, j):
+                if common.bit_count() < need or not _adjacent(common, zerosets, i, j):
                     continue
                 comb = tuple(
                     vals[i] * rj - vals[j] * ri
@@ -212,10 +210,10 @@ def rays_from_halfspaces(
                 if _is_zero(comb):
                     continue
                 new_rays.append(primitive(comb))
-                new_zs.append(common | {idx})
+                new_zs.append(common | bit)
         rays, zerosets = new_rays, new_zs
 
-    out_rays = sorted(set(primitive(r) for r in rays))
+    out_rays = sorted(set(rays))
     out_lin = sorted(set(primitive_signed(l) for l in lineality))
     return tuple(out_rays), tuple(out_lin)
 
@@ -224,10 +222,10 @@ def _is_zero(v: Sequence) -> bool:
     return all(x == 0 for x in v)
 
 
-def _adjacent(common: set, zerosets: List[set], i: int, j: int) -> bool:
+def _adjacent(common: int, zerosets: List[int], i: int, j: int) -> bool:
     """Combinatorial adjacency: no third ray is tight on all of `common`."""
     for k, zs in enumerate(zerosets):
-        if k != i and k != j and common <= zs:
+        if zs & common == common and k != i and k != j:
             return False
     return True
 
@@ -323,18 +321,33 @@ def _exact_row(row) -> tuple:
     return tuple(x if isinstance(x, (int, Fraction)) else int(x) for x in row)
 
 
+def _exact_rows(points):
+    """The rows of `points` as tuples of exact numbers (an integer numpy
+    array in one `tolist` call, other input row by row)."""
+    if getattr(points, "dtype", None) is not None and points.dtype.kind == "i":
+        return map(tuple, points.tolist())
+    return map(_exact_row, points)
+
+
+# Rows per block of the numpy violator scan: blocks of a few MB in place
+# of one copy of the whole point matrix.
+_SCAN_ROWS = 1 << 16
+
+
 def _worst_violators(pts, normals, lins):
     """One worst offender per violated constraint, deterministically.
 
     Uses integer matrix products via numpy when the points are integers
     and every product sum is bounded by max ||constraint||_1 * max |x|
-    < 2**63, so int64 cannot overflow; otherwise plain Python (rational
-    points and integers beyond int64 included).  Returns [] iff every
-    point satisfies normal . x >= 0 and lin . x == 0.
+    < 2**63, so int64 cannot overflow (int32 when the bound is below
+    2**31); otherwise plain Python (rational points and integers beyond
+    int64 included).  The numpy path scans the points in blocks of
+    `_SCAN_ROWS` rows and picks the first row of largest violation.
+    Returns [] iff every point satisfies normal . x >= 0 and lin . x == 0.
     """
     constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
     out = []
-    arr64 = None
+    arr = None
     if constraints and len(pts) > 512:
         import numpy as np
 
@@ -344,18 +357,27 @@ def _worst_violators(pts, normals, lins):
             arr = None
         # Python ints beyond int64 and Fractions give an object array.
         if arr is not None and arr.dtype.kind == "i":
-            arr64 = arr.astype(np.int64)
             c_max = max(sum(abs(x) for x in c) for c, _ in constraints)
-            x_max = max(-int(arr64.min(initial=0)), int(arr64.max(initial=0)), 1)
-            if c_max * x_max >= 2**63:
-                arr64 = None
-    if arr64 is not None:
-        for c, is_eq in constraints:
-            vals = arr64 @ np.array(c, dtype=np.int64)
-            bad = np.abs(vals) if is_eq else -vals
-            i = int(bad.argmax())
-            if bad[i] > 0:
-                out.append(tuple(int(v) for v in arr64[i]))
+            x_max = max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
+            bound = c_max * x_max
+            if bound >= 2**63:
+                arr = None
+        else:
+            arr = None
+    if arr is not None:
+        dtype = np.int32 if bound < 2**31 else np.int64
+        vecs = [np.array(c, dtype=dtype) for c, _ in constraints]
+        depth = [0] * len(constraints)
+        where: List[Optional[int]] = [None] * len(constraints)
+        for start in range(0, len(arr), _SCAN_ROWS):
+            block = arr[start : start + _SCAN_ROWS].astype(dtype)
+            for k, ((_, is_eq), vec) in enumerate(zip(constraints, vecs)):
+                vals = block @ vec
+                bad = np.abs(vals) if is_eq else -vals
+                i = int(bad.argmax())
+                if bad[i] > depth[k]:
+                    depth[k], where[k] = int(bad[i]), start + i
+        out = [tuple(arr[i].tolist()) for i in where if i is not None]
     else:
         for c, is_eq in constraints:
             worst, wv = None, 0
@@ -379,7 +401,7 @@ def additive_prune(points) -> List[IntVec]:
     and duplicates are dropped; the result is sorted.
     """
     # l1 norms, computed once; the zero point (norm 0) is left out.
-    norm = {x: n for x in map(_exact_row, points) if (n := sum(map(abs, x)))}
+    norm = {x: n for x in _exact_rows(points) if (n := sum(map(abs, x)))}
     kept: List[IntVec] = []  # in increasing norm
     for x, nx in sorted(norm.items(), key=lambda item: (item[1], item[0])):
         reducible = False
@@ -414,7 +436,7 @@ def facets_of_points(points: Sequence[Sequence], dim: int, seed=None):
     if not npts:
         raise ValueError("need at least one generating point")
     if seed is not None:
-        active = [primitive(_exact_row(s)) for s in seed]
+        active = [primitive(s) for s in _exact_rows(seed)]
         active = sorted(set(a for a in active if not _is_zero(a)))
     elif npts <= AUTO_SEED_LIMIT:
         active = additive_prune(points)

@@ -7,9 +7,11 @@ characters are multiplied as sparse Laurent polynomials, and dominant
 multiplicities are read off by repeated highest-weight stripping.
 The admissibility oracle takes ranks by plain Gaussian elimination,
 and the polyhedral elimination oracles run on a Fraction Gauss-Jordan
-reduced row echelon form (`rref`).  Emptiness of a polyhedron is decided
-by homogenising it and running one double description per query.  The
-additive prune oracle sums each l1 norm again wherever it needs one.
+reduced row echelon form (`rref`).  The double description oracle
+inserts the inequalities in the order given and keeps each zero-set as a
+Python set; emptiness of a polyhedron is decided by homogenising it and
+running that double description once per query.  The additive prune
+oracle sums each l1 norm again wherever it needs one.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import Dict, Tuple
-
-from holocone.polyhedral import rays_from_halfspaces
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, int]
@@ -296,6 +296,73 @@ def oracle_reduce_mod(normal, equalities):
     return primitive(v)
 
 
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def oracle_rays_from_halfspaces(inequalities, equalities=(), dim=None):
+    """Extreme rays and lineality basis of {x : A x >= 0, E x = 0}.
+
+    The textbook double description: inequalities are inserted in the
+    order given, each ray's zero-set is a set of inequality indices, and
+    two rays are adjacent when no third ray is tight on every inequality
+    both are tight on.  Returns sorted tuples of primitive vectors.
+    """
+    ineqs = [primitive(a) for a in inequalities]
+    if dim is None:
+        dim = len(ineqs[0]) if ineqs else len(equalities[0])
+    lineality = oracle_null_space_basis(equalities, dim)
+    rays, zerosets = [], []
+    for idx, a in enumerate(ineqs):
+        pivot = next((l for l in lineality if _dot(a, l) != 0), None)
+        if pivot is not None:
+            pa = _dot(a, pivot)
+            if pa < 0:
+                pivot, pa = tuple(-x for x in pivot), -pa
+            # the pivot itself combines to zero and drops out
+            combs = [
+                tuple(pa * x - _dot(a, l) * y for x, y in zip(l, pivot))
+                for l in lineality
+            ]
+            lineality = [primitive(c) for c in combs if any(c)]
+            rays = [
+                tuple(pa * x - _dot(a, r) * y for x, y in zip(r, pivot))
+                for r in rays
+            ]
+            for zs in zerosets:
+                zs.add(idx)
+            rays.append(pivot)
+            zerosets.append(set(range(idx)))
+            keep = [i for i, r in enumerate(rays) if any(r)]
+            rays = [primitive(rays[i]) for i in keep]
+            zerosets = [zerosets[i] for i in keep]
+            continue
+        vals = [_dot(a, r) for r in rays]
+        pos = [i for i, v in enumerate(vals) if v > 0]
+        neg = [i for i, v in enumerate(vals) if v < 0]
+        zero = [i for i, v in enumerate(vals) if v == 0]
+        for i in zero:
+            zerosets[i].add(idx)
+        if not neg:
+            continue
+        new_rays = [rays[i] for i in pos + zero]
+        new_zs = [zerosets[i] for i in pos + zero]
+        for i in pos:
+            for j in neg:
+                common = zerosets[i] & zerosets[j]
+                if any(common <= zs for k, zs in enumerate(zerosets) if k not in (i, j)):
+                    continue
+                comb = tuple(vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j]))
+                if any(comb):
+                    new_rays.append(primitive(comb))
+                    new_zs.append(common | {idx})
+        rays, zerosets = new_rays, new_zs
+    return (
+        tuple(sorted(set(primitive(r) for r in rays))),
+        tuple(sorted(set(primitive_signed(l) for l in lineality))),
+    )
+
+
 def homogenization(poly):
     """H-representation of the cone over `poly` in coordinates (x, t), t >= 0."""
     ineqs = [tuple(n) + (c,) for n, c in poly.inequalities]
@@ -308,7 +375,7 @@ def oracle_is_empty(poly) -> bool:
     """A polyhedron is empty iff its homogenisation meets t > 0 nowhere:
     no extreme ray with t > 0 and no lineality vector with t != 0."""
     ineqs, eqs = homogenization(poly)
-    rays, lin = rays_from_halfspaces(ineqs, eqs, poly.ambient_dim + 1)
+    rays, lin = oracle_rays_from_halfspaces(ineqs, eqs, poly.ambient_dim + 1)
     return all(r[-1] <= 0 for r in rays) and all(l[-1] == 0 for l in lin)
 
 

@@ -112,6 +112,15 @@ class TestFacetsOfPoints:
         plain = ph.facets_of_points(pts, 4)
         seeded = ph.facets_of_points(pts, 4, seed=pts[:3])
         assert plain == seeded
+        assert ph.facets_of_points(pts, 4, seed=np.array(pts[:3], dtype=np.int8)) == plain
+
+    def test_u32_box1_hull_frozen(self):
+        pts = semigroup.enumerate_semigroup_points(Shape(3, 2), 1)
+        ineqs, eqs = ph.facets_of_points(pts, 15, seed=ph.additive_prune(pts))
+        assert (len(ineqs), len(eqs)) == (47, 1)
+        arr = pts.astype(np.int64)
+        assert (arr @ np.array(ineqs).T >= 0).all()
+        assert (arr @ np.array(eqs).T == 0).all()
 
 
 class TestWorstViolators:
@@ -140,6 +149,40 @@ class TestWorstViolators:
         # the extra point lies beyond the half plane: the hull is z = 0
         ineqs, eqs = ph.facets_of_points(self.SMALL + [self.BIG], 3, seed=seed)
         assert ineqs == () and eqs == ((0, 0, 1),)
+
+
+class TestWorstViolatorBlocks:
+    """The blocked numpy scan picks, per constraint, the first row of
+    largest violation, as one product over the whole matrix would."""
+
+    @staticmethod
+    def first_worst(pts, constraints):
+        out = set()
+        for c, is_eq in constraints:
+            bad = [abs(ph.dot(c, x)) if is_eq else -ph.dot(c, x) for x in pts]
+            if max(bad) > 0:
+                out.add(tuple(int(v) for v in pts[bad.index(max(bad))]))
+        return sorted(out)
+
+    def test_blocks_keep_the_first_worst_row(self):
+        rng = np.random.default_rng(4)
+        pts = rng.integers(-3, 4, size=(2000, 5)).astype(np.int8)
+        normals = [tuple(int(v) for v in rng.integers(-2, 3, size=5)) for _ in range(6)]
+        lins = [(1, -1, 0, 0, 0)]
+        want = self.first_worst(pts, [(l, True) for l in lins] + [(n, False) for n in normals])
+        assert ph._worst_violators(pts, normals, lins) == want
+        for rows in (1, 7, 1999):
+            with mock.patch.object(ph, "_SCAN_ROWS", rows):
+                assert ph._worst_violators(pts, normals, lins) == want
+                assert ph._worst_violators(pts.tolist(), normals, lins) == want
+
+    def test_products_beyond_int32(self):
+        # max |x| * ||(1, 1, 0)||_1 is exactly 2**31: int32 would wrap the
+        # violation 2**31 of the last point to a negative number.
+        far = (-(2**30), -(2**30), 0)
+        pts = TestWorstViolators.SMALL + [far]
+        assert ph._worst_violators(pts, [(1, 1, 0)], []) == [far]
+        assert ph._worst_violators(np.array(pts, dtype=np.int32), [(1, 1, 0)], []) == [far]
 
 
 class TestAdditivePrune:
@@ -302,6 +345,54 @@ class TestEchelonAgainstFractionOracle:
             assert all(ph.dot(a, x) >= 0 for a in ineqs)
             tight = [a for a in ineqs if ph.dot(a, x) == 0]
             assert oracle.rank_rationals(tight + eqs) == dim - len(lin) - 1
+
+
+def _mod_lineality(rays, lin):
+    """Each ray's canonical representative modulo span(lin)."""
+    return {oracle.oracle_reduce_mod(r, lin) for r in rays}
+
+
+class TestDoubleDescriptionAgainstOracle:
+    """The kernel finds the textbook double description's cone, and its
+    work does not depend on the order or repetition of the rows."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_in_every_row_order(self, data):
+        dim = data.draw(st.integers(1, 5))
+        ineqs = data.draw(row_lists(dim, max_size=8))
+        eqs = data.draw(systems(dim)) if data.draw(st.booleans()) else []
+        want = oracle.oracle_rays_from_halfspaces(ineqs, eqs, dim)
+        with mock.patch.object(ph, "_adjacent", wraps=ph._adjacent) as adj:
+            got = ph.rays_from_halfspaces(ineqs, eqs, dim)
+        if len(want[1]) <= 1:
+            assert got == want
+        else:
+            assert len(got[1]) == len(want[1]) == oracle.rank_rationals(got[1] + want[1])
+            assert _mod_lineality(got[0], got[1]) == _mod_lineality(want[0], want[1])
+        # Repeated rows and positive multiples change nothing either.
+        rows = list(ineqs)
+        if ineqs:
+            rows += data.draw(st.lists(st.sampled_from(ineqs), max_size=3))
+            rows += [[3 * x for x in r] for r in data.draw(st.lists(st.sampled_from(ineqs), max_size=2))]
+        for _ in range(3):
+            perm = data.draw(st.permutations(rows))
+            with mock.patch.object(ph, "_adjacent", wraps=ph._adjacent) as again:
+                assert ph.rays_from_halfspaces(perm, eqs, dim) == got
+            assert again.call_count == adj.call_count
+
+    def test_semigroup_seed_in_every_row_order(self):
+        # The 108 points of the pruned U(2,2) box-1 semigroup, as the
+        # inequalities of the dual cone: 19 facet normals, one equality.
+        seed = ph.additive_prune(semigroup.enumerate_semigroup_points(Shape(2, 2), 1))
+        want = oracle.oracle_rays_from_halfspaces(seed, (), 12)
+        assert (len(want[0]), len(want[1])) == (19, 1)
+        shuffled = list(seed)
+        random.Random(3).shuffle(shuffled)
+        for rows in (seed, seed[::-1], shuffled, seed + seed[:40]):
+            with mock.patch.object(ph, "_adjacent", wraps=ph._adjacent) as adj:
+                assert ph.rays_from_halfspaces(rows, (), 12) == want
+            assert adj.call_count == 1014
 
 
 class TestSliceAndRecession:
