@@ -8,12 +8,19 @@ inequalities in one fixed order, by l1 norm and then lexicographically,
 whatever order the caller gives, so all outputs are exact and
 deterministic and the cost does not depend on the row order.  Fractions
 are accepted only where input is coerced to integers: by `primitive`,
-in cone files and as `Polyhedron` constants.
+in point sets, in cone files and as `Polyhedron` constants.
 
 Conversions:
   * rays_from_halfspaces: H-representation -> extreme rays + lineality
   * cone_from_points:     V-representation -> irredundant facets, via the
     dual cone (facet normals are the extreme rays of the dual)
+
+A point set is read once, as a numpy matrix of an integer dtype (object
+for Fractions and ints beyond int64; floats and ragged rows raise
+ValueError).  `facets_of_points` seeds the dual cone with
+`additive_prune` of the rows in the unit box [-1, 1]^dim, unless the
+caller gives a seed, and then adds the worst violators of its facets,
+found by one blocked exact scan of all the rows, until there are none.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -37,8 +44,6 @@ from .weights import parse_number
 IntVec = Tuple[int, ...]
 
 CONE_FILE_VERSION = 1
-# Largest point set `facets_of_points` seeds itself, by `additive_prune`.
-AUTO_SEED_LIMIT = 1_000_000
 
 
 def dot(a: Sequence, b: Sequence):
@@ -316,79 +321,70 @@ def reduce_mod_lineality(normal: Sequence, equalities: Sequence[Sequence]) -> In
     return primitive(v)
 
 
-def _exact_row(row) -> tuple:
-    """Coerce a point row (possibly numpy scalars) to exact numbers."""
-    return tuple(x if isinstance(x, (int, Fraction)) else int(x) for x in row)
+def _point_matrix(points, dim: Optional[int] = None):
+    """`points` as a 2-d numpy array of exact numbers, read once.
+
+    Integer input keeps an integer dtype; Fractions and ints beyond
+    int64 give an object array of Python ints and Fractions.  Floats and
+    other entries, ragged rows and rows of a length other than `dim`
+    raise ValueError.
+    """
+    import numpy as np
+
+    arr = np.asarray(points)
+    if arr.dtype.kind not in "iu":
+        # ints beyond int64 may have come out as floats; read them again
+        arr = np.array(points, dtype=object)
+        if not all(type(x) in (int, Fraction) for x in arr.flat):
+            raise ValueError("point entries must be integers or Fractions")
+    if arr.shape == (0,):
+        arr = arr.reshape(0, dim or 0)
+    if arr.ndim != 2:
+        raise ValueError("points must be rows of one length")
+    if dim is not None and arr.shape[1] != dim:
+        raise ValueError(f"points must be rows of {dim} entries")
+    return arr
 
 
-def _exact_rows(points):
-    """The rows of `points` as tuples of exact numbers (an integer numpy
-    array in one `tolist` call, other input row by row)."""
-    if getattr(points, "dtype", None) is not None and points.dtype.kind == "i":
-        return map(tuple, points.tolist())
-    return map(_exact_row, points)
-
-
-# Rows per block of the numpy violator scan: blocks of a few MB in place
-# of one copy of the whole point matrix.
+# Rows per block of the unit-box mask and the violator scan: blocks of a
+# few MB in place of copies of the whole point matrix.
 _SCAN_ROWS = 1 << 16
 
 
 def _worst_violators(pts, normals, lins):
     """One worst offender per violated constraint, deterministically.
 
-    Uses integer matrix products via numpy when the points are integers
-    and every product sum is bounded by max ||constraint||_1 * max |x|
-    < 2**63, so int64 cannot overflow (int32 when the bound is below
-    2**31); otherwise plain Python (rational points and integers beyond
-    int64 included).  The numpy path scans the points in blocks of
-    `_SCAN_ROWS` rows and picks the first row of largest violation.
+    Scans the points in blocks of `_SCAN_ROWS` rows with numpy matrix
+    products, in int32 when max ||constraint||_1 * max |x| < 2**31 bounds
+    every product sum, int64 below 2**63, and otherwise in exact Python
+    numbers (object arrays: rational points, integers beyond int64).
+    Each violated constraint gets the first row of largest violation.
     Returns [] iff every point satisfies normal . x >= 0 and lin . x == 0.
     """
-    constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
-    out = []
-    arr = None
-    if constraints and len(pts) > 512:
-        import numpy as np
+    import numpy as np
 
-        try:
-            arr = np.asarray(pts)
-        except (TypeError, ValueError):
-            arr = None
-        # Python ints beyond int64 and Fractions give an object array.
-        if arr is not None and arr.dtype.kind == "i":
-            c_max = max(sum(abs(x) for x in c) for c, _ in constraints)
-            x_max = max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
-            bound = c_max * x_max
-            if bound >= 2**63:
-                arr = None
-        else:
-            arr = None
-    if arr is not None:
-        dtype = np.int32 if bound < 2**31 else np.int64
-        vecs = [np.array(c, dtype=dtype) for c, _ in constraints]
-        depth = [0] * len(constraints)
-        where: List[Optional[int]] = [None] * len(constraints)
-        for start in range(0, len(arr), _SCAN_ROWS):
-            block = arr[start : start + _SCAN_ROWS].astype(dtype)
-            for k, ((_, is_eq), vec) in enumerate(zip(constraints, vecs)):
-                vals = block @ vec
-                bad = np.abs(vals) if is_eq else -vals
-                i = int(bad.argmax())
-                if bad[i] > depth[k]:
-                    depth[k], where[k] = int(bad[i]), start + i
-        out = [tuple(arr[i].tolist()) for i in where if i is not None]
-    else:
-        for c, is_eq in constraints:
-            worst, wv = None, 0
-            for x in pts:
-                v = dot(c, x)
-                v = abs(v) if is_eq else -v
-                if v > wv or (v == wv and v > 0 and (worst is None or tuple(x) < worst)):
-                    worst, wv = tuple(x), v
-            if wv > 0:
-                out.append(worst)
-    return sorted(set(out))
+    arr = _point_matrix(pts)
+    constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
+    if not constraints:
+        return []
+    dtype = object
+    if arr.dtype.kind in "iu":
+        c_max = max(sum(map(abs, c)) for c, _ in constraints)
+        bound = c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
+        if bound < 2**63:
+            dtype = np.int32 if bound < 2**31 else np.int64
+    vecs = [np.array(c, dtype=dtype) for c, _ in constraints]
+    depth = [0] * len(constraints)
+    where: List[Optional[int]] = [None] * len(constraints)
+    for start in range(0, len(arr), _SCAN_ROWS):
+        block = arr[start : start + _SCAN_ROWS].astype(dtype)
+        for k, ((_, is_eq), vec) in enumerate(zip(constraints, vecs)):
+            vals = block @ vec
+            bad = np.abs(vals) if is_eq else -vals
+            i = int(bad.argmax())
+            if bad[i] > depth[k]:
+                depth[k], where[k] = bad[i], start + i
+    return sorted({tuple(arr[i].tolist()) for i in where if i is not None})
 
 
 def additive_prune(points) -> List[IntVec]:
@@ -400,8 +396,9 @@ def additive_prune(points) -> List[IntVec]:
     well-founded, so the kept points generate the same cone.  Zero rows
     and duplicates are dropped; the result is sorted.
     """
+    rows = map(tuple, _point_matrix(points).tolist())
     # l1 norms, computed once; the zero point (norm 0) is left out.
-    norm = {x: n for x in _exact_rows(points) if (n := sum(map(abs, x)))}
+    norm = {x: n for x in rows if (n := sum(map(abs, x)))}
     kept: List[IntVec] = []  # in increasing norm
     for x, nx in sorted(norm.items(), key=lambda item: (item[1], item[0])):
         reducible = False
@@ -422,53 +419,41 @@ def facets_of_points(points: Sequence[Sequence], dim: int, seed=None):
     Facet normals are the extreme rays of the dual cone; the equalities
     are a basis of the orthogonal complement of span(points).
 
-    Large point sets are handled incrementally: the dual cone is built
-    from a reduced generating subset (additive pruning, or the caller's
-    `seed`), then worst violators of the current facets are folded in
-    until none remain.  The fixed point is the exact hull of the whole
-    set, independent of the seeding.
+    The dual cone is built from a seed, then the worst violators of its
+    facets among all the points are folded in until none remain.  The
+    seed is `additive_prune` of the points in the unit box [-1, 1]^dim
+    (on the U(2,2) and U(3,1) semigroups these already generate the
+    cone), or the caller's `seed`; an empty one starts from the whole
+    space.  A caller's seed must consist of points of cone(points): the
+    rounds only add points, so one outside widens the answer (seed
+    [(-1, -1)] turns the quadrant into the whole plane).
     """
-    try:
-        npts = len(points)
-    except TypeError:
-        points = list(points)
-        npts = len(points)
-    if not npts:
+    import numpy as np
+
+    arr = _point_matrix(points, dim)
+    if not len(arr):
         raise ValueError("need at least one generating point")
-    if seed is not None:
-        active = [primitive(s) for s in _exact_rows(seed)]
-        active = sorted(set(a for a in active if not _is_zero(a)))
-    elif npts <= AUTO_SEED_LIMIT:
-        active = additive_prune(points)
-    else:
-        raise ValueError(
-            "point set too large for automatic seeding; pass seed="
-        )
-    if not active:
-        # cone({0}) is the origin: every coordinate is pinned to zero
-        eqs = tuple(
-            tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)
-        )
-        return (), eqs
+    if seed is None:
+        # The rows in [-1, 1]^dim, masked block by block to keep the masks
+        # small (and not by abs, which wraps -128 in int8).
+        blocks = np.split(arr, range(_SCAN_ROWS, len(arr), _SCAN_ROWS))
+        box = [b[((b >= -1) & (b <= 1)).all(axis=1)] for b in blocks]
+        seed = additive_prune(np.concatenate(box))
+    # rays_from_halfspaces makes these primitive and drops zeros and repeats
+    active = _point_matrix(seed, dim).tolist()
     while True:
         dual_rays, dual_lin = rays_from_halfspaces(active, (), dim)
-        violators = _worst_violators(points, dual_rays, dual_lin)
-        violators = [primitive(v) for v in violators]
-        known = set(active)
-        violators = [v for v in violators if v not in known]
+        violators = _worst_violators(arr, dual_rays, dual_lin)
         if not violators:
-            return tuple(sorted(dual_rays)), tuple(sorted(dual_lin))
+            return dual_rays, dual_lin
         active += violators
 
 
 def cone_from_points(points: Sequence[Sequence], provenance="generated-from-semigroup") -> RationalCone:
-    pts = [tuple(p) for p in points]
-    if not pts:
-        raise ValueError("need at least one generating point")
-    dim = len(pts[0])
-    ineqs, eqs = facets_of_points(pts, dim)
+    arr = _point_matrix(points)
+    ineqs, eqs = facets_of_points(arr, arr.shape[1])
     return RationalCone(
-        dim, inequalities=ineqs, equalities=eqs, provenance=provenance
+        arr.shape[1], inequalities=ineqs, equalities=eqs, provenance=provenance
     )
 
 

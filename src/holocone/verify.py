@@ -14,32 +14,12 @@ import time
 from typing import Callable, Optional, TextIO
 
 from . import reference22, ressayre, semigroup
-from .polyhedral import (
-    AUTO_SEED_LIMIT,
-    additive_prune,
-    facets_of_points,
-    primitive_signed,
-    reduce_mod_lineality,
-)
+from .polyhedral import facets_of_points, primitive_signed, reduce_mod_lineality
 from .weights import Shape
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
-
-
-def facets_of_points_seeded(points, shape: Shape, bound: int):
-    """Exact hull facets; large point sets get an additively-pruned seed.
-
-    The seed comes from the bound-2 enumeration; the violator loop in
-    `facets_of_points` then makes the result exact for the full set.
-    """
-    dim = 3 * shape.rank
-    if len(points) <= AUTO_SEED_LIMIT:
-        return facets_of_points(points, dim)
-    seed_pts = semigroup.enumerate_semigroup_points(shape, min(bound, 2))
-    seed = additive_prune(seed_pts)
-    return facets_of_points(points, dim, seed=seed)
 
 
 def verify22(
@@ -67,7 +47,7 @@ def verify22(
     emit(f"semigroup points: {len(points)}")
 
     t0 = time.time()
-    ineqs, eqs = facets_of_points_seeded(points, shape, bound)
+    ineqs, eqs = facets_of_points(points, 3 * shape.rank)
     _log(f"hull in {time.time()-t0:.1f}s")
     emit(f"hull: {len(ineqs)} facets, {len(eqs)} equalities")
 

@@ -113,6 +113,12 @@ class TestFacetsOfPoints:
         seeded = ph.facets_of_points(pts, 4, seed=pts[:3])
         assert plain == seeded
         assert ph.facets_of_points(pts, 4, seed=np.array(pts[:3], dtype=np.int8)) == plain
+        # an empty or all-zero seed starts from the whole space
+        assert ph.facets_of_points(pts, 4, seed=[]) == plain
+        assert ph.facets_of_points(pts, 4, seed=[(0, 0, 0, 0)]) == plain
+        quadrant = (((0, 1), (1, 0)), ())
+        assert ph.facets_of_points([(1, 0), (0, 1)], 2, seed=[]) == quadrant
+        assert ph.facets_of_points([(1, 0), (0, 1)], 2, seed=[(0, 0)]) == quadrant
 
     def test_u32_box1_hull_frozen(self):
         pts = semigroup.enumerate_semigroup_points(Shape(3, 2), 1)
@@ -121,6 +127,57 @@ class TestFacetsOfPoints:
         arr = pts.astype(np.int64)
         assert (arr @ np.array(ineqs).T >= 0).all()
         assert (arr @ np.array(eqs).T == 0).all()
+
+    def test_unit_box_seed_is_a_strict_subset(self):
+        # U(3,1) at box 2: the unseeded hull equals the one seeded as the
+        # cone31 benchmark seeds it, from the pruned box-1 semigroup.
+        shape = Shape(3, 1)
+        pts = semigroup.enumerate_semigroup_points(shape, 2)
+        seed = ph.additive_prune(semigroup.enumerate_semigroup_points(shape, 1))
+        ineqs, eqs = ph.facets_of_points(pts, 12)
+        assert (ineqs, eqs) == ph.facets_of_points(pts, 12, seed=seed)
+        assert (len(ineqs), len(eqs)) == (23, 1)
+        arr = pts.astype(np.int64)
+        assert (arr @ np.array(ineqs).T >= 0).all()
+        assert (arr @ np.array(eqs).T == 0).all()
+        # no row in the unit box: the rounds start from the whole space
+        assert ph.facets_of_points([(2, 0), (0, 3)], 2) == (((0, 1), (1, 0)), ())
+
+    def test_unit_box_seed_rows(self):
+        # -128 is outside the unit box, though abs() wraps it to -128 in int8.
+        pts = np.array([[-128, 0], [1, -1], [0, 1], [2, 1], [1, 1]], dtype=np.int8)
+        with mock.patch.object(ph, "additive_prune", wraps=ph.additive_prune) as prune:
+            ineqs, eqs = ph.facets_of_points(pts, 2)
+        (box,), _ = prune.call_args
+        assert box.tolist() == [[1, -1], [0, 1], [1, 1]]
+        assert (ineqs, eqs) == ((), ())  # (-128, 0) and (1, 0) span a line
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda pts: ph.facets_of_points(pts, 2), ph.additive_prune, ph.cone_from_points],
+        ids=["facets_of_points", "additive_prune", "cone_from_points"],
+    )
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.5, 0.5)],  # floats were truncated, here to the origin
+            np.array([[0.5, 1.0], [1.0, 0.0]]),
+            [(Fraction(1, 2), 0.5)],
+            [(1, "0")],
+            [(1, 0, 7), (0, 1)],  # ragged
+        ],
+        ids=["floats", "float-array", "fraction-and-float", "string", "ragged"],
+    )
+    def test_malformed_rows_raise(self, call, points):
+        with pytest.raises(ValueError):
+            call(points)
+
+    def test_rows_of_the_wrong_length_raise(self):
+        # rows of 3 entries were cut to 2: this gave the quadrant
+        with pytest.raises(ValueError):
+            ph.facets_of_points([(1, 0, 7), (0, 1, 0)], 2)
+        with pytest.raises(ValueError):
+            ph.facets_of_points([(1, 0), (0, 1)], 2, seed=[(1, 0, 0)])
 
 
 class TestWorstViolators:
@@ -161,8 +218,14 @@ class TestWorstViolatorBlocks:
         for c, is_eq in constraints:
             bad = [abs(ph.dot(c, x)) if is_eq else -ph.dot(c, x) for x in pts]
             if max(bad) > 0:
-                out.add(tuple(int(v) for v in pts[bad.index(max(bad))]))
+                row = pts[bad.index(max(bad))]
+                out.add(tuple(row.tolist() if isinstance(row, np.ndarray) else row))
         return sorted(out)
+
+    def check(self, pts, normals, lins):
+        want = self.first_worst(pts, [(l, True) for l in lins] + [(n, False) for n in normals])
+        assert ph._worst_violators(pts, normals, lins) == want
+        return want
 
     def test_blocks_keep_the_first_worst_row(self):
         rng = np.random.default_rng(4)
@@ -175,6 +238,28 @@ class TestWorstViolatorBlocks:
             with mock.patch.object(ph, "_SCAN_ROWS", rows):
                 assert ph._worst_violators(pts, normals, lins) == want
                 assert ph._worst_violators(pts.tolist(), normals, lins) == want
+
+    def test_every_input_takes_the_first_worst_row(self):
+        # Ties went to the lex-smallest row below 513 rows and to the
+        # first row above; now every input gets the first row.
+        assert self.check([(0, -1), (-1, 0)], [(1, 1)], []) == [(0, -1)]
+        assert self.check([(0, -1), (-1, 0)] * 300, [(1, 1)], []) == [(0, -1)]
+        assert self.check([(-1, 0), (0, -1)], [(1, 1)], []) == [(-1, 0)]
+        rng = random.Random(5)
+        small = [tuple(rng.randint(-3, 3) for _ in range(4)) for _ in range(40)]
+        normals, lins = [(1, 0, 1, 0), (0, 1, -1, 1), (1, 1, 1, 1)], [(1, -1, 0, 0)]
+        assert self.check(small, normals, lins)
+        # Fraction rows and ints beyond int64 are scanned exactly, with ties
+        thirds = [tuple(Fraction(x, 3) for x in row) for row in small]
+        assert self.check(thirds, normals, lins)
+        big = [(2**64, -(2**64), 0, 0), (-(2**64), 2**64, 0, 0)] + small
+        assert self.check(big, normals, lins)
+        halves = [(Fraction(-1, 2), 0), (Fraction(-1, 3), 0)]
+        with mock.patch.object(ph, "_SCAN_ROWS", 1):
+            assert self.check(thirds, normals, lins)
+            assert self.check(big, normals, lins)
+            # a depth of 1/2 carried across blocks must not become 0
+            assert self.check(halves, [(1, 0)], []) == [halves[0]]
 
     def test_products_beyond_int32(self):
         # max |x| * ||(1, 1, 0)||_1 is exactly 2**31: int32 would wrap the
