@@ -21,6 +21,9 @@ ValueError).  `facets_of_points` seeds the dual cone with
 `additive_prune` of the rows in the unit box [-1, 1]^dim, unless the
 caller gives a seed, and then adds the worst violators of its facets,
 found by one blocked exact scan of all the rows, until there are none.
+`additive_prune` takes integer input one l1 level at a time, looking
+each difference of two rows up among the rows as a packed row key;
+object input takes the exact loop, one point at a time.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -253,9 +256,10 @@ class RationalCone:
             return self
         if self.rays is None:
             raise ValueError("cone has neither representation")
-        ineqs, eqs = facets_of_points(list(self.rays) + list(self.lineality or ())
-                                      + [tuple(-x for x in l) for l in (self.lineality or ())],
-                                      self.ambient_dim)
+        gens = list(self.rays) + list(self.lineality or ())
+        gens += [tuple(-x for x in l) for l in (self.lineality or ())]
+        # no generators: the zero cone, the hull of the origin
+        ineqs, eqs = facets_of_points(gens or [(0,) * self.ambient_dim], self.ambient_dim)
         return RationalCone(
             self.ambient_dim,
             rays=self.rays,
@@ -387,6 +391,12 @@ def _worst_violators(pts, normals, lins):
     return sorted({tuple(arr[i].tolist()) for i in where if i is not None})
 
 
+# Kept rows per step of `additive_prune`: rows found reducible leave the
+# level after each step.  Level rows go in chunks of _SCAN_ROWS //
+# _PRUNE_STEP, so each step's differences fill one block of _SCAN_ROWS.
+_PRUNE_STEP = 4
+
+
 def additive_prune(points) -> List[IntVec]:
     """Drop points splitting as x = g + h in the set with |g|, |h| < |x|.
 
@@ -395,10 +405,58 @@ def additive_prune(points) -> List[IntVec]:
     magnitude.  Strict l1 descent on both parts keeps the recursion
     well-founded, so the kept points generate the same cone.  Zero rows
     and duplicates are dropped; the result is sorted.
+
+    x is reduced only by kept points g of smaller norm than x, so points
+    of one l1 level never affect each other.  Integer input is therefore
+    pruned one level at a time: every row of a level is tested against a
+    few kept rows per step, by looking up each x - g among the rows as a
+    packed row key (`searchsorted` on a void view).  Object input
+    (Fractions, ints beyond int64) and spans too wide for int64 norms use
+    the exact loop.
     """
-    rows = map(tuple, _point_matrix(points).tolist())
+    import numpy as np
+
+    arr = _point_matrix(points)
+    dim = arr.shape[1]
+    if arr.dtype.kind not in "iu":
+        return _prune_loop(arr.tolist())
+    # Every entry, and every difference of two rows, lies in [-span, span].
+    span = int(arr.max(initial=0)) - int(arr.min(initial=0))
+    if span * dim >= 2**63:
+        return _prune_loop(arr.tolist())
+    rows = arr.astype(np.int8 if span < 2**7 else np.int16 if span < 2**15 else np.int64)
+    rows = rows[rows.any(axis=1)]
+    if not len(rows):
+        return []
+    packed = np.dtype((np.void, rows.itemsize * dim))
+    keys, first = np.unique(np.ascontiguousarray(rows).view(packed).ravel(), return_index=True)
+    rows = rows[first]  # one row per key, in the order of `keys`
+    norm = np.abs(rows).sum(axis=1, dtype=np.int64)
+    order = np.argsort(norm, kind="stable")
+    kept = rows[:0]  # in increasing norm
+    for level in np.split(order, np.flatnonzero(np.diff(norm[order])) + 1):
+        nx = norm[level[0]]
+        survivors = [kept]
+        chunk = _SCAN_ROWS // _PRUNE_STEP
+        for start in range(0, len(level), chunk):
+            x = rows[level[start : start + chunk]]
+            for step in range(0, len(kept), _PRUNE_STEP):
+                if not len(x):
+                    break
+                g = kept[step : step + _PRUNE_STEP]
+                diff = (x[:, None, :] - g).reshape(-1, dim).view(packed).ravel()
+                at = np.searchsorted(keys, diff) % len(keys)  # past the end: no match
+                found = (keys[at] == diff) & (norm[at] < nx)
+                x = x[~found.reshape(len(x), len(g)).any(axis=1)]
+            survivors.append(x)
+        kept = np.concatenate(survivors)
+    return sorted(map(tuple, kept.tolist()))
+
+
+def _prune_loop(rows) -> List[IntVec]:
+    """`additive_prune` of rows of exact numbers, one point at a time."""
     # l1 norms, computed once; the zero point (norm 0) is left out.
-    norm = {x: n for x in rows if (n := sum(map(abs, x)))}
+    norm = {x: n for x in map(tuple, rows) if (n := sum(map(abs, x)))}
     kept: List[IntVec] = []  # in increasing norm
     for x, nx in sorted(norm.items(), key=lambda item: (item[1], item[0])):
         reducible = False
@@ -610,6 +668,8 @@ def load_cone(path) -> RationalCone:
             )
             if any(len(v) != dim for v in kwargs[name]):
                 raise ValueError(f"every row of {name} needs {dim} entries")
+    if "rays" not in kwargs and "inequalities" not in kwargs:
+        raise ValueError("cone file has neither rays nor inequalities")
     return RationalCone(
         dim, provenance=obj.get("provenance", "unspecified"), **kwargs
     )

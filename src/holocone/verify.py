@@ -39,16 +39,16 @@ def verify22(
         print(line, file=out)
 
     emit(f"holomorphic Horn cone verification for U(2,2), bound {bound}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     points = semigroup.enumerate_semigroup_points(shape, bound)
-    _log(f"enumerated {len(points)} semigroup points in {time.time()-t0:.1f}s")
+    _log(f"enumerated {len(points)} semigroup points in {time.perf_counter()-t0:.1f}s")
     if corrupt is not None:
         points = corrupt(points)
     emit(f"semigroup points: {len(points)}")
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     ineqs, eqs = facets_of_points(points, 3 * shape.rank)
-    _log(f"hull in {time.time()-t0:.1f}s")
+    _log(f"hull in {time.perf_counter()-t0:.1f}s")
     emit(f"hull: {len(ineqs)} facets, {len(eqs)} equalities")
 
     ok = True

@@ -113,6 +113,20 @@ class TestPipelineFiles:
         )
         assert code == 0 and out.strip() == "ray 1,-1"
 
+    def test_zero_cone_file(self, tmp_path, capsys):
+        cone = tmp_path / "zero.json"
+        cone.write_text('{"version": 1, "ambient_dim": 6, "rays": []}')
+        member = ["cone-member", "--p", "1", "--q", "1", "--in", str(cone), "--triple"]
+        code, out = run(member + ["0;0|0;0|0;0"], capsys)
+        assert code == 0 and out.strip() == "True"
+        code, out = run(member + ["1;0|1;0|2;0"], capsys)
+        assert code == 1 and out.strip() == "False"
+        code, out = run(
+            ["slice", "--p", "1", "--q", "1", "--in", str(cone), "--lam", "0;0", "--mu", "0;0"],
+            capsys,
+        )
+        assert code == 0
+
     def test_hull_deterministic(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"
         run(["enumerate", "--p", "1", "--q", "1", "--bound", "1",
@@ -145,6 +159,7 @@ BAD_CONES = {
     "short-row": '{"version": 1, "ambient_dim": 6, "inequalities": [["1"]]}',
     "top-level-list": "[]",
     "zero-denominator": '{"version": 1, "ambient_dim": 6, "inequalities": [["1/0", "0", "0", "0", "0", "0"]]}',
+    "no-representation": '{"version": 1, "ambient_dim": 6}',
 }
 BOUND_COMMANDS = {
     "enumerate": ["enumerate", "--p", "1", "--q", "1", "--out", "OUT"],

@@ -306,6 +306,58 @@ class TestAdditivePrune:
         want = oracle.oracle_additive_prune(rows)
         assert ph.additive_prune(rows) == want
         assert ph.additive_prune(np.array(rows, dtype=np.int8).reshape(-1, dim)) == want
+        # Fraction rows take the exact loop; scaling by 1/3 keeps the order
+        # of the norms and every split x = g + h.
+        thirds = [tuple(Fraction(x, 3) for x in r) for r in rows]
+        assert ph.additive_prune(thirds) == [tuple(Fraction(x, 3) for x in k) for k in want]
+
+    # (dtype, lo, hi): rows with entries lo and hi span hi - lo together
+    # with 0, on either side of each packed-key dtype boundary (int8 keys
+    # up to a span of 127, int16 up to 2**15 - 1, then int64 while
+    # dim * span < 2**63, then the exact loop).
+    SPANS = [
+        (np.int8, -128, 127),
+        (np.int8, -127, 0),
+        (np.int8, 0, 127),
+        (np.int8, -64, 64),
+        (np.int16, -100, 100),
+        (np.int16, -(2**14), 2**14 - 1),
+        (np.int16, -(2**14), 2**14),
+        (np.int16, -(2**15), 2**15 - 1),
+        (np.int64, -(2**20), 2**20),
+        (np.int64, -(2**61), 2**61),
+        (np.int64, -(2**63), 2**63 - 1),
+        (np.uint64, 0, 2**64 - 1),
+    ]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_key_dtype_boundaries_match_oracle(self, data):
+        dtype, lo, hi = data.draw(st.sampled_from(self.SPANS))
+        dim = data.draw(st.integers(1, 3))
+        small = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim), max_size=12))
+        entry = st.sampled_from([lo, lo + 1, 0, 1, hi - 1, hi])
+        big = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=6))
+        rows = small + big + [[a + b for a, b in zip(x, y)] for x in big for y in small]
+        rows = [r for r in rows if all(lo <= v <= hi for v in r)]
+        rows = data.draw(st.permutations(rows))
+        want = oracle.oracle_additive_prune(rows)
+        assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
+        assert ph.additive_prune(rows) == want
+
+    def test_uint64_is_not_cast_with_a_wrap(self):
+        # 2**63 wraps to -2**63 in int64; (2**63, 0) splits as (1, 0) + (2**63 - 1, 0).
+        pts = np.array([[1, 0], [2**63 - 1, 0], [2**63, 0], [2**63, 1]], dtype=np.uint64)
+        want = [(1, 0), (2**63 - 1, 0), (2**63, 1)]
+        assert oracle.oracle_additive_prune(pts) == want
+        assert ph.additive_prune(pts) == ph.additive_prune(pts.tolist()) == want
+
+    @pytest.mark.parametrize("shape, kept", [(Shape(3, 2), 189), (Shape(3, 3), 357)])
+    def test_box1_kept_lists_frozen(self, shape, kept):
+        pts = semigroup.enumerate_semigroup_points(shape, 1)
+        got = ph.additive_prune(pts)
+        assert len(got) == kept
+        assert got == oracle.oracle_additive_prune(pts)
 
     def test_edge_sets_and_semigroups_match_oracle(self):
         empty = np.zeros((0, 3), dtype=np.int8)
@@ -319,6 +371,15 @@ class TestAdditivePrune:
 
 
 class TestConeMembership:
+    def test_zero_cone(self):
+        # no generators: the origin's H-representation
+        cone = ph.RationalCone(3, rays=(), lineality=())
+        h = cone.with_h_rep()
+        assert (h.inequalities, h.equalities) == ((), ((0, 0, 1), (0, 1, 0), (1, 0, 0)))
+        assert (h.inequalities, h.equalities) == ph.facets_of_points([(0, 0, 0)], 3)
+        assert ph.cone_member(cone, (0, 0, 0))
+        assert not ph.cone_member(cone, (1, 0, -1))
+
     def test_rays_are_members(self):
         pts = [(1, 2, 0), (0, 1, 1), (1, 0, 0)]
         cone = ph.cone_from_points(pts)
@@ -640,6 +701,12 @@ class TestConeFiles:
         assert back.ambient_dim == cone.ambient_dim
         assert back.inequalities == cone.inequalities
         assert back.equalities == cone.equalities
+
+    def test_file_without_a_representation(self, tmp_path):
+        path = tmp_path / "bare.json"
+        path.write_text('{"version": 1, "ambient_dim": 2, "equalities": [["1", "0"]]}')
+        with pytest.raises(ValueError):
+            ph.load_cone(path)
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
