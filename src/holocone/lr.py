@@ -8,15 +8,24 @@ tableaux whose reverse reading word is a lattice word.
 The public functions (`lr_coefficient`, `tensor_expand`,
 `triple_multiplicity`) validate their input and raise ValueError on
 weights of unequal length or that are not weakly decreasing.  The private
-functions `_lr`, `_expand` and `_triple` trust their caller: they take
-tuples already validated (`_expand` takes partitions ending in 0) and
-check nothing, so code that has validated its weights once calls them in
-its inner loops.
+functions `_lr`, `_expand`, `_skew` and `_triple_expand` trust their
+caller: they take tuples already validated (`_expand` takes partitions
+ending in 0, `_skew` partitions without trailing zeros) and check
+nothing, so code that has validated its weights once calls them in its
+inner loops.
 
-Both memo caches are keyed canonically: lam and mu are shifted so that
+`_skew(nu, kappa, maxlen)` is the Schur expansion of the skew function
+s_{nu/kappa}: one walk over the LR fillings of nu/kappa with free content
+gives c^nu_{kappa,delta} for every delta at once.  Triple multiplicities
+[V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of c^nu_{lam,rho}
+c^rho_{mu,delta} are read off two levels of it (`_triple_expand`): the
+rho of s_{nu/lam}, then the delta of each s_{rho/mu}.
+
+The memo caches are keyed canonically: lam and mu are shifted so that
 their last part is 0, and nu by the same total, so a key does not depend
-on how a weight happened to be shifted.  The caches are plain dicts and
-the module is not thread-safe.
+on how a weight happened to be shifted; the skew memo is keyed on
+partitions.  The caches are plain dicts and the module is not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ GLWeight = Tuple[int, ...]
 
 _lr_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight], int] = {}
 _expand_cache: Dict[Tuple[GLWeight, GLWeight], Dict[GLWeight, int]] = {}
+_skew_cache: Dict[Tuple[GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
 
 CACHE_FORMAT_VERSION = 2
 # Persisted entries `load_cache` recomputes before it trusts a file.
@@ -199,24 +209,87 @@ def _expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
 def triple_multiplicity(
     lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight
 ) -> int:
-    """Multiplicity of V_nu in V_lam (x) V_mu (x) V_delta."""
+    """Multiplicity of V_nu in V_lam (x) V_mu (x) V_delta.
+
+    Read off `_triple_expand` once delta and nu are shifted so that delta
+    ends in 0.
+    """
     _check(lam, mu, delta, nu)
-    return _triple(tuple(lam), tuple(mu), tuple(delta), tuple(nu))
+    delta = tuple(delta)
+    s = delta[-1] if delta else 0
+    t = _triple_expand(tuple(lam), tuple(mu), shift(tuple(nu), -s), len(nu))
+    return t.get(_strip_zeros(shift(delta, -s)), 0)
 
 
-def _triple(lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight) -> int:
-    """triple_multiplicity on validated tuples."""
-    if sum(lam) + sum(mu) + sum(delta) != sum(nu):
-        return 0
-    # Expand lam (x) mu in the canonical frame and shift nu into it.
-    lam0, mu0, s = _canonical(lam, mu)
-    nu0 = shift(nu, -s) if s else nu
-    total = 0
-    for kappa, c in _expand(lam0, mu0).items():
-        c2 = _lr(kappa, delta, nu0)
-        if c2:
-            total += c * c2
-    return total
+def _skew(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
+    """{delta: c^nu_{kappa,delta}}: the Schur expansion of s_{nu/kappa}.
+
+    nu and kappa are partitions without trailing zeros; every delta has
+    at most `maxlen` parts and no trailing zeros.  One walk over the LR
+    fillings of nu/kappa with free content (letters <= maxlen, the reverse
+    reading word a lattice word) counts them by content.  Memoised; the
+    returned dict is the cached one, and callers must not change it.
+    """
+    maxlen = min(maxlen, len(nu))
+    key = (nu, kappa, maxlen)
+    hit = _skew_cache.get(key)
+    if hit is None:
+        hit = _skew_cache[key] = _skew_fillings(nu, kappa, maxlen)
+    return hit
+
+
+def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
+    if len(kappa) > len(nu) or any(k > n for k, n in zip(kappa, nu)):
+        return {}
+    kap = kappa + (0,) * (len(nu) - len(kappa))
+    # Cells in reverse reading order (each row right to left, top row
+    # first); grid holds 0 in the cells of kappa, so the cell above a
+    # cell of the top skew row never forces a letter above 1.
+    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, kap[r] - 1, -1)]
+    grid = [[0] * (row + 1) for row in nu]
+    for r, row in enumerate(nu):
+        grid[r][row] = maxlen  # no neighbour to the right
+    counts = [len(cells) + 1] + [0] * maxlen  # counts[v] = #v placed so far
+    out: Dict[GLWeight, int] = {}
+
+    def place(k: int) -> None:
+        if k == len(cells):
+            delta = tuple(c for c in counts[1:] if c)
+            out[delta] = out.get(delta, 0) + 1
+            return
+        r, c = cells[k]
+        row = grid[r]
+        lo = grid[r - 1][c] + 1 if r else 1
+        for v in range(lo, row[c + 1] + 1):
+            if counts[v] < counts[v - 1]:
+                row[c] = v
+                counts[v] += 1
+                place(k + 1)
+                counts[v] -= 1
+
+    place(0)
+    return out
+
+
+def _triple_expand(lam: GLWeight, mu: GLWeight, nu: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
+    """{delta: [V_nu : V_lam (x) V_mu (x) V_delta]} over partitions delta
+    with at most `maxlen` parts, on validated tuples of equal length.
+
+    t[delta] = sum over rho of c^nu_{lam,rho} c^rho_{mu,delta}, read off
+    two levels of skew expansions: s_{nu/lam} gives the rho, and each
+    s_{rho/mu} gives the delta.
+    """
+    lam, mu, s = _canonical(lam, mu)
+    if s:
+        nu = shift(nu, -s)
+    if nu and nu[-1] < 0:
+        return {}
+    mu = _strip_zeros(mu)
+    t: Dict[GLWeight, int] = {}
+    for rho, a in _skew(_strip_zeros(nu), _strip_zeros(lam), len(nu)).items():
+        for delta, b in _skew(rho, mu, maxlen).items():
+            t[delta] = t.get(delta, 0) + a * b
+    return t
 
 
 def weyl_dim(lam: GLWeight) -> int:
@@ -259,6 +332,7 @@ def clear_caches() -> None:
 
     _lr_cache.clear()
     _expand_cache.clear()
+    _skew_cache.clear()
     symq._cauchy_cache.clear()
     polyhedral.clear_caches()
 

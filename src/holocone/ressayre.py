@@ -16,23 +16,13 @@ C-block and scans the finitely many Weyl pairs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
-from .weights import (
-    Shape,
-    WeylElement,
-    all_weyl_elements,
-    check_length,
-    compact_positive_roots,
-    longest_weyl,
-    noncompact_positive_roots,
-    pairing,
-    positive_roots,
-)
+from .weights import Shape, WeylElement, all_weyl_elements, check_length, longest_weyl
 
 CERT_FILE_VERSION = 1
 
@@ -77,41 +67,46 @@ def admissible(gamma: Sequence, shape: Shape) -> bool:
     return len(set(gamma)) <= 2
 
 
+def _compact_diffs(v: Sequence, p: int) -> List:
+    """<alpha, v> = v_i - v_j over the compact positive roots alpha = e_i - e_j,
+    which are the index pairs i < j inside one block."""
+    return [b[i] - b[j] for b in (v[:p], v[p:]) for i, j in combinations(range(len(b)), 2)]
+
+
 def relation_A(c: RessayreCandidate, shape: Shape) -> bool:
-    """Dimension count over root/weight sets (Horn specialization)."""
-    rc_pos = compact_positive_roots(shape)
+    """Dimension count over root/weight sets (Horn specialization).
+
+    Counted over index pairs: the compact positive roots pair with v as
+    the differences within a block, and the noncompact ones e_i - e_{p+j}
+    as the differences between a p-index and a q-index.
+    """
+    p = shape.p
     g = c.gamma
-    g1 = c.w1.apply(g, shape)
-    g2 = c.w2.apply(g, shape)
-    lhs = (
-        sum(1 for a in rc_pos if pairing(a, g1) > 0)
-        + sum(1 for a in rc_pos if pairing(a, g2) > 0)
-        + sum(1 for a in rc_pos if pairing(a, g) > 0)
-    )
-    rhs = 2 * sum(1 for a in rc_pos if pairing(a, g) != 0) + sum(
-        1 for h in noncompact_positive_roots(shape) if pairing(h, g) > 0
+    translates = (c.w1.apply(g, shape), c.w2.apply(g, shape), g)
+    lhs = sum(x > 0 for v in translates for x in _compact_diffs(v, p))
+    rhs = 2 * sum(x != 0 for x in _compact_diffs(g, p)) + sum(
+        a > b for a in g[:p] for b in g[p:]
     )
     return lhs == rhs
 
 
-def _positive_sum(v, shape: Shape):
-    """f(v) = sum of <alpha, v> over positive roots pairing positively."""
-    total = Fraction(0)
-    for a in positive_roots(shape):
-        x = pairing(a, v)
-        if x > 0:
-            total += x
-    return total
+def _positive_sum(v):
+    """f(v) = sum of <alpha, v> over positive roots pairing positively.
+
+    The positive roots of u(p,q) are exactly the e_i - e_j with i < j, so
+    f(v) = sum over i < j of max(v_i - v_j, 0).
+    """
+    return sum(max(a - b, 0) for a, b in combinations(v, 2))
 
 
 def trace_condition(c: RessayreCandidate, shape: Shape) -> bool:
     """Eq.-(15)-style trace identity between gamma and its translates."""
     w0 = longest_weyl(shape)
     g = c.gamma
-    lhs = _positive_sum(g, shape)
-    rhs = _positive_sum(
-        w0.compose(c.w1).apply(g, shape), shape
-    ) + _positive_sum(w0.compose(c.w2).apply(g, shape), shape)
+    lhs = _positive_sum(g)
+    rhs = _positive_sum(w0.compose(c.w1).apply(g, shape)) + _positive_sum(
+        w0.compose(c.w2).apply(g, shape)
+    )
     return lhs == rhs
 
 

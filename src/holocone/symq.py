@@ -5,6 +5,13 @@ most q parts of S^delta(C^p) (x) S^delta(C^q)^*; the U(q) factor enters
 through the negated-reversed weight delta^nat.  Every weight of M_{p,q}
 has coordinate sum zero, so for a fixed triple exactly one Cauchy degree
 can contribute.
+
+The holomorphic multiplicity is therefore m = sum over delta of
+t_p[delta] * t_q[delta], with t[delta] = [V_C : V_A (x) V_B (x) V_delta]
+on each block.  On the q side the duality [V_C : V_A (x) V_B (x)
+V_delta^*] = [V_C^* : V_A^* (x) V_B^* (x) V_delta], where V_w^* has
+highest weight -reverse(w), turns t_q into the same count as t_p, so
+both come from `lr._triple_expand`, without a loop over the components.
 """
 
 from __future__ import annotations
@@ -70,9 +77,15 @@ def _split_dominant(x: Sequence[int], shape: Shape):
 def holomorphic_multiplicity(
     lam: Sequence[int], mu: Sequence[int], nu: Sequence[int], shape: Shape
 ) -> int:
-    """m(lam, mu, nu) = [V_nu : V_lam (x) V_mu (x) Sym(M_{p,q})]."""
-    # With p >= q every Cauchy weight has the length of its block, and the
-    # blocks are validated below, so the unchecked LR functions apply.
+    """m(lam, mu, nu) = [V_nu : V_lam (x) V_mu (x) Sym(M_{p,q})].
+
+    m = sum over delta of t_p[delta] * t_q[delta], where t_p[delta] =
+    [V_{nu_p} : V_{lam_p} (x) V_{mu_p} (x) V_delta] on the p-blocks, and
+    t_q[delta] = [V_{nu_q} : V_{lam_q} (x) V_{mu_q} (x) V_delta^*] is the
+    same count on the duals w -> -reverse(w) of the q-blocks.  Only
+    partitions delta with at most q parts occur.
+    """
+    # The blocks are validated here, so the unchecked LR functions apply.
     shape.validate()
     lp, lq = _split_dominant(lam, shape)
     mp, mq = _split_dominant(mu, shape)
@@ -80,15 +93,12 @@ def holomorphic_multiplicity(
     d = sum(np_) - sum(lp) - sum(mp)
     if d < 0 or d != (sum(lq) + sum(mq)) - sum(nq):
         return 0
-    total = 0
-    for comp in cauchy_components(shape, d):
-        t_p = lr._triple(lp, mp, comp.up_weight, np_)
-        if not t_p:
-            continue
-        t_q = lr._triple(lq, mq, comp.uq_weight, nq)
-        if t_q:
-            total += t_p * t_q
-    return total
+    t_p = lr._triple_expand(lp, mp, np_, shape.q)
+    if not t_p:
+        return 0
+    # natural_negation(w, q) = -reverse(w): the dual's highest weight.
+    t_q = lr._triple_expand(*(natural_negation(w, shape.q) for w in (lq, mq, nq)), shape.q)
+    return sum(c * t_q.get(delta, 0) for delta, c in t_p.items())
 
 
 def horn_membership(

@@ -139,57 +139,6 @@ def pairing(x: Sequence, y: Sequence) -> Coord:
 
 
 # ---------------------------------------------------------------------------
-# Root systems
-
-
-def _basis_diff(n: int, i: int, j: int) -> Vector:
-    v = [0] * n
-    v[i] = 1
-    v[j] = -1
-    return tuple(v)
-
-
-def compact_positive_roots(shape: Shape):
-    """e_i - e_j for i < j within each block."""
-    n = shape.rank
-    out = []
-    for i in range(shape.p):
-        for j in range(i + 1, shape.p):
-            out.append(_basis_diff(n, i, j))
-    for i in range(shape.p, n):
-        for j in range(i + 1, n):
-            out.append(_basis_diff(n, i, j))
-    return out
-
-
-def noncompact_positive_roots(shape: Shape):
-    """e_i - e_{p+j} for 1 <= i <= p, 1 <= j <= q; there are pq of them."""
-    n = shape.rank
-    return [
-        _basis_diff(n, i, shape.p + j)
-        for i in range(shape.p)
-        for j in range(shape.q)
-    ]
-
-
-def positive_roots(shape: Shape):
-    """Full positive system of u(p,q): compact plus noncompact."""
-    return compact_positive_roots(shape) + noncompact_positive_roots(shape)
-
-
-def all_roots(shape: Shape):
-    """All nonzero T-weights e_i - e_j (i != j) of u(p,q) complexified.
-
-    This is the auxiliary set used by the facet-certificate machinery:
-    zero weights contribute nothing to any span condition and are dropped.
-    """
-    n = shape.rank
-    return [
-        _basis_diff(n, i, j) for i in range(n) for j in range(n) if i != j
-    ]
-
-
-# ---------------------------------------------------------------------------
 # Weyl elements: pairs of permutations acting blockwise on coordinates.
 # A permutation is a tuple of images: w[i] = position that slot i maps to,
 # so (w.x)[w[i]] = x[i].

@@ -11,7 +11,12 @@ reduced row echelon form (`rref`).  The double description oracle
 inserts the inequalities in the order given and keeps each zero-set as a
 Python set; emptiness of a polyhedron is decided by homogenising it and
 running that double description once per query.  The additive prune
-oracle sums each l1 norm again wherever it needs one.
+oracle sums each l1 norm again wherever it needs one.  Relation (A) and
+the trace sums are counted over explicit lists of root vectors.  The
+Cauchy-component oracle is the one exception to "from scratch": it
+composes the package's own LR tableau counts, one Cauchy component of
+Sym(M_{p,q}) at a time, as a slower second path to the holomorphic
+multiplicity.
 """
 
 from __future__ import annotations
@@ -405,3 +410,94 @@ def oracle_additive_prune(points):
         if not reducible:
             kept.append(x)
     return sorted(kept)
+
+
+# ---------------------------------------------------------------------------
+# Root systems of u(p,q), as explicit lists of vectors.  The package counts
+# over index pairs instead; these lists are the definitions it is checked
+# against.
+
+
+def _basis_diff(n: int, i: int, j: int) -> Tuple[int, ...]:
+    v = [0] * n
+    v[i] = 1
+    v[j] = -1
+    return tuple(v)
+
+
+def compact_positive_roots(shape):
+    """e_i - e_j for i < j within each block."""
+    n = shape.rank
+    out = []
+    for i in range(shape.p):
+        for j in range(i + 1, shape.p):
+            out.append(_basis_diff(n, i, j))
+    for i in range(shape.p, n):
+        for j in range(i + 1, n):
+            out.append(_basis_diff(n, i, j))
+    return out
+
+
+def noncompact_positive_roots(shape):
+    """e_i - e_{p+j} for 1 <= i <= p, 1 <= j <= q; there are pq of them."""
+    n = shape.rank
+    return [_basis_diff(n, i, shape.p + j) for i in range(shape.p) for j in range(shape.q)]
+
+
+def positive_roots(shape):
+    """Full positive system of u(p,q): compact plus noncompact."""
+    return compact_positive_roots(shape) + noncompact_positive_roots(shape)
+
+
+def all_roots(shape):
+    """All nonzero T-weights e_i - e_j (i != j) of u(p,q) complexified."""
+    n = shape.rank
+    return [_basis_diff(n, i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def oracle_relation_A(gamma, w1, w2, shape) -> bool:
+    """Relation (A) counted over the root lists."""
+    g1, g2 = w1.apply(gamma, shape), w2.apply(gamma, shape)
+    rc_pos = compact_positive_roots(shape)
+    lhs = sum(1 for v in (g1, g2, gamma) for a in rc_pos if _dot(a, v) > 0)
+    rhs = 2 * sum(1 for a in rc_pos if _dot(a, gamma) != 0) + sum(
+        1 for h in noncompact_positive_roots(shape) if _dot(h, gamma) > 0
+    )
+    return lhs == rhs
+
+
+def oracle_positive_sum(v, shape):
+    """Sum of <alpha, v> over the positive roots alpha pairing positively."""
+    return sum(max(_dot(a, v), 0) for a in positive_roots(shape))
+
+
+# ---------------------------------------------------------------------------
+# Holomorphic multiplicities one Cauchy component at a time
+
+
+def oracle_cauchy_multiplicity(lam, mu, nu, shape) -> int:
+    """m(lam, mu, nu) as the sum over the Cauchy components V_delta of
+    Sym^d(M_{p,q}) of the two blocks' triple multiplicities, each expanded
+    through V_lam (x) V_mu and one LR coefficient per term.  This is the
+    loop the package ran before its skew expansions; it runs on the
+    tableau counts of `lr._lr` and `lr._expand`."""
+    from holocone import lr, symq
+
+    p = shape.p
+    d = sum(nu[:p]) - sum(lam[:p]) - sum(mu[:p])
+    if d < 0 or d != (sum(lam[p:]) + sum(mu[p:])) - sum(nu[p:]):
+        return 0
+
+    def triple(a, b, delta, c):
+        if sum(a) + sum(b) + sum(delta) != sum(c):
+            return 0
+        a0, b0, s = lr._canonical(a, b)
+        c0 = lr.shift(c, -s)
+        return sum(k * lr._lr(kappa, delta, c0) for kappa, k in lr._expand(a0, b0).items())
+
+    total = 0
+    for comp in symq.cauchy_components(shape, d):
+        t_p = triple(tuple(lam[:p]), tuple(mu[:p]), comp.up_weight, tuple(nu[:p]))
+        if t_p:
+            total += t_p * triple(tuple(lam[p:]), tuple(mu[p:]), comp.uq_weight, tuple(nu[p:]))
+    return total

@@ -304,6 +304,29 @@ class TestCache:
         assert (code, captured.out) == (0, "2\n")
         assert "ignoring unreadable cache" in captured.err
 
+    def test_mult_and_member_answer_alike_with_a_cache(self, tmp_path, capsys, monkeypatch):
+        # mult and member read no LR cache entry: their answers do not
+        # depend on the cache, and the file they leave still loads.
+        queries = [
+            ["mult", "--p", "3", "--q", "3",
+             "--triple", "2,1,0;0,-1,-1|2,1,0;0,-1,-1|4,3,1;-1,-2,-3"],
+            ["mult", "--p", "2", "--q", "2", "--triple", "1,0;0,-1|1,0;0,-1|2,1;-1,-2"],
+            ["member", "--p", "2", "--q", "2", "--triple", "1,0;0,-1|1,0;0,-1|3,1;-1,-2"],
+            ["member", "--p", "1", "--q", "1", "--triple", "1;-1|1;-1|3;-3"],
+        ]
+        monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)
+        lr.clear_caches()
+        without = [run(argv, capsys) for argv in queries]
+        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
+        lr.clear_caches()
+        assert run(["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"], capsys) == (0, "2\n")
+        lr.clear_caches()
+        with_cache = [run(argv, capsys) for argv in queries]
+        assert with_cache == without
+        assert [out for _, out in without] == ["18\n", "4\n", "False\n", "True\n"]
+        lr.clear_caches()
+        assert lr.load_cache(tmp_path / "lr-cache.txt") >= 1
+
     def test_absent_cache_dir_is_fine(self, capsys, monkeypatch):
         monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)
         code, _ = run(

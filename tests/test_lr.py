@@ -179,6 +179,64 @@ class TestProperties:
         assert lr.weyl_dim((3, 1, 0)) == lr.weyl_dim((5, 3, 2))
 
 
+def _partition(data, rows, top, inside=None):
+    """A partition with at most `rows` parts and parts <= top, without
+    trailing zeros; inside `inside` when that is given."""
+    parts, prev = [], top
+    for r in range(rows):
+        bound = min(prev, inside[r] if r < len(inside) else 0) if inside is not None else prev
+        v = data.draw(st.integers(0, bound))
+        if v == 0:
+            break
+        parts.append(v)
+        prev = v
+    return tuple(parts)
+
+
+class TestSkew:
+    def test_examples(self):
+        assert lr._skew((2, 1), (2, 1), 3) == {(): 1}  # empty skew
+        assert lr._skew((), (), 2) == {(): 1}
+        assert lr._skew((2,), (1, 1), 2) == {}  # kappa not inside nu
+        assert lr._skew((2, 1), (1,), 2) == {(2,): 1, (1, 1): 1}
+        assert lr._skew((2, 1), (1,), 1) == {(2,): 1}  # maxlen < len(nu)
+        assert lr._skew((3, 2, 1), (2, 1), 3) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+
+    @given(st.data(), st.booleans(), st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tableau_counts(self, data, contained, m):
+        # c^nu_{kappa,delta} for every partition delta of |nu| - |kappa|
+        # with at most m parts; kappa is drawn inside nu or freely, so
+        # kappa not inside nu, empty skews and m < len(nu) all occur.
+        nu = _partition(data, 4, 5)
+        kappa = _partition(data, 4, 5, inside=nu if contained else None)
+        got = lr._skew(nu, kappa, m)
+        size = sum(nu) - sum(kappa)
+        want = {}
+        for delta in lr.partitions(size, m) if size >= 0 else ():
+            c = lr.lr_count_tableaux(kappa, delta, nu)
+            if c:
+                want[delta] = c
+        assert got == want
+
+    def test_triple_multiplicity_matches_composition(self):
+        # sum over kappa of c^kappa_{lam,mu} c^nu_{kappa,delta}, from the
+        # validating public functions, on weights with negative parts.
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.choice([2, 3])
+            lam, mu, delta = (
+                tuple(sorted((rng.randint(-2, 2) for _ in range(n)), reverse=True))
+                for _ in range(3)
+            )
+            kappas = lr.tensor_expand(lam, mu)
+            nus = {nu for kappa in kappas for nu in lr.tensor_expand(kappa, delta)}
+            nu = rng.choice(sorted(nus))
+            want = sum(c * lr.lr_coefficient(kappa, delta, nu) for kappa, c in kappas.items())
+            assert lr.triple_multiplicity(lam, mu, delta, nu) == want
+            assert lr.triple_multiplicity(lam, mu, delta, lr.shift(nu, 1)) == 0
+
+
 class TestCanonicalCacheKey:
     def test_shifted_weights_add_no_cache_entry(self):
         lr.clear_caches()

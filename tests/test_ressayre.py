@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from holocone import reference22, ressayre, semigroup
 from holocone.polyhedral import dot, primitive
-from holocone.weights import Shape, all_weyl_elements, identity_weyl
+from holocone.weights import Shape, all_weyl_elements, identity_weyl, longest_weyl
 
 
 def cand(gamma, w1, w2):
@@ -106,6 +106,40 @@ class TestTraceCondition:
                 assert (
                     ressayre.trace_condition(cand(gt, w1, w2), s) == base
                 )
+
+
+class TestClosedFormsAgainstRootLists:
+    """relation_A and the trace sums count index pairs; the oracle sums
+    over the explicit root vectors."""
+
+    @pytest.mark.parametrize(
+        "shape, values, pairs_per_gamma",
+        [
+            (Shape(3, 3), (-1, 0, 1), 4),
+            (Shape(2, 1), (-1, 0, Fraction(1, 2), 1), None),
+            (Shape(3, 2), (-1, 0, 1), 6),
+        ],
+    )
+    def test_every_gamma(self, shape, values, pairs_per_gamma):
+        # Every gamma in values^(p+q); all Weyl pairs, or a seeded sample.
+        rng = random.Random(52)
+        ws = all_weyl_elements(shape)
+        w0 = longest_weyl(shape)
+        for g in product(values, repeat=shape.rank):
+            if pairs_per_gamma is None:
+                pairs = list(product(ws, repeat=2))
+            else:
+                pairs = [(rng.choice(ws), rng.choice(ws)) for _ in range(pairs_per_gamma)]
+            f = oracle.oracle_positive_sum(g, shape)
+            assert ressayre._positive_sum(g) == f
+            for w1, w2 in pairs:
+                c = cand(g, w1, w2)
+                assert ressayre.relation_A(c, shape) == oracle.oracle_relation_A(g, w1, w2, shape)
+                want = f == sum(
+                    oracle.oracle_positive_sum(w0.compose(w).apply(g, shape), shape)
+                    for w in (w1, w2)
+                )
+                assert ressayre.trace_condition(c, shape) == want
 
 
 class TestScaleInvariance:

@@ -1,13 +1,17 @@
 """Cauchy components and holomorphic multiplicities vs character oracle."""
 
+import hashlib
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from holocone import lr, symq
-from holocone.weights import Shape, noncompact_positive_roots
+from holocone.weights import Shape
+from oracle import noncompact_positive_roots
 
 
 def dominant_box(length, bound):
@@ -17,6 +21,42 @@ def dominant_box(length, bound):
         for w in product(vals, repeat=length)
         if all(a >= b for a, b in zip(w, w[1:]))
     ]
+
+
+class _Pool:
+    """Dominant blocks of one shape with entries in [-box, box], by coordinate sum."""
+
+    def __init__(self, shape, box):
+        self.shape = shape
+        self.p, self.q = (
+            [tuple(c) for c in combinations_with_replacement(range(box, -box - 1, -1), k)]
+            for k in shape
+        )
+        self.p_by_sum, self.q_by_sum = {}, {}
+        for blocks, by_sum in ((self.p, self.p_by_sum), (self.q, self.q_by_sum)):
+            for v in blocks:
+                by_sum.setdefault(sum(v), []).append(v)
+
+    def triple(self, rng):
+        """(A, B, C) with |C_p| = |A_p|+|B_p|+d and |C_q| = |A_q|+|B_q|-d, d >= 0."""
+        p = self.shape.p
+        while True:
+            a = rng.choice(self.p) + rng.choice(self.q)
+            b = rng.choice(self.p) + rng.choice(self.q)
+            d = rng.randint(0, 2 * self.shape.q)
+            cp = self.p_by_sum.get(sum(a[:p]) + sum(b[:p]) + d)
+            cq = self.q_by_sum.get(sum(a[p:]) + sum(b[p:]) - d)
+            if cp and cq:
+                return a, b, rng.choice(cp) + rng.choice(cq)
+
+
+# U(2,2) at box 6 and U(3,3) at box 4 are the benchmark's request ranges.
+ORACLE_POOLS = [
+    _Pool(shape, box)
+    for shape, box in (
+        (Shape(2, 2), 6), (Shape(3, 3), 4), (Shape(2, 1), 3), (Shape(3, 1), 3), (Shape(3, 2), 3)
+    )
+]
 
 
 class TestQModuleWeights:
@@ -241,6 +281,49 @@ class TestHolomorphicMultiplicity:
                 checked += 1
                 nonzero += m > 0
         assert nonzero >= 30
+
+
+class TestSkewExpansions:
+    @given(st.sampled_from(ORACLE_POOLS), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cauchy_component_oracle(self, pool, seed):
+        # Degree-consistent triples, zero answers included.
+        a, b, c = pool.triple(random.Random(seed))
+        assert symq.holomorphic_multiplicity(a, b, c, pool.shape) == (
+            oracle.oracle_cauchy_multiplicity(a, b, c, pool.shape)
+        )
+
+    def test_no_tableau_counts_and_a_stable_memo(self):
+        shape = Shape(3, 3)
+        req = ((2, 1, 0, 0, -1, -1), (2, 1, 0, 0, -1, -1), (4, 3, 1, -1, -2, -3))
+        lr.clear_caches()
+        with mock.patch.object(
+            lr, "lr_count_tableaux", wraps=lr.lr_count_tableaux
+        ) as counts, mock.patch.object(lr, "_lr", wraps=lr._lr) as lrs:
+            assert symq.holomorphic_multiplicity(*req, shape) == 18
+            memo = {k: dict(v) for k, v in lr._skew_cache.items()}
+            assert memo
+            assert symq.holomorphic_multiplicity(*req, shape) == 18
+        assert counts.call_count == 0 and lrs.call_count == 0
+        assert lr._skew_cache == memo
+        assert oracle.oracle_cauchy_multiplicity(*req, shape) == 18
+        lr.clear_caches()
+        assert lr._skew_cache == {}
+
+    def test_frozen_answers(self):
+        # sha256 of 500 answers on a fixed grid, as computed by the
+        # per-Cauchy-component loop the skew expansions replaced.
+        rng = random.Random(9)
+        pools = [_Pool(Shape(2, 2), 6), _Pool(Shape(3, 3), 4), _Pool(Shape(3, 2), 3)]
+        rows = []
+        for i in range(500):
+            pool = pools[i % 3]
+            a, b, c = pool.triple(rng)
+            rows.append((a, b, c, symq.holomorphic_multiplicity(a, b, c, pool.shape)))
+        assert sum(r[3] == 0 for r in rows) == 229
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "5d40fa96e2fd866df95f95426d7be6ccee8225e481eab7810883a002688f56cc"
+        )
 
 
 class TestSFold:

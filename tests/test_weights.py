@@ -8,22 +8,24 @@ from hypothesis import given, strategies as st
 
 from holocone.weights import (
     Shape,
-    all_roots,
     all_weyl_elements,
-    compact_positive_roots,
     format_weight,
     identity_weyl,
     in_chamber_rho,
     in_holomorphic_chamber,
     is_dominant,
     longest_weyl,
-    noncompact_positive_roots,
     pairing,
     parse_weight,
-    positive_roots,
     rho_scaling_factor,
     star_involution,
     two_rho_n,
+)
+from oracle import (
+    all_roots,
+    compact_positive_roots,
+    noncompact_positive_roots,
+    positive_roots,
 )
 
 SHAPES = [Shape(1, 1), Shape(2, 1), Shape(2, 2), Shape(3, 2)]
