@@ -3,8 +3,10 @@
 Exit-code contract: 0 success/true, 1 false/mismatch, 2 usage or parse
 error.  All outputs are deterministic; any timing or progress chatter
 goes to stderr.  The LR memo cache persists under HOLOCONE_CACHE_DIR
-when that variable is set; the cache is advisory, and a file that fails
-`lr.load_cache`'s checks is ignored, so it never changes results.
+when that variable is set, for the subcommands that read LR entries
+(`lr`, `enumerate`, `verify22`); the others neither load nor write it.
+The cache is advisory, and a file that fails `lr.load_cache`'s checks is
+ignored, so it never changes results.
 """
 
 from __future__ import annotations
@@ -330,9 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
+    def add(name, fn, help_, lr_cache=False):
         sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(fn=fn)
+        # lr_cache: the subcommand reads LR entries, so the persisted
+        # cache is worth loading and saving.
+        sp.set_defaults(fn=fn, lr_cache=lr_cache)
         sp.add_argument("--p", type=int)
         sp.add_argument("--q", type=int)
         sp.add_argument("--n", type=int)
@@ -348,17 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--w2")
         return sp
 
-    add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}")
+    add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}", lr_cache=True)
     add("mult", cmd_mult, "holomorphic multiplicity m(lam, mu, nu)")
     add("member", cmd_member, "integral Horn semigroup membership")
-    add("enumerate", cmd_enumerate, "box-bounded semigroup triples to a file")
+    add("enumerate", cmd_enumerate, "box-bounded semigroup triples to a file", lr_cache=True)
     add("hull", cmd_hull, "exact facets of the cone of a points file")
     add("cone-member", cmd_cone_member, "triple membership in a cone file")
     add("slice", cmd_slice, "C-slice of a triple cone at fixed (A, B)")
     add("recession", cmd_recession, "recession cone of a C-slice")
     rp = add("ressayre", cmd_ressayre, "facet certificates: verify or search")
     rp.add_argument("mode", choices=["verify", "search"])
-    vp = add("verify22", cmd_verify22, "end-to-end (2,2) cone reproduction")
+    vp = add("verify22", cmd_verify22, "end-to-end (2,2) cone reproduction", lr_cache=True)
     vp.add_argument(
         "--inject-fault", action="store_true", help=argparse.SUPPRESS
     )
@@ -377,7 +381,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
 
-    cache = _cache_path()
+    cache = _cache_path() if args.lr_cache else None
     if cache and os.path.exists(cache):
         try:
             lr.load_cache(cache)

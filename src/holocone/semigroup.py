@@ -8,20 +8,30 @@ degree bound would not do.
 Membership needs only the support of each tensor product: Littlewood-
 Richardson coefficients are never negative, so a sum of their products
 is positive exactly when one term is, and no multiplicity is added up.
-For each pair of p-block weights and each Cauchy component
-(`symq.cauchy_components`), the set of boxed p-blocks of nu is
+For each pair a of p-block weights and each Cauchy component
+(`symq.cauchy_components`), the set of boxed p-blocks n of nu is
 tabulated once, from one expansion per distinct (kappa, delta); likewise
-on the q side.  The two tables are joined over the components: the nu
-of a p-pair and a q-pair are the union of the products of their sets.
+on the q side.
+
+The two tables are joined by one Boolean matrix product per Cauchy
+degree d.  A p-row (a, n), for a p-pair a = (lam', mu') and a boxed
+block n, can only meet components of degree |n| - |a|, so each row
+belongs to one degree; its entry in column delta says that n occurs in
+lam' (x) mu' (x) delta.  A q-row (b, m) belongs to degree |b| - |m| in
+the same way.  The triple (a, n; b, m) is in the semigroup exactly
+when the two rows share a component, i.e. when (P_d Q_d^T) is nonzero
+at that entry.  Distinct entries give distinct triples, so each triple
+is found once, and the box bounds on n and m already cap the degree.
 Everything is deterministic.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
-from typing import Dict, Iterator, List, Set, Tuple
+from itertools import chain
+from typing import Dict, List, Set, Tuple
 
 from . import lr, symq
+from .polyhedral import _SCAN_ROWS
 from .weights import Shape
 
 Vector = Tuple[int, ...]
@@ -47,17 +57,23 @@ def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
     return out
 
 
+def _expand(a: Vector, b: Vector):
+    """The weights of V_a (x) V_b, for dominant a and b of equal length."""
+    a0, b0, s = lr._canonical(a, b)
+    return [lr.shift(c, s) for c in lr._expand(a0, b0)]
+
+
 def _block_table(
     pairs: List[Tuple[Vector, Vector]],
     deltas: List[Vector],
     bound: int,
 ) -> Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]]:
     """pair -> Cauchy weight delta -> set of boxed blocks in a (x) b (x) delta."""
-    bases = {(a, b): lr.tensor_expand(a, b) for a, b in pairs}
+    bases = {(a, b): _expand(a, b) for a, b in pairs}
     support = {
         (kappa, delta): {
             res
-            for res in lr.tensor_expand(kappa, delta)
+            for res in _expand(kappa, delta)
             if res[0] <= bound and res[-1] >= -bound
         }
         for kappa in set().union(*bases.values())
@@ -75,10 +91,53 @@ def _block_table(
     return table
 
 
-def _iter_semigroup(shape: Shape, bound: int) -> Iterator[Triple]:
-    """Deterministic stream of all box-bounded semigroup triples."""
+def _incidence(table, deltas: List[Vector]):
+    """The rows (a, b, n) of one degree, as an int8 matrix of the
+    concatenated blocks, and their Boolean incidence with `deltas`."""
+    import numpy as np
+
+    rows: Dict[Tuple[Vector, Vector, Vector], int] = {}
+    hits: List[Tuple[int, int]] = []
+    for (a, b), per_delta in table.items():
+        for j, delta in enumerate(deltas):
+            for n in per_delta.get(delta, ()):
+                hits.append((rows.setdefault((a, b, n), len(rows)), j))
+    width = 3 * len(deltas[0])
+    vals = np.array(list(chain.from_iterable(chain.from_iterable(rows))), dtype=np.int8)
+    inc = np.zeros((len(rows), len(deltas)), dtype=bool)
+    if hits:
+        inc[tuple(np.array(hits).T)] = True
+    return vals.reshape(-1, width), inc
+
+
+def _joined_count(p_inc, q_inc) -> int:
+    """The number of nonzero entries of p_inc @ q_inc.T, from the
+    distinct row patterns of each side."""
+    import numpy as np
+
+    pu, pn = np.unique(p_inc, axis=0, return_counts=True)
+    qu, qn = np.unique(q_inc, axis=0, return_counts=True)
+    return int(pn @ (pu @ qu.T) @ qn)
+
+
+def enumerate_semigroup_points(shape: Shape, bound: int):
+    """Box-bounded semigroup triples as a compact numpy int8 matrix.
+
+    One row per triple, columns (lam, mu, nu) concatenated, each triple
+    once.  The rows come degree by degree in the order of the per-degree
+    matrix join: deterministic, the same on every run, but not sorted.
+    The matrix is sized by a count of the join first and then filled in
+    place, in blocks of `_SCAN_ROWS` joined entries, so no list of rows
+    or chunks is ever built; this keeps the large (2,2) verification
+    runs, where the triple count reaches 10^7, in bounded memory.
+    Entries fit in int8 for every bound up to MAX_BOUND.
+    """
+    import numpy as np
+
     if bound < 0:
         raise ValueError("bound must be >= 0")
+    if bound > MAX_BOUND:
+        raise ValueError("bound too large for the packed representation")
     p, q = shape.p, shape.q
     pvecs = dominant_box_vectors(p, bound)
     qvecs = dominant_box_vectors(q, bound)
@@ -102,44 +161,38 @@ def _iter_semigroup(shape: Shape, bound: int) -> Iterator[Triple]:
     all_comps = list(chain.from_iterable(comps))
     p_table = _block_table(p_pairs, [c.up_weight for c in all_comps], bound)
     q_table = _block_table(q_pairs, [c.uq_weight for c in all_comps], bound)
+    joins = [
+        (
+            _incidence(p_table, [c.up_weight for c in cs]),
+            _incidence(q_table, [c.uq_weight for c in cs]),
+        )
+        for cs in comps
+    ]
 
-    for (lp, mp), p_per_delta in p_table.items():
-        base_deg = sum(lp) + sum(mp)
-        for (lq, mq), q_per_delta in q_table.items():
-            budget = sum(lq) + sum(mq)
-            dmax = min(p * bound - base_deg, budget + q * bound, max_deg)
-            nus: Set[Tuple[Vector, Vector]] = set()
-            for d in range(dmax + 1):
-                for comp in comps[d]:
-                    pm = p_per_delta.get(comp.up_weight)
-                    qm = q_per_delta.get(comp.uq_weight)
-                    if pm and qm:
-                        nus.update(product(pm, qm))
-            for np_, nq in nus:
-                yield (lp + lq, mp + mq, np_ + nq)
+    r = shape.rank
+    out = np.empty(
+        (sum(_joined_count(pi, qi) for (_, pi), (_, qi) in joins), 3 * r), dtype=np.int8
+    )
+    p_cols = [k * r + i for k in range(3) for i in range(p)]
+    q_cols = [k * r + p + i for k in range(3) for i in range(q)]
+    filled = 0
+    for (p_vals, p_inc), (q_vals, q_inc) in joins:
+        if not len(q_inc):
+            continue
+        step = max(1, _SCAN_ROWS // len(q_inc))
+        for start in range(0, len(p_inc), step):
+            i, j = np.nonzero(p_inc[start : start + step] @ q_inc.T)
+            end = filled + len(i)
+            out[filled:end, p_cols] = p_vals[start + i]
+            out[filled:end, q_cols] = q_vals[j]
+            filled = end
+    return out
 
 
 def enumerate_semigroup(shape: Shape, bound: int) -> List[Triple]:
-    """All semigroup triples with every coordinate in [-bound, bound]."""
-    triples = list(_iter_semigroup(shape, bound))
-    triples.sort()
-    return triples
-
-
-def enumerate_semigroup_points(shape: Shape, bound: int):
-    """Box-bounded semigroup triples as a compact numpy int8 matrix.
-
-    One row per triple, columns (lam, mu, nu) concatenated; the rows are
-    the triples of `enumerate_semigroup`, each once.  Their order is the
-    enumeration order: not sorted, but the same on every run.  Entries
-    fit in int8 for every bound up to MAX_BOUND, and the matrix is
-    filled straight from the enumeration, without a list of rows, so it
-    is the memory-safe path for the large (2,2) verification runs, where
-    the triple count reaches 10^7.
-    """
-    import numpy as np
-
-    if bound > MAX_BOUND:
-        raise ValueError("bound too large for the packed representation")
-    flat = chain.from_iterable(l + m + n for l, m, n in _iter_semigroup(shape, bound))
-    return np.fromiter(flat, dtype=np.int8).reshape(-1, 3 * shape.rank)
+    """All semigroup triples with every coordinate in [-bound, bound], sorted."""
+    r = shape.rank
+    return sorted(
+        (row[:r], row[r : 2 * r], row[2 * r :])
+        for row in map(tuple, enumerate_semigroup_points(shape, bound).tolist())
+    )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import lr
-from .weights import Shape, blocks, is_dominant
+from .weights import Shape, check_length
 
 Vector = Tuple[int, ...]
 
@@ -66,12 +66,18 @@ def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
 
 
 def _split_dominant(x: Sequence[int], shape: Shape):
-    if not is_dominant(x, shape):
+    """(p-block, q-block) of a dominant integral weight, as int tuples.
+
+    Checks the length, then dominance, then integrality, each once.
+    """
+    check_length(x, shape)
+    p = shape.p
+    if not (lr.is_weakly_decreasing(x[:p]) and lr.is_weakly_decreasing(x[p:])):
         raise ValueError(f"weight not dominant: {x}")
-    if any(int(v) != v for v in x):
+    ints = tuple(map(int, x))
+    if ints != tuple(x):
         raise ValueError("integral weight required")
-    pb, qb = blocks(tuple(int(v) for v in x), shape)
-    return pb, qb
+    return ints[:p], ints[p:]
 
 
 def holomorphic_multiplicity(

@@ -16,7 +16,10 @@ the trace sums are counted over explicit lists of root vectors.  The
 Cauchy-component oracle is the one exception to "from scratch": it
 composes the package's own LR tableau counts, one Cauchy component of
 Sym(M_{p,q}) at a time, as a slower second path to the holomorphic
-multiplicity.
+multiplicity.  The semigroup oracle is the package's earlier join: it
+streams triples one (p-pair, q-pair) at a time, uniting the products of
+their block sets over every Cauchy component, from tables built with
+the validating `lr.tensor_expand`.
 """
 
 from __future__ import annotations
@@ -501,3 +504,83 @@ def oracle_cauchy_multiplicity(lam, mu, nu, shape) -> int:
         if t_p:
             total += t_p * triple(tuple(lam[p:]), tuple(mu[p:]), comp.uq_weight, tuple(nu[p:]))
     return total
+
+
+# ---------------------------------------------------------------------------
+# Semigroup enumeration as a stream of triples
+
+
+def _oracle_block_table(pairs, deltas, bound):
+    """pair -> Cauchy weight delta -> set of boxed blocks in a (x) b (x) delta,
+    through the validating public `lr.tensor_expand`."""
+    from holocone import lr
+
+    bases = {(a, b): lr.tensor_expand(a, b) for a, b in pairs}
+    support = {
+        (kappa, delta): {
+            res
+            for res in lr.tensor_expand(kappa, delta)
+            if res[0] <= bound and res[-1] >= -bound
+        }
+        for kappa in set().union(*bases.values())
+        for delta in deltas
+    }
+    table = {}
+    for pair, base in bases.items():
+        per_delta = {}
+        for delta in deltas:
+            blocks = set().union(*(support[kappa, delta] for kappa in base))
+            if blocks:
+                per_delta[delta] = blocks
+        if per_delta:
+            table[pair] = per_delta
+    return table
+
+
+def _oracle_iter_semigroup(shape, bound):
+    """Every box-bounded semigroup triple, once: for each p-pair and q-pair,
+    the union over the Cauchy components of degree up to the box's cap of
+    the products of their block sets."""
+    from itertools import chain, product
+
+    from holocone import symq
+    from holocone.semigroup import dominant_box_vectors
+
+    p, q = shape.p, shape.q
+    pvecs = dominant_box_vectors(p, bound)
+    qvecs = dominant_box_vectors(q, bound)
+    max_deg = 3 * q * bound
+    comps = [symq.cauchy_components(shape, d) for d in range(max_deg + 1)]
+    p_pairs = [(a, b) for a in pvecs for b in pvecs if sum(a) + sum(b) <= p * bound]
+    q_pairs = [(a, b) for a in qvecs for b in qvecs if sum(a) + sum(b) >= -q * bound]
+    all_comps = list(chain.from_iterable(comps))
+    p_table = _oracle_block_table(p_pairs, [c.up_weight for c in all_comps], bound)
+    q_table = _oracle_block_table(q_pairs, [c.uq_weight for c in all_comps], bound)
+
+    for (lp, mp), p_per_delta in p_table.items():
+        base_deg = sum(lp) + sum(mp)
+        for (lq, mq), q_per_delta in q_table.items():
+            budget = sum(lq) + sum(mq)
+            dmax = min(p * bound - base_deg, budget + q * bound, max_deg)
+            nus = set()
+            for d in range(dmax + 1):
+                for comp in comps[d]:
+                    pm = p_per_delta.get(comp.up_weight)
+                    qm = q_per_delta.get(comp.uq_weight)
+                    if pm and qm:
+                        nus.update(product(pm, qm))
+            for np_, nq in nus:
+                yield (lp + lq, mp + mq, np_ + nq)
+
+
+def oracle_semigroup_points(shape, bound):
+    """The box-bounded semigroup as an int8 matrix of (lam, mu, nu) rows,
+    streamed from a per-(p-pair, q-pair) join of the block tables."""
+    from itertools import chain
+
+    import numpy as np
+
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    flat = chain.from_iterable(l + m + n for l, m, n in _oracle_iter_semigroup(shape, bound))
+    return np.fromiter(flat, dtype=np.int8).reshape(-1, 3 * shape.rank)

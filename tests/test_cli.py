@@ -327,6 +327,22 @@ class TestCache:
         lr.clear_caches()
         assert lr.load_cache(tmp_path / "lr-cache.txt") >= 1
 
+    def test_mult_leaves_an_edited_cache_alone(self, tmp_path, capsys, monkeypatch):
+        # Only lr, enumerate and verify22 read LR entries; mult neither
+        # loads nor rewrites the persisted cache, even a rejected one.
+        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
+        lr.clear_caches()
+        assert run(["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"], capsys) == (0, "2\n")
+        cache_file = tmp_path / "lr-cache.txt"
+        cache_file.write_text(cache_file.read_text().replace(" 2\n", " 5\n"))
+        before = cache_file.read_bytes()
+        lr.clear_caches()
+        code = cli.main(["mult", "--p", "2", "--q", "2", "--triple", "1,0;0,-1|1,0;0,-1|2,1;-1,-2"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (0, "4\n")
+        assert "ignoring unreadable cache" not in captured.err
+        assert cache_file.read_bytes() == before
+
     def test_absent_cache_dir_is_fine(self, capsys, monkeypatch):
         monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)
         code, _ = run(

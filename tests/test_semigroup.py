@@ -4,9 +4,10 @@ import random
 from itertools import product
 
 import numpy as np
+import oracle
 import pytest
 
-from holocone import semigroup, symq
+from holocone import lr, semigroup, symq
 from holocone.weights import Shape
 
 
@@ -102,6 +103,31 @@ class TestPackedPoints:
         pts = semigroup.enumerate_semigroup_points(shape, 1)
         assert pts.dtype == np.int8
         assert pts.shape == (2916, 12)
+
+
+# Every shape and bound the matrix join is checked on against the oracle.
+JOIN_CASES = (
+    [(Shape(1, 1), b) for b in range(4)]
+    + [(Shape(2, 1), b) for b in range(3)]
+    + [(Shape(2, 2), b) for b in range(3)]
+    + [(Shape(3, 1), b) for b in range(3)]
+    + [(Shape(3, 2), 1), (Shape(3, 3), 1)]
+)
+
+
+class TestMatrixJoin:
+    @pytest.mark.parametrize(
+        "shape,bound", JOIN_CASES, ids=[f"U{s.p}{s.q}-b{b}" for s, b in JOIN_CASES]
+    )
+    def test_matches_streamed_oracle(self, shape, bound):
+        pts = semigroup.enumerate_semigroup_points(shape, bound)
+        assert pts.dtype == np.int8
+        assert pts.shape[1] == 3 * shape.rank
+        rows = pts.tolist()
+        assert len(set(map(tuple, rows))) == len(rows)  # each triple once
+        assert sorted(rows) == sorted(oracle.oracle_semigroup_points(shape, bound).tolist())
+        lr.clear_caches()
+        assert np.array_equal(semigroup.enumerate_semigroup_points(shape, bound), pts)
 
 
 class TestAdditivity:

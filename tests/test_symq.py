@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from unittest import mock
 
@@ -241,6 +242,21 @@ class TestHolomorphicMultiplicity:
             symq.holomorphic_multiplicity(
                 (0, 1, 0), (0, 0, 0), (0, 1, 0), Shape(2, 1)
             )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ((0, 1, 0, 0), "weight not dominant"),
+            ((Fraction(1, 2), 0, 0, 0), "integral weight required"),
+            ((1, 0, 0), "weight length 3 != p\\+q = 4"),
+        ],
+        ids=["not-dominant", "not-integral", "wrong-length"],
+    )
+    def test_rejects_each_bad_weight(self, bad, message):
+        good = (1, 0, 0, -1)
+        for args in ((bad, good, good), (good, bad, good), (good, good, bad)):
+            with pytest.raises(ValueError, match=message):
+                symq.holomorphic_multiplicity(*args, Shape(2, 2))
 
     def test_matches_public_lr_composition_and_s_fold(self):
         # holomorphic_multiplicity runs on the unchecked LR functions; the
