@@ -2,11 +2,7 @@
 
 Exit-code contract: 0 success/true, 1 false/mismatch, 2 usage or parse
 error.  All outputs are deterministic; any timing or progress chatter
-goes to stderr.  The LR memo cache persists under HOLOCONE_CACHE_DIR
-when that variable is set, for the subcommands that read LR entries
-(`lr`, `enumerate`, `verify22`); the others neither load nor write it.
-The cache is advisory, and a file that fails `lr.load_cache`'s checks is
-ignored, so it never changes results.
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -20,6 +16,7 @@ from . import lr, polyhedral, ressayre, semigroup, symq, verify
 from .weights import Shape, WeylElement, parse_weight
 
 POINTS_FILE_VERSION = 1
+_WRITE_ROWS = 1 << 16  # rows of a points file formatted per write
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +116,25 @@ def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
 
 
 def save_points(points, shape: Shape, bound: int, path) -> None:
+    """Write the int8 matrix of `semigroup.enumerate_semigroup_points`,
+    one comma-separated row per line, a block of rows per write."""
+    import numpy as np
+
+    # The text of every int8 value; a negative value indexes from the end.
+    text = np.array([str(v) for v in range(128)] + [str(v) for v in range(-128, 0)], dtype=object)
+    # Entries in the even columns of `cells`, separators in the odd ones.
+    cells = np.empty((min(len(points), _WRITE_ROWS), 2 * points.shape[1]), dtype=object)
+    cells[:, 1::2] = ","
+    cells[:, -1] = "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"holocone-points {POINTS_FILE_VERSION} "
             f"p={shape.p} q={shape.q} bound={bound}\n"
         )
-        for row in points:
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+        for start in range(0, len(points), _WRITE_ROWS):
+            block = points[start : start + _WRITE_ROWS]
+            cells[: len(block), 0::2] = text[block]
+            fh.write("".join(cells[: len(block)].ravel().tolist()))
 
 
 def load_points(path):
@@ -332,11 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, lr_cache=False):
+    def add(name, fn, help_):
         sp = sub.add_parser(name, help=help_)
-        # lr_cache: the subcommand reads LR entries, so the persisted
-        # cache is worth loading and saving.
-        sp.set_defaults(fn=fn, lr_cache=lr_cache)
+        sp.set_defaults(fn=fn)
         sp.add_argument("--p", type=int)
         sp.add_argument("--q", type=int)
         sp.add_argument("--n", type=int)
@@ -352,52 +359,31 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--w2")
         return sp
 
-    add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}", lr_cache=True)
+    add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}")
     add("mult", cmd_mult, "holomorphic multiplicity m(lam, mu, nu)")
     add("member", cmd_member, "integral Horn semigroup membership")
-    add("enumerate", cmd_enumerate, "box-bounded semigroup triples to a file", lr_cache=True)
+    add("enumerate", cmd_enumerate, "box-bounded semigroup triples to a file")
     add("hull", cmd_hull, "exact facets of the cone of a points file")
     add("cone-member", cmd_cone_member, "triple membership in a cone file")
     add("slice", cmd_slice, "C-slice of a triple cone at fixed (A, B)")
     add("recession", cmd_recession, "recession cone of a C-slice")
     rp = add("ressayre", cmd_ressayre, "facet certificates: verify or search")
     rp.add_argument("mode", choices=["verify", "search"])
-    vp = add("verify22", cmd_verify22, "end-to-end (2,2) cone reproduction", lr_cache=True)
+    vp = add("verify22", cmd_verify22, "end-to-end (2,2) cone reproduction")
     vp.add_argument(
         "--inject-fault", action="store_true", help=argparse.SUPPRESS
     )
     return ap
 
 
-def _cache_path() -> Optional[str]:
-    d = os.environ.get("HOLOCONE_CACHE_DIR")
-    if not d:
-        return None
-    os.makedirs(d, exist_ok=True)
-    return os.path.join(d, "lr-cache.txt")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-
-    cache = _cache_path() if args.lr_cache else None
-    if cache and os.path.exists(cache):
-        try:
-            lr.load_cache(cache)
-        except (OSError, ValueError) as e:
-            print(f"ignoring unreadable cache: {e}", file=sys.stderr)
     try:
-        code = args.fn(args)
+        return args.fn(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if cache:
-        try:
-            lr.save_cache(cache)
-        except OSError as e:
-            print(f"could not write cache: {e}", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

@@ -8,23 +8,31 @@ tableaux whose reverse reading word is a lattice word.
 The public functions (`lr_coefficient`, `tensor_expand`,
 `triple_multiplicity`) validate their input and raise ValueError on
 weights of unequal length or that are not weakly decreasing.  The private
-functions `_lr`, `_expand`, `_skew` and `_triple_expand` trust their
-caller: they take tuples already validated (`_expand` takes partitions
-ending in 0, `_skew` partitions without trailing zeros) and check
-nothing, so code that has validated its weights once calls them in its
-inner loops.
+functions trust their caller: they take tuples already validated and
+check nothing, so code that has validated its weights once calls them in
+its inner loops.  There are two kernels.
 
-`_skew(nu, kappa, maxlen)` is the Schur expansion of the skew function
-s_{nu/kappa}: one walk over the LR fillings of nu/kappa with free content
-gives c^nu_{kappa,delta} for every delta at once.  Triple multiplicities
-[V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of c^nu_{lam,rho}
-c^rho_{mu,delta} are read off two levels of it (`_triple_expand`): the
-rho of s_{nu/lam}, then the delta of each s_{rho/mu}.
+- The product side, c^nu_{lam,mu} for fixed lam and mu: `_lr` counts one
+  coefficient, `_expand` (partitions ending in 0) lists every nu, and
+  `_tensor` is `_expand` for any dominant weights, shifted in and out.
+  `tensor_expand` is `_tensor` after validation; `semigroup` takes
+  kappa in lam (x) mu from it, and `symq.s_fold_multiplicity` decomposes
+  its pairs with it.
+- The skew side, c^nu_{kappa,delta} for fixed nu and kappa:
+  `_skew(nu, kappa, maxlen)` (partitions without trailing zeros) is the
+  Schur expansion of s_{nu/kappa}.  One walk over the LR fillings of
+  nu/kappa with free content gives every delta at once.  `semigroup`
+  reads its block tables off it, and `_triple_expand` reads triple
+  multiplicities [V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of
+  c^nu_{lam,rho} c^rho_{mu,delta} off two levels of it: the rho of
+  s_{nu/lam}, then the delta of each s_{rho/mu}.  `triple_multiplicity`
+  and `symq.holomorphic_multiplicity` use that.
 
 The memo caches are keyed canonically: lam and mu are shifted so that
 their last part is 0, and nu by the same total, so a key does not depend
 on how a weight happened to be shifted; the skew memo is keyed on
-partitions.  The caches are plain dicts and the module is not
+partitions.  The caches are plain in-memory dicts, emptied by
+`clear_caches` and never written to disk, and the module is not
 thread-safe.
 """
 
@@ -41,10 +49,6 @@ GLWeight = Tuple[int, ...]
 _lr_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight], int] = {}
 _expand_cache: Dict[Tuple[GLWeight, GLWeight], Dict[GLWeight, int]] = {}
 _skew_cache: Dict[Tuple[GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
-
-CACHE_FORMAT_VERSION = 2
-# Persisted entries `load_cache` recomputes before it trusts a file.
-CACHE_SAMPLE = 64
 
 
 def is_weakly_decreasing(w) -> bool:
@@ -184,7 +188,13 @@ def _candidate_nus(lam: GLWeight, mu: GLWeight, n: int) -> Iterator[GLWeight]:
 def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
     """Full decomposition of V_lam (x) V_mu for U(n), n = len(lam)."""
     _check(lam, mu)
-    lam0, mu0, s = _canonical(tuple(lam), tuple(mu))
+    return _tensor(tuple(lam), tuple(mu))
+
+
+def _tensor(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
+    """tensor_expand on validated tuples: `_expand` of the canonical
+    partitions, shifted back."""
+    lam0, mu0, s = _canonical(lam, mu)
     return {shift(nu0, s): c for nu0, c in _expand(lam0, mu0).items()}
 
 
@@ -335,73 +345,6 @@ def clear_caches() -> None:
     _skew_cache.clear()
     symq._cauchy_cache.clear()
     polyhedral.clear_caches()
-
-
-# ---------------------------------------------------------------------------
-# Optional cache persistence.  A loaded file is checked before any entry is
-# used (canonical keys, a checksum, a recomputed sample), so a stale or
-# edited file is rejected rather than changing results.
-
-
-def _checksum(lines) -> str:
-    # Imported here: hashlib costs about 5 ms and 4 MB at start-up, and
-    # only cache persistence needs it.
-    import hashlib
-
-    return hashlib.sha256("".join(lines).encode()).hexdigest()
-
-
-def save_cache(path) -> None:
-    lines = [
-        "|".join(",".join(map(str, w)) for w in key) + f" {c}\n"
-        for key, c in sorted(_lr_cache.items())
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"holocone-lr-cache {CACHE_FORMAT_VERSION} {_checksum(lines)}\n")
-        fh.writelines(lines)
-
-
-def _is_canonical_key(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> bool:
-    """A key `_lr` can store: partitions, lam and mu ending in 0."""
-    return (
-        len(lam) == len(mu) == len(nu)
-        and all(is_weakly_decreasing(w) and min(w, default=0) >= 0 for w in (lam, mu, nu))
-        and (not lam or lam[-1] == mu[-1] == 0)
-        and sum(nu) == sum(lam) + sum(mu)
-    )
-
-
-def load_cache(path) -> int:
-    """Merge a persisted cache; returns the number of entries loaded.
-
-    Raises ValueError, and merges nothing, unless the file has this
-    version's header, its checksum matches, every key is canonical and
-    an evenly spaced sample of CACHE_SAMPLE entries agrees with
-    `lr_count_tableaux`.
-    """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        lines = fh.readlines()
-    if header[:2] != ["holocone-lr-cache", str(CACHE_FORMAT_VERSION)] or len(header) != 3:
-        raise ValueError("unrecognized cache file")
-    if header[2] != _checksum(lines):
-        raise ValueError("cache file checksum mismatch")
-    entries = []
-    for line in lines:
-        keypart, val = line.rsplit(" ", 1)
-        key = tuple(
-            tuple(int(x) for x in block.split(",") if x != "")
-            for block in keypart.split("|")
-        )
-        if len(key) != 3 or not _is_canonical_key(*key) or int(val) < 0:
-            raise ValueError(f"not a canonical cache entry: {line.strip()!r}")
-        entries.append((key, int(val)))
-    step = -(-len(entries) // CACHE_SAMPLE)
-    for key, c in entries[::step or 1]:
-        if lr_count_tableaux(*key) != c:
-            raise ValueError(f"cache entry disagrees with recomputation: {key}")
-    _lr_cache.update(entries)
-    return len(entries)
 
 
 def sym_power_dimension(space_dim: int, degree: int) -> int:

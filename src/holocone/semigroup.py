@@ -8,21 +8,26 @@ degree bound would not do.
 Membership needs only the support of each tensor product: Littlewood-
 Richardson coefficients are never negative, so a sum of their products
 is positive exactly when one term is, and no multiplicity is added up.
-For each pair a of p-block weights and each Cauchy component
-(`symq.cauchy_components`), the set of boxed p-blocks n of nu is
-tabulated once, from one expansion per distinct (kappa, delta); likewise
-on the q side.
+For each pair a = (lam', mu') of boxed p-blocks, the table lists per
+Cauchy partition delta (`symq.cauchy_components`) the boxed blocks n of
+nu with n in lam' (x) mu' (x) delta.  It is read off skew expansions:
+n is in kappa (x) delta exactly when c^n_{kappa,delta} != 0, so for each
+kappa in lam' (x) mu' and each boxed n containing it, one expansion of
+s_{n/kappa} (`lr._skew`) gives every delta at once.  The q side goes
+through duals: with w* = -reverse(w), [V_m : V_b (x) V_delta^*] =
+[V_m* : V_b* (x) V_delta], so the q-table is the same table built on
+the q-blocks, whose rows are mapped back by the star when they are
+written out.
 
 The two tables are joined by one Boolean matrix product per Cauchy
-degree d.  A p-row (a, n), for a p-pair a = (lam', mu') and a boxed
-block n, can only meet components of degree |n| - |a|, so each row
-belongs to one degree; its entry in column delta says that n occurs in
-lam' (x) mu' (x) delta.  A q-row (b, m) belongs to degree |b| - |m| in
-the same way.  The triple (a, n; b, m) is in the semigroup exactly
-when the two rows share a component, i.e. when (P_d Q_d^T) is nonzero
-at that entry.  Distinct entries give distinct triples, so each triple
-is found once, and the box bounds on n and m already cap the degree.
-Everything is deterministic.
+degree d.  A p-row (a, n) can only meet components of degree
+|n| - |a|, so each row belongs to one degree; its entry in column delta
+says that n occurs in lam' (x) mu' (x) delta.  A q-row (b, m) belongs to
+degree |b| - |m| in the same way.  The triple (a, n; b, m) is in the
+semigroup exactly when the two rows share a component, i.e. when
+(P_d Q_d^T) is nonzero at that entry.  Distinct entries give distinct
+triples, so each triple is found once, and the box bounds on n and m
+already cap the degree.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -57,43 +62,51 @@ def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
     return out
 
 
-def _expand(a: Vector, b: Vector):
-    """The weights of V_a (x) V_b, for dominant a and b of equal length."""
-    a0, b0, s = lr._canonical(a, b)
-    return [lr.shift(c, s) for c in lr._expand(a0, b0)]
-
-
 def _block_table(
-    pairs: List[Tuple[Vector, Vector]],
-    deltas: List[Vector],
-    bound: int,
+    length: int, bound: int, q: int
 ) -> Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]]:
-    """pair -> Cauchy weight delta -> set of boxed blocks in a (x) b (x) delta."""
-    bases = {(a, b): _expand(a, b) for a, b in pairs}
-    support = {
-        (kappa, delta): {
-            res
-            for res in _expand(kappa, delta)
-            if res[0] <= bound and res[-1] >= -bound
-        }
-        for kappa in set().union(*bases.values())
-        for delta in deltas
-    }
+    """Pair (a, b) of boxed blocks -> partition delta of at most q parts
+    -> the boxed blocks n in a (x) b (x) delta.
+
+    For each kappa in a (x) b, every delta comes at once from s_{n/kappa},
+    once kappa and n are shifted so that kappa ends in 0.  Such a delta
+    fits in n - kappa_last, so |delta| <= q (n_1 - kappa_last) <= 3 q bound:
+    the box caps the degree.
+    """
+    blocks = dominant_box_vectors(length, bound)
+    support: Dict[Vector, Dict[Vector, Set[Vector]]] = {}
+
+    def support_of(kappa: Vector) -> Dict[Vector, Set[Vector]]:
+        # n contains kappa, so the parts of either equal to kappa's last
+        # part s are its trailing ones: dropping them strips the zeros.
+        s = kappa[-1]
+        k0 = tuple(x - s for x in kappa if x != s)
+        out: Dict[Vector, Set[Vector]] = {}
+        for n in blocks:
+            if all(x >= y for x, y in zip(n, kappa)):
+                n0 = tuple(x - s for x in n if x != s)
+                for delta in lr._skew(n0, k0, q):
+                    out.setdefault(delta, set()).add(n)
+        return out
+
     table: Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]] = {}
-    for pair, base in bases.items():
-        per_delta = {}
-        for delta in deltas:
-            blocks = set().union(*(support[kappa, delta] for kappa in base))
-            if blocks:
-                per_delta[delta] = blocks
-        if per_delta:
-            table[pair] = per_delta
+    for a in blocks:
+        for b in blocks:
+            per_delta: Dict[Vector, Set[Vector]] = {}
+            for kappa in lr._tensor(a, b):
+                if kappa not in support:
+                    support[kappa] = support_of(kappa)
+                for delta, ns in support[kappa].items():
+                    per_delta.setdefault(delta, set()).update(ns)
+            if per_delta:
+                table[a, b] = per_delta
     return table
 
 
-def _incidence(table, deltas: List[Vector]):
+def _incidence(table, deltas: List[Vector], length: int):
     """The rows (a, b, n) of one degree, as an int8 matrix of the
-    concatenated blocks, and their Boolean incidence with `deltas`."""
+    concatenated blocks of `length`, and their Boolean incidence with
+    `deltas`."""
     import numpy as np
 
     rows: Dict[Tuple[Vector, Vector, Vector], int] = {}
@@ -102,12 +115,11 @@ def _incidence(table, deltas: List[Vector]):
         for j, delta in enumerate(deltas):
             for n in per_delta.get(delta, ()):
                 hits.append((rows.setdefault((a, b, n), len(rows)), j))
-    width = 3 * len(deltas[0])
     vals = np.array(list(chain.from_iterable(chain.from_iterable(rows))), dtype=np.int8)
     inc = np.zeros((len(rows), len(deltas)), dtype=bool)
     if hits:
         inc[tuple(np.array(hits).T)] = True
-    return vals.reshape(-1, width), inc
+    return vals.reshape(-1, 3 * length), inc
 
 
 def _joined_count(p_inc, q_inc) -> int:
@@ -139,32 +151,18 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     if bound > MAX_BOUND:
         raise ValueError("bound too large for the packed representation")
     p, q = shape.p, shape.q
-    pvecs = dominant_box_vectors(p, bound)
-    qvecs = dominant_box_vectors(q, bound)
     # d = |nu'|-|lam'|-|mu'| <= p*bound + 2*p*bound, and symmetrically
     # d = |lam''|+|mu''|-|nu''| <= 2*q*bound + q*bound; q <= p wins.
-    max_deg = 3 * q * bound
-    comps = [symq.cauchy_components(shape, d) for d in range(max_deg + 1)]
-
-    p_pairs = [
-        (a, b)
-        for a in pvecs
-        for b in pvecs
-        if sum(a) + sum(b) <= p * bound  # some nu' must exist in the box
-    ]
-    q_pairs = [
-        (a, b)
-        for a in qvecs
-        for b in qvecs
-        if sum(a) + sum(b) >= -q * bound
-    ]
-    all_comps = list(chain.from_iterable(comps))
-    p_table = _block_table(p_pairs, [c.up_weight for c in all_comps], bound)
-    q_table = _block_table(q_pairs, [c.uq_weight for c in all_comps], bound)
+    comps = [symq.cauchy_components(shape, d) for d in range(3 * q * bound + 1)]
+    # The q-table is built on the duals w* = -reverse(w), where a q-row
+    # (b, m) of Cauchy weight delta* reads as a p-style row (b*, m*) of
+    # weight delta; the fill below maps its blocks back.
+    p_table = _block_table(p, bound, q)
+    q_table = _block_table(q, bound, q)
     joins = [
         (
-            _incidence(p_table, [c.up_weight for c in cs]),
-            _incidence(q_table, [c.uq_weight for c in cs]),
+            _incidence(p_table, [c.delta for c in cs], p),
+            _incidence(q_table, [c.delta for c in cs], q),
         )
         for cs in comps
     ]
@@ -174,7 +172,8 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
         (sum(_joined_count(pi, qi) for (_, pi), (_, qi) in joins), 3 * r), dtype=np.int8
     )
     p_cols = [k * r + i for k in range(3) for i in range(p)]
-    q_cols = [k * r + p + i for k in range(3) for i in range(q)]
+    # -reverse of each q-block: column p + i takes entry q - 1 - i, negated.
+    q_cols = [k * r + p + q - 1 - i for k in range(3) for i in range(q)]
     filled = 0
     for (p_vals, p_inc), (q_vals, q_inc) in joins:
         if not len(q_inc):
@@ -184,7 +183,7 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
             i, j = np.nonzero(p_inc[start : start + step] @ q_inc.T)
             end = filled + len(i)
             out[filled:end, p_cols] = p_vals[start + i]
-            out[filled:end, q_cols] = q_vals[j]
+            out[filled:end, q_cols] = -q_vals[j]
             filled = end
     return out
 

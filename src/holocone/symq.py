@@ -118,16 +118,16 @@ def _pair_decomposition(
 ) -> Dict[Tuple[Vector, Vector], int]:
     """Decompose V_a (x) V_b (x) Sym^degree(M_{p,q}) over U(p) x U(q)."""
     out: Dict[Tuple[Vector, Vector], int] = {}
-    base_p = lr.tensor_expand(a[0], b[0])
-    base_q = lr.tensor_expand(a[1], b[1])
+    base_p = lr._tensor(a[0], b[0])
+    base_q = lr._tensor(a[1], b[1])
     for comp in cauchy_components(shape, degree):
         exp_p: Dict[Vector, int] = {}
         for kp, cp in base_p.items():
-            for np_, c2 in lr.tensor_expand(kp, comp.up_weight).items():
+            for np_, c2 in lr._tensor(kp, comp.up_weight).items():
                 exp_p[np_] = exp_p.get(np_, 0) + cp * c2
         exp_q: Dict[Vector, int] = {}
         for kq, cq in base_q.items():
-            for nq, c2 in lr.tensor_expand(kq, comp.uq_weight).items():
+            for nq, c2 in lr._tensor(kq, comp.uq_weight).items():
                 exp_q[nq] = exp_q.get(nq, 0) + cq * c2
         for np_, cp in exp_p.items():
             for nq, cq in exp_q.items():

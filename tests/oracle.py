@@ -19,7 +19,8 @@ Sym(M_{p,q}) at a time, as a slower second path to the holomorphic
 multiplicity.  The semigroup oracle is the package's earlier join: it
 streams triples one (p-pair, q-pair) at a time, uniting the products of
 their block sets over every Cauchy component, from tables built with
-the validating `lr.tensor_expand`.
+the validating `lr.tensor_expand`, one product kappa (x) delta per
+Cauchy weight, directly on the q-blocks.
 """
 
 from __future__ import annotations
@@ -537,25 +538,44 @@ def _oracle_block_table(pairs, deltas, bound):
     return table
 
 
-def _oracle_iter_semigroup(shape, bound):
-    """Every box-bounded semigroup triple, once: for each p-pair and q-pair,
-    the union over the Cauchy components of degree up to the box's cap of
-    the products of their block sets."""
-    from itertools import chain, product
-
+def oracle_block_tables(shape, bound):
+    """(p_table, q_table): pair -> Cauchy partition delta -> the boxed
+    blocks in a (x) b (x) delta, on the q side in a (x) b (x) delta^nat,
+    for every Cauchy component up to the box's degree cap of 3 q bound."""
     from holocone import symq
     from holocone.semigroup import dominant_box_vectors
 
     p, q = shape.p, shape.q
     pvecs = dominant_box_vectors(p, bound)
     qvecs = dominant_box_vectors(q, bound)
-    max_deg = 3 * q * bound
-    comps = [symq.cauchy_components(shape, d) for d in range(max_deg + 1)]
+    comps = [c for d in range(3 * q * bound + 1) for c in symq.cauchy_components(shape, d)]
     p_pairs = [(a, b) for a in pvecs for b in pvecs if sum(a) + sum(b) <= p * bound]
     q_pairs = [(a, b) for a in qvecs for b in qvecs if sum(a) + sum(b) >= -q * bound]
-    all_comps = list(chain.from_iterable(comps))
-    p_table = _oracle_block_table(p_pairs, [c.up_weight for c in all_comps], bound)
-    q_table = _oracle_block_table(q_pairs, [c.uq_weight for c in all_comps], bound)
+    tables = []
+    for pairs, weight in ((p_pairs, "up_weight"), (q_pairs, "uq_weight")):
+        by_weight = {getattr(c, weight): c.delta for c in comps}
+        table = _oracle_block_table(pairs, list(by_weight), bound)
+        tables.append(
+            {
+                pair: {by_weight[w]: blocks for w, blocks in per_delta.items()}
+                for pair, per_delta in table.items()
+            }
+        )
+    return tuple(tables)
+
+
+def _oracle_iter_semigroup(shape, bound):
+    """Every box-bounded semigroup triple, once: for each p-pair and q-pair,
+    the union over the Cauchy components of degree up to the box's cap of
+    the products of their block sets."""
+    from itertools import product
+
+    from holocone import symq
+
+    p, q = shape.p, shape.q
+    max_deg = 3 * q * bound
+    comps = [symq.cauchy_components(shape, d) for d in range(max_deg + 1)]
+    p_table, q_table = oracle_block_tables(shape, bound)
 
     for (lp, mp), p_per_delta in p_table.items():
         base_deg = sum(lp) + sum(mp)
@@ -565,8 +585,8 @@ def _oracle_iter_semigroup(shape, bound):
             nus = set()
             for d in range(dmax + 1):
                 for comp in comps[d]:
-                    pm = p_per_delta.get(comp.up_weight)
-                    qm = q_per_delta.get(comp.uq_weight)
+                    pm = p_per_delta.get(comp.delta)
+                    qm = q_per_delta.get(comp.delta)
                     if pm and qm:
                         nus.update(product(pm, qm))
             for np_, nq in nus:

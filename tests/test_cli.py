@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from holocone import cli, lr, polyhedral, reference22
+from holocone import cli, lr, polyhedral, reference22, semigroup
+from holocone.weights import Shape
 
 
 def run(argv, capsys):
@@ -126,6 +127,24 @@ class TestPipelineFiles:
             capsys,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    def test_points_file_is_the_per_row_format(self, tmp_path, capsys, monkeypatch, block):
+        # U(2,1) at box 2: entries reach both -2 and 2, and 16,701 rows
+        # span several blocks of 1000, the last one partial.
+        if block:
+            monkeypatch.setattr(cli, "_WRITE_ROWS", block)
+        pts = tmp_path / "pts.txt"
+        assert run(["enumerate", "--p", "2", "--q", "1", "--bound", "2", "--out", str(pts)], capsys) == (
+            0,
+            "16701 triples\n",
+        )
+        mat = semigroup.enumerate_semigroup_points(Shape(2, 1), 2)
+        assert (mat.min(), mat.max()) == (-2, 2)
+        want = "holocone-points 1 p=2 q=1 bound=2\n" + "".join(
+            ",".join(str(int(v)) for v in row) + "\n" for row in mat
+        )
+        assert pts.read_bytes() == want.encode()
 
     def test_hull_deterministic(self, tmp_path, capsys):
         pts = tmp_path / "pts.txt"
@@ -267,46 +286,26 @@ class TestRessayreCommands:
 
 
 class TestCache:
-    def test_cache_env_round_trip(self, tmp_path, capsys, monkeypatch):
+    """LR coefficients are no longer persisted: a cache directory left by an
+    earlier version, even one holding an edited file, is never read or
+    written, so it changes no answer."""
+
+    LR = ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"]
+
+    def _edited_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
-        lr.clear_caches()
-        code, out1 = run(
-            ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0",
-             "--nu", "3,2,1"],
-            capsys,
-        )
-        assert code == 0
         cache_file = tmp_path / "lr-cache.txt"
-        assert cache_file.exists()
-        lr.clear_caches()
-        code, out2 = run(
-            ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0",
-             "--nu", "3,2,1"],
-            capsys,
-        )
-        assert out1 == out2  # cache is advisory: same result either way
+        cache_file.write_text("holocone-lr-cache 2 0\n1,0,0|1,0,0|2,0,0 5\n2,1,0|2,1,0|3,2,1 5\n")
+        return cache_file
 
     def test_edited_cache_is_ignored(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
-        argv = ["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"]
+        self._edited_cache(tmp_path, monkeypatch)
         lr.clear_caches()
-        assert run(argv, capsys) == (0, "2\n")
-        cache_file = tmp_path / "lr-cache.txt"
-        header, *lines = cache_file.read_text().splitlines(keepends=True)
-        lines = [line.replace(" 2\n", " 5\n") for line in lines]
-        checksum = lr._checksum(lines)
-        cache_file.write_text(
-            f"holocone-lr-cache {lr.CACHE_FORMAT_VERSION} {checksum}\n" + "".join(lines)
-        )
-        lr.clear_caches()
-        code = cli.main(argv)
+        code = cli.main(self.LR)
         captured = capsys.readouterr()
-        assert (code, captured.out) == (0, "2\n")
-        assert "ignoring unreadable cache" in captured.err
+        assert (code, captured.out, captured.err) == (0, "2\n", "")
 
     def test_mult_and_member_answer_alike_with_a_cache(self, tmp_path, capsys, monkeypatch):
-        # mult and member read no LR cache entry: their answers do not
-        # depend on the cache, and the file they leave still loads.
         queries = [
             ["mult", "--p", "3", "--q", "3",
              "--triple", "2,1,0;0,-1,-1|2,1,0;0,-1,-1|4,3,1;-1,-2,-3"],
@@ -317,31 +316,25 @@ class TestCache:
         monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)
         lr.clear_caches()
         without = [run(argv, capsys) for argv in queries]
-        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
-        lr.clear_caches()
-        assert run(["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"], capsys) == (0, "2\n")
+        self._edited_cache(tmp_path, monkeypatch)
         lr.clear_caches()
         with_cache = [run(argv, capsys) for argv in queries]
         assert with_cache == without
         assert [out for _, out in without] == ["18\n", "4\n", "False\n", "True\n"]
-        lr.clear_caches()
-        assert lr.load_cache(tmp_path / "lr-cache.txt") >= 1
 
     def test_mult_leaves_an_edited_cache_alone(self, tmp_path, capsys, monkeypatch):
-        # Only lr, enumerate and verify22 read LR entries; mult neither
-        # loads nor rewrites the persisted cache, even a rejected one.
-        monkeypatch.setenv("HOLOCONE_CACHE_DIR", str(tmp_path))
-        lr.clear_caches()
-        assert run(["lr", "--n", "3", "--lam", "2,1,0", "--mu", "2,1,0", "--nu", "3,2,1"], capsys) == (0, "2\n")
-        cache_file = tmp_path / "lr-cache.txt"
-        cache_file.write_text(cache_file.read_text().replace(" 2\n", " 5\n"))
+        cache_file = self._edited_cache(tmp_path, monkeypatch)
         before = cache_file.read_bytes()
-        lr.clear_caches()
-        code = cli.main(["mult", "--p", "2", "--q", "2", "--triple", "1,0;0,-1|1,0;0,-1|2,1;-1,-2"])
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (0, "4\n")
-        assert "ignoring unreadable cache" not in captured.err
+        pts = tmp_path / "pts.txt"
+        for argv in (
+            self.LR,
+            ["mult", "--p", "2", "--q", "2", "--triple", "1,0;0,-1|1,0;0,-1|2,1;-1,-2"],
+            ["enumerate", "--p", "1", "--q", "1", "--bound", "1", "--out", str(pts)],
+        ):
+            lr.clear_caches()
+            assert run(argv, capsys)[0] == 0
         assert cache_file.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == sorted([cache_file, pts])
 
     def test_absent_cache_dir_is_fine(self, capsys, monkeypatch):
         monkeypatch.delenv("HOLOCONE_CACHE_DIR", raising=False)

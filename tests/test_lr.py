@@ -267,90 +267,3 @@ class TestCanonicalCacheKey:
             ) == triple
         assert lr._lr_cache == lr_entries
         assert lr._expand_cache == expand_entries
-
-
-class TestCachePersistence:
-    def test_round_trip(self, tmp_path):
-        lr.clear_caches()
-        lr.lr_coefficient((2, 1, 0), (2, 1, 0), (3, 2, 1))
-        path = tmp_path / "cache.txt"
-        lr.save_cache(path)
-        lr.clear_caches()
-        loaded = lr.load_cache(path)
-        assert loaded >= 1
-        assert lr.lr_coefficient((2, 1, 0), (2, 1, 0), (3, 2, 1)) == 2
-
-    def test_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("something-else 1\n")
-        with pytest.raises(ValueError):
-            lr.load_cache(path)
-
-    def _saved_lines(self, tmp_path):
-        lr.clear_caches()
-        lr.tensor_expand((2, 1, 0), (2, 1, 0))
-        path = tmp_path / "cache.txt"
-        lr.save_cache(path)
-        lr.clear_caches()
-        header, *lines = path.read_text().splitlines(keepends=True)
-        return path, header, lines
-
-    def _rewrite(self, path, lines):
-        """Write `lines` under a current header with a matching checksum."""
-        path.write_text(
-            f"holocone-lr-cache {lr.CACHE_FORMAT_VERSION} {lr._checksum(lines)}\n"
-            + "".join(lines)
-        )
-
-    def test_rejects_version_one_file(self, tmp_path):
-        # Version 1 keyed entries by a different shift; nothing may load.
-        lr.clear_caches()
-        path = tmp_path / "v1.txt"
-        path.write_text("holocone-lr-cache 1\n2,1,0|2,1,0|3,2,1 2\n")
-        with pytest.raises(ValueError):
-            lr.load_cache(path)
-        assert lr._lr_cache == {}
-
-    def test_rejects_edited_multiplicity(self, tmp_path):
-        path, header, lines = self._saved_lines(tmp_path)
-        assert len(lines) <= lr.CACHE_SAMPLE
-        i = next(k for k, line in enumerate(lines) if line.endswith(" 2\n"))
-        lines[i] = lines[i][: -len("2\n")] + "3\n"
-        path.write_text(header + "".join(lines))
-        with pytest.raises(ValueError, match="checksum"):
-            lr.load_cache(path)
-        # A consistent checksum does not help: the sample is recomputed.
-        self._rewrite(path, lines)
-        with pytest.raises(ValueError, match="recomputation"):
-            lr.load_cache(path)
-        assert lr._lr_cache == {}
-
-    def test_rejects_non_canonical_key(self, tmp_path):
-        path, _, lines = self._saved_lines(tmp_path)
-        for bad in ("3,2,1|2,1,0|5,3,1 1\n", "2,1|2,1,0|3,2,1 2\n",
-                    "2,1,0|2,1,0|3,2,-1 0\n", "1,2,0|1,0,0|2,2,0 0\n"):
-            self._rewrite(path, lines + [bad])
-            with pytest.raises(ValueError, match="canonical"):
-                lr.load_cache(path)
-        assert lr._lr_cache == {}
-
-    def test_sample_spans_large_files(self, tmp_path):
-        lr.clear_caches()
-        for lam in partitions_up_to(6, 3):
-            for mu in partitions_up_to(3, 3):
-                lr.tensor_expand(lam, mu)
-        entries = sorted(lr._lr_cache.items())
-        assert len(entries) > 2 * lr.CACHE_SAMPLE
-        path = tmp_path / "cache.txt"
-        lr.save_cache(path)
-        lr.clear_caches()
-        assert lr.load_cache(path) == len(entries)
-        assert sorted(lr._lr_cache.items()) == entries
-        # an edit to the last entry is inside the evenly spaced sample
-        _, *lines = path.read_text().splitlines(keepends=True)
-        key, val = lines[-1].rsplit(" ", 1)
-        lines[-1] = f"{key} {int(val) + 1}\n"
-        lr.clear_caches()
-        self._rewrite(path, lines)
-        with pytest.raises(ValueError):
-            lr.load_cache(path)

@@ -130,6 +130,39 @@ class TestMatrixJoin:
         assert np.array_equal(semigroup.enumerate_semigroup_points(shape, bound), pts)
 
 
+TABLE_CASES = [
+    (Shape(2, 1), 2),
+    (Shape(2, 2), 1),
+    (Shape(2, 2), 3),
+    (Shape(3, 1), 1),
+    (Shape(3, 1), 2),
+    (Shape(3, 2), 1),
+    (Shape(3, 3), 1),
+]
+
+
+def dual(w):
+    return tuple(-x for x in reversed(w))
+
+
+class TestBlockTables:
+    @pytest.mark.parametrize(
+        "shape,bound", TABLE_CASES, ids=[f"U{s.p}{s.q}-b{b}" for s, b in TABLE_CASES]
+    )
+    def test_match_the_product_oracle(self, shape, bound):
+        # The q-table of (a, b) is the p-style table of (a*, b*), mapped
+        # back by w* = -reverse(w).
+        lr.clear_caches()
+        want_p, want_q = oracle.oracle_block_tables(shape, bound)
+        lr.clear_caches()
+        assert semigroup._block_table(shape.p, bound, shape.q) == want_p
+        q_table = semigroup._block_table(shape.q, bound, shape.q)
+        assert {
+            (dual(a), dual(b)): {delta: {dual(m) for m in ms} for delta, ms in per_delta.items()}
+            for (a, b), per_delta in q_table.items()
+        } == want_q
+
+
 class TestAdditivity:
     def test_sum_of_members_is_member(self):
         rng = random.Random(40)
