@@ -3,6 +3,11 @@
 Exit-code contract: 0 success/true, 1 false/mismatch, 2 usage or parse
 error.  All outputs are deterministic; any timing or progress chatter
 goes to stderr.
+
+A points file (`enumerate --out`, `hull --in`) is a versioned header
+line and then one comma-separated row of integers per line; `hull`
+reads the entries as int64, so an entry beyond int64, like any other
+defect, is a usage error.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from typing import Optional, Sequence, Tuple
 
 from . import lr, polyhedral, ressayre, semigroup, symq, verify
@@ -138,7 +144,12 @@ def save_points(points, shape: Shape, bound: int, path) -> None:
 
 
 def load_points(path):
-    """(points, shape) from a points file; any defect is a UsageError."""
+    """(points, shape) from a points file; any defect is a UsageError.
+
+    The body is read in one `np.loadtxt` pass into an int64 matrix,
+    narrowed to int8 when every entry fits."""
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
@@ -146,15 +157,16 @@ def load_points(path):
                 raise ValueError("not a holocone-points file of this version")
             fields = dict(kv.split("=") for kv in header[2:])
             shape = Shape(int(fields["p"]), int(fields["q"])).validate()
-            pts = [
-                tuple(int(x) for x in line.split(","))
-                for line in fh
-                if line.strip()
-            ]
-        if not pts or any(len(x) != 3 * shape.rank for x in pts):
+            with warnings.catch_warnings():
+                # an empty body is reported below, not as a numpy warning
+                warnings.simplefilter("ignore", UserWarning)
+                pts = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        if not len(pts) or pts.shape[1] != 3 * shape.rank:
             raise ValueError(f"need rows of {3 * shape.rank} entries")
     except (OSError, ValueError, KeyError) as e:
         raise UsageError(f"unreadable points file {path}: {e!r}") from None
+    if -128 <= pts.min() and pts.max() <= 127:
+        pts = pts.astype(np.int8)
     return pts, shape
 
 

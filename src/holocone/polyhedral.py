@@ -19,11 +19,15 @@ A point set is read once, as a numpy matrix of an integer dtype (object
 for Fractions and ints beyond int64; floats and ragged rows raise
 ValueError).  `facets_of_points` seeds the dual cone with
 `additive_prune` of the rows in the unit box [-1, 1]^dim, unless the
-caller gives a seed, and then adds the worst violators of its facets,
-found by one blocked exact scan of all the rows, until there are none.
-`additive_prune` takes integer input one l1 level at a time, looking
-each difference of two rows up among the rows as a packed row key;
-object input takes the exact loop, one point at a time.
+caller gives a seed, and then adds the worst violators of its facets
+until there are none.  The violators are found with one matrix product
+of all the constraints by each block of rows: in float64 where the
+bound max ||c||_1 * max |x| < 2**53 makes every partial sum an exactly
+representable integer, and otherwise (Fractions, larger bounds) in
+exact Python numbers.  `additive_prune` takes integer input one l1
+level at a time, looking each difference of two rows up among the rows
+as a packed row key; object input takes the exact loop, one point at a
+time.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -350,45 +354,66 @@ def _point_matrix(points, dim: Optional[int] = None):
     return arr
 
 
-# Rows per block of the unit-box mask and the violator scan: blocks of a
-# few MB in place of copies of the whole point matrix.
+# Rows per block of the unit-box mask, and entries (constraints x rows)
+# per product of the violator scan: blocks of at most a few MB in place
+# of copies of the whole point matrix.
 _SCAN_ROWS = 1 << 16
+
+
+def _scan_dtype(arr, constraints):
+    """float64 if it multiplies integer `arr` by `constraints` exactly, else object.
+
+    With B = max ||c||_1 * max |x| < 2**53, every entry and every partial
+    sum of c . x is an integer of magnitude at most B, and float64 holds
+    each of those exactly; so the product is exact whatever the
+    summation order, blocking or FMA use of the BLAS.  (Zero constraints
+    make B = 0: their products are 0 however x rounds.)
+    """
+    import numpy as np
+
+    if arr.dtype.kind not in "iu":
+        return object
+    c_max = max(sum(map(abs, c)) for c in constraints)
+    bound = c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
+    return np.float64 if bound < 2**53 else object
 
 
 def _worst_violators(pts, normals, lins):
     """One worst offender per violated constraint, deterministically.
 
-    Scans the points in blocks of `_SCAN_ROWS` rows with numpy matrix
-    products, in int32 when max ||constraint||_1 * max |x| < 2**31 bounds
-    every product sum, int64 below 2**63, and otherwise in exact Python
-    numbers (object arrays: rational points, integers beyond int64).
-    Each violated constraint gets the first row of largest violation.
+    Stacks the constraints into one k x dim matrix C, the equalities
+    first and the normals negated, so that the rows of C @ x.T read
+    |lin . x| (after abs) and -normal . x: the violations.  The points
+    go through in blocks of about `_SCAN_ROWS` / k rows, one matrix
+    product each: in float64 where `_scan_dtype` proves it exact, and
+    otherwise in exact Python numbers (object arrays: rational points,
+    integers beyond int64, or products that may reach 2**53).  Each
+    (k x rows) result is scanned along its rows, so each violated
+    constraint gets the first row of largest violation, and a later
+    block takes over only with a strictly larger one.
     Returns [] iff every point satisfies normal . x >= 0 and lin . x == 0.
     """
     import numpy as np
 
     arr = _point_matrix(pts)
-    constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
+    constraints = [*lins, *([-v for v in r] for r in normals)]
     if not constraints:
         return []
-    dtype = object
-    if arr.dtype.kind in "iu":
-        c_max = max(sum(map(abs, c)) for c, _ in constraints)
-        bound = c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
-        if bound < 2**63:
-            dtype = np.int32 if bound < 2**31 else np.int64
-    vecs = [np.array(c, dtype=dtype) for c, _ in constraints]
-    depth = [0] * len(constraints)
-    where: List[Optional[int]] = [None] * len(constraints)
-    for start in range(0, len(arr), _SCAN_ROWS):
-        block = arr[start : start + _SCAN_ROWS].astype(dtype)
-        for k, ((_, is_eq), vec) in enumerate(zip(constraints, vecs)):
-            vals = block @ vec
-            bad = np.abs(vals) if is_eq else -vals
-            i = int(bad.argmax())
-            if bad[i] > depth[k]:
-                depth[k], where[k] = bad[i], start + i
-    return sorted({tuple(arr[i].tolist()) for i in where if i is not None})
+    dtype = _scan_dtype(arr, constraints)
+    c = np.array(constraints, dtype=dtype)
+    eqs = slice(0, len(lins))
+    depth = np.zeros(len(c), dtype=dtype)
+    where = np.full(len(c), -1)
+    rows = max(1, _SCAN_ROWS // len(c))
+    for start in range(0, len(arr), rows):
+        bad = c @ arr[start : start + rows].astype(dtype).T
+        bad[eqs] = abs(bad[eqs])
+        i = bad.argmax(axis=1)
+        worst = bad[np.arange(len(c)), i]
+        deeper = worst > depth
+        depth[deeper] = worst[deeper]
+        where[deeper] = start + i[deeper]
+    return sorted({tuple(arr[i].tolist()) for i in where if i >= 0})
 
 
 # Kept rows per step of `additive_prune`: rows found reducible leave the

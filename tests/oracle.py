@@ -11,7 +11,9 @@ reduced row echelon form (`rref`).  The double description oracle
 inserts the inequalities in the order given and keeps each zero-set as a
 Python set; emptiness of a polyhedron is decided by homogenising it and
 running that double description once per query.  The additive prune
-oracle sums each l1 norm again wherever it needs one.  Relation (A) and
+oracle sums each l1 norm again wherever it needs one.  The violator
+scan oracle is the package's earlier scan: one integer (or exact object)
+matrix-vector product per constraint per block of rows.  Relation (A) and
 the trace sums are counted over explicit lists of root vectors.  The
 Cauchy-component oracle is the one exception to "from scratch": it
 composes the package's own LR tableau counts, one Cauchy component of
@@ -414,6 +416,43 @@ def oracle_additive_prune(points):
         if not reducible:
             kept.append(x)
     return sorted(kept)
+
+
+# Rows per block of `oracle_worst_violators`.
+SCAN_ROWS = 1 << 16
+
+
+def oracle_worst_violators(pts, normals, lins):
+    """The first row of largest violation per violated constraint, found
+    with one matrix-vector product per constraint per block of rows: in
+    int32 when max ||constraint||_1 * max |x| < 2**31, int64 below 2**63,
+    and otherwise in exact Python numbers."""
+    import numpy as np
+
+    arr = np.asarray(pts)
+    if arr.dtype.kind not in "iu":
+        arr = np.array(pts, dtype=object)
+    constraints = [(l, True) for l in lins] + [(r, False) for r in normals]
+    if not constraints:
+        return []
+    dtype = object
+    if arr.dtype.kind in "iu":
+        c_max = max(sum(map(abs, c)) for c, _ in constraints)
+        bound = c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
+        if bound < 2**63:
+            dtype = np.int32 if bound < 2**31 else np.int64
+    vecs = [np.array(c, dtype=dtype) for c, _ in constraints]
+    depth = [0] * len(constraints)
+    where = [None] * len(constraints)
+    for start in range(0, len(arr), SCAN_ROWS):
+        block = arr[start : start + SCAN_ROWS].astype(dtype)
+        for k, ((_, is_eq), vec) in enumerate(zip(constraints, vecs)):
+            vals = block @ vec
+            bad = np.abs(vals) if is_eq else -vals
+            i = int(bad.argmax())
+            if bad[i] > depth[k]:
+                depth[k], where[k] = bad[i], start + i
+    return sorted({tuple(arr[i].tolist()) for i in where if i is not None})
 
 
 # ---------------------------------------------------------------------------

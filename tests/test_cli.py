@@ -2,7 +2,9 @@
 
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from holocone import cli, lr, polyhedral, reference22, semigroup
@@ -163,6 +165,11 @@ BAD_POINTS = {
     "entry-x": POINTS_HEADER + "x\n",
     "short-row": POINTS_HEADER + "1,0,1\n",
     "no-points": POINTS_HEADER,
+    "entry-1.5": POINTS_HEADER + "1,0,0,0,1.5,-1\n",
+    "ragged-after-good-row": POINTS_HEADER + "1,0,0,0,1,-1\n1,0,0,0,1\n",
+    "comment-line": POINTS_HEADER + "# a comment\n1,0,0,0,1,-1\n",
+    "empty-field": POINTS_HEADER + "1,,0,0,1,-1\n",
+    "entry-beyond-int64": POINTS_HEADER + f"{2**63},0,0,0,{2**63},0\n",
     "missing-file": None,
 }
 CONE_COMMANDS = {
@@ -222,6 +229,28 @@ def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
     argv = [{"IN": str(infile), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["no-body", "blank-body"])
+def test_empty_points_file_raises_no_warning(tmp_path, capsys, body):
+    infile = tmp_path / "in.txt"
+    infile.write_text(POINTS_HEADER + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["hull", "--in", str(infile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable points file")
+
+
+def test_points_are_narrowed_to_int8_when_they_fit(tmp_path):
+    infile = tmp_path / "in.txt"
+    infile.write_text(POINTS_HEADER + "1,0,0,0,1,-1\n\n-128,0,127,0,-1,1\n")
+    pts, shape = cli.load_points(infile)
+    assert shape == Shape(1, 1) and pts.dtype == np.int8
+    assert pts.tolist() == [[1, 0, 0, 0, 1, -1], [-128, 0, 127, 0, -1, 1]]
+    infile.write_text(POINTS_HEADER + f"1,0,0,0,1,-1\n{-(2**63)},0,128,0,0,{2**63 - 1}\n")
+    pts, _ = cli.load_points(infile)
+    assert pts.dtype == np.int64
+    assert pts.tolist() == [[1, 0, 0, 0, 1, -1], [-(2**63), 0, 128, 0, 0, 2**63 - 1]]
 
 
 def test_recession_of_empty_slice_is_usage_error(tmp_path, capsys):

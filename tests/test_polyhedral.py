@@ -262,12 +262,108 @@ class TestWorstViolatorBlocks:
             assert self.check(halves, [(1, 0)], []) == [halves[0]]
 
     def test_products_beyond_int32(self):
-        # max |x| * ||(1, 1, 0)||_1 is exactly 2**31: int32 would wrap the
-        # violation 2**31 of the last point to a negative number.
+        # max |x| * ||(1, 1, 0)||_1 is exactly 2**31: the violation 2**31 of
+        # the last point must not wrap to a negative number.
         far = (-(2**30), -(2**30), 0)
         pts = TestWorstViolators.SMALL + [far]
         assert ph._worst_violators(pts, [(1, 1, 0)], []) == [far]
         assert ph._worst_violators(np.array(pts, dtype=np.int32), [(1, 1, 0)], []) == [far]
+
+
+class TestWorstViolatorOracle:
+    """The float64 product scan against the earlier per-constraint scan."""
+
+    KINDS = ("int8", "int16", "int32", "int64", "tuples", "fractions")
+    # Entries reaching each dtype's range: int64 rows and wide constraints
+    # push max ||c||_1 * max |x| past 2**53 onto the exact path.
+    LIMIT = {"int8": 2**7 - 1, "int16": 2**15 - 1, "int32": 2**31 - 1, "int64": 2**62}
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle(self, data):
+        kind = data.draw(st.sampled_from(self.KINDS), label="kind")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        limit = self.LIMIT.get(kind, 3)
+        entry = st.one_of(st.integers(-3, 3), st.sampled_from([-limit, limit - 1, limit]))
+        rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=30))
+        coef = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**40), 2**40]))
+        vec = st.lists(coef, min_size=dim, max_size=dim).filter(any)
+        normals = data.draw(st.lists(vec, max_size=4).map(lambda vs: list(map(tuple, vs))))
+        lins = data.draw(st.lists(vec, max_size=2).map(lambda vs: list(map(tuple, vs))))
+        if data.draw(st.booleans(), label="no violators"):
+            # nonnegative rows with a zero last column satisfy nonnegative
+            # normals and the equality on the last coordinate
+            rows = [[abs(x) for x in r[:-1]] + [0] for r in rows]
+            normals = [tuple(map(abs, n)) for n in normals]
+            lins = [(0,) * (dim - 1) + (1,)]
+        if kind == "fractions":
+            rows = [[Fraction(x, data.draw(st.integers(1, 4))) for x in r] for r in rows]
+        if kind.startswith("int"):
+            pts = np.array(rows, dtype=getattr(np, kind)).reshape(-1, dim)
+        else:
+            pts = [tuple(r) for r in rows]
+        want = oracle.oracle_worst_violators(pts, normals, lins)
+        for scan_rows in (1, 7, ph._SCAN_ROWS):
+            with mock.patch.object(ph, "_SCAN_ROWS", scan_rows):
+                assert ph._worst_violators(pts, normals, lins) == want
+
+
+class TestScanGuard:
+    """float64 is taken exactly while max ||c||_1 * max |x| < 2**53."""
+
+    def test_dtype_at_the_boundary(self):
+        def dtype(rows, constraints):
+            return ph._scan_dtype(np.array(rows, dtype=np.int64), constraints)
+
+        assert dtype([(2**53 - 1,)], [(1,)]) is np.float64
+        assert dtype([(-(2**53) + 1, 0)], [(1, 0)]) is np.float64
+        assert dtype([(2**53,)], [(1,)]) is object
+        assert dtype([(-(2**53),)], [(1,)]) is object
+        # ||(1, -1)||_1 = 2, not 0: 2**52 * 2 reaches the bound
+        assert dtype([(2**52 - 1, 0)], [(1, -1)]) is np.float64
+        assert dtype([(2**52, 0)], [(1, -1)]) is object
+        assert dtype([(1, 0)], [(2**52, -(2**52))]) is object
+        assert ph._scan_dtype(np.array([(Fraction(1, 2),)], dtype=object), [(1,)]) is object
+
+    def test_exact_worst_row_beyond_float64(self):
+        # -(2**53 + 1) rounds to -2**53 in float64, tying the two rows; the
+        # exact scan must pick the second, one deeper.
+        pts = np.array([(-(2**53), 0), (-(2**53) - 1, 0)], dtype=np.int64)
+        assert ph._scan_dtype(pts, [(1, 0)]) is object
+        assert ph._worst_violators(pts, [(1, 0)], []) == [(-(2**53) - 1, 0)]
+        # an equality violated both ways: |lin . x| is the depth
+        assert ph._worst_violators(-pts, [], [(1, 0)]) == [(2**53 + 1, 0)]
+        assert ph._worst_violators(pts, [], [(1, 0)]) == [(-(2**53) - 1, 0)]
+
+    def test_float_path_just_below_the_bound(self):
+        pts = np.array([(-(2**53) + 2, 1), (-(2**53) + 1, 1), (5, 1)], dtype=np.int64)
+        assert ph._scan_dtype(pts, [(1, 0)]) is np.float64
+        assert ph._worst_violators(pts, [(1, 0)], []) == [(-(2**53) + 1, 1)]
+        assert ph._worst_violators(pts, [], [(1, 0)]) == [(-(2**53) + 1, 1)]
+        # the equality (1, 0) has depth 1 on every row: the first row is kept
+        got = ph._worst_violators(pts[:, ::-1].copy(), [(0, 1)], [(1, 0)])
+        assert got == [(1, -(2**53) + 1), (1, -(2**53) + 2)]
+
+
+class TestHullWithOracleScan:
+    """The semigroup hulls come out the same, in the same number of
+    rounds, when the earlier scan finds the violators: from the default
+    seed (one round) and from every third pruned box-1 point (two)."""
+
+    @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1)])
+    def test_box2_hull_matches_oracle_scan(self, shape):
+        pts = semigroup.enumerate_semigroup_points(shape, 2)
+        dim = 3 * shape.rank
+        sparse = ph.additive_prune(semigroup.enumerate_semigroup_points(shape, 1))[::3]
+        for seed, rounds in ((None, 1), (sparse, 2)):
+            runs = []
+            for scan in (ph._worst_violators, oracle.oracle_worst_violators):
+                with mock.patch.object(ph, "_worst_violators", scan), mock.patch.object(
+                    ph, "rays_from_halfspaces", wraps=ph.rays_from_halfspaces
+                ) as dd:
+                    runs.append((ph.facets_of_points(pts, dim, seed=seed), dd.call_count))
+            assert runs[0] == runs[1]
+            assert runs[0][1] == rounds
 
 
 class TestAdditivePrune:
