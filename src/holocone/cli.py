@@ -13,6 +13,7 @@ defect, is a usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 import warnings
@@ -22,7 +23,7 @@ from . import lr, polyhedral, ressayre, semigroup, symq, verify
 from .weights import Shape, WeylElement, parse_weight
 
 POINTS_FILE_VERSION = 1
-_WRITE_ROWS = 1 << 16  # rows of a points file formatted per write
+_WRITE_ROWS = 1 << 16  # rows of a points file per write or per read
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +147,10 @@ def save_points(points, shape: Shape, bound: int, path) -> None:
 def load_points(path):
     """(points, shape) from a points file; any defect is a UsageError.
 
-    The body is read in one `np.loadtxt` pass into an int64 matrix,
-    narrowed to int8 when every entry fits."""
+    The body is read `_WRITE_ROWS` lines at a time, each block by
+    `np.loadtxt` into int64 and narrowed to int8 when every entry fits, so
+    the int64 transient is one block; concatenating the blocks promotes
+    the result to int64 when any block needs it."""
     import numpy as np
 
     try:
@@ -157,17 +160,24 @@ def load_points(path):
                 raise ValueError("not a holocone-points file of this version")
             fields = dict(kv.split("=") for kv in header[2:])
             shape = Shape(int(fields["p"]), int(fields["q"])).validate()
-            with warnings.catch_warnings():
-                # an empty body is reported below, not as a numpy warning
-                warnings.simplefilter("ignore", UserWarning)
-                pts = np.loadtxt(fh, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-        if not len(pts) or pts.shape[1] != 3 * shape.rank:
+            blocks = []
+            while lines := list(itertools.islice(fh, _WRITE_ROWS)):
+                with warnings.catch_warnings():
+                    # a blank block is skipped, not reported as a numpy warning
+                    warnings.simplefilter("ignore", UserWarning)
+                    block = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+                if not len(block):
+                    continue
+                if block.shape[1] != 3 * shape.rank:
+                    raise ValueError(f"need rows of {3 * shape.rank} entries")
+                if -128 <= block.min() and block.max() <= 127:
+                    block = block.astype(np.int8)
+                blocks.append(block)
+        if not blocks:
             raise ValueError(f"need rows of {3 * shape.rank} entries")
     except (OSError, ValueError, KeyError) as e:
         raise UsageError(f"unreadable points file {path}: {e!r}") from None
-    if -128 <= pts.min() and pts.max() <= 127:
-        pts = pts.astype(np.int8)
-    return pts, shape
+    return np.concatenate(blocks), shape
 
 
 # ---------------------------------------------------------------------------

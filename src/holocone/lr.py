@@ -2,36 +2,42 @@
 
 Weights may have negative parts; everything is reduced to partitions by
 shifting with multiples of (1,...,1), which leaves all multiplicities
-unchanged.  Coefficients are counted by enumerating skew semistandard
-tableaux whose reverse reading word is a lattice word.
+unchanged.  There is one tableau walk: `_skew(nu, kappa, maxlen)`
+(partitions without trailing zeros) is the Schur expansion of
+s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one walk over the LR
+fillings of nu/kappa with free content (letters <= maxlen, the reverse
+reading word a lattice word).  Every coefficient and product is read off
+it.
+
+- Skew side, nu and kappa fixed: `lr_count_tableaux(lam, mu, nu)` is
+  the entry mu of s_{nu/lam}; `lr_coefficient` validates, shifts and
+  reads it.  `semigroup` reads its block tables off `_skew`, and
+  `_triple_expand` reads triple multiplicities
+  [V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of
+  c^nu_{lam,rho} c^rho_{mu,delta} off two levels of it: the rho of
+  s_{nu/lam}, then the delta of each s_{rho/mu}.
+  `triple_multiplicity` and `symq.holomorphic_multiplicity` use that.
+- Product side, lam and mu fixed: `_tensor(lam, mu)` lists every nu of
+  V_lam (x) V_mu from one skew expansion, by the star duality
+  [V_nu : V_lam (x) V_mu] = [V_mu : V_lam* (x) V_nu], lam* = -reverse(lam).
+  Proof sketch: both sides are dim (V_lam (x) V_mu (x) V_nu*)^U(n), the
+  right one as the invariants of the dual space.  With lam and mu shifted
+  to end in 0 and N = lam_1, lam* + N = N - reverse(lam) is a partition,
+  so the right side is c^{mu+N}_{N-reverse(lam), nu}, the coefficient of
+  s_nu in s_{(mu+N)/(N-reverse(lam))}; every such nu lies inside mu + N
+  and so has at most n parts.  `tensor_expand` is `_tensor` after
+  validation; `semigroup` takes kappa in lam (x) mu from it, and
+  `symq.s_fold_multiplicity` decomposes its pairs with it.
 
 The public functions (`lr_coefficient`, `tensor_expand`,
 `triple_multiplicity`) validate their input and raise ValueError on
 weights of unequal length or that are not weakly decreasing.  The private
 functions trust their caller: they take tuples already validated and
 check nothing, so code that has validated its weights once calls them in
-its inner loops.  There are two kernels.
+its inner loops.
 
-- The product side, c^nu_{lam,mu} for fixed lam and mu: `_lr` counts one
-  coefficient, `_expand` (partitions ending in 0) lists every nu, and
-  `_tensor` is `_expand` for any dominant weights, shifted in and out.
-  `tensor_expand` is `_tensor` after validation; `semigroup` takes
-  kappa in lam (x) mu from it, and `symq.s_fold_multiplicity` decomposes
-  its pairs with it.
-- The skew side, c^nu_{kappa,delta} for fixed nu and kappa:
-  `_skew(nu, kappa, maxlen)` (partitions without trailing zeros) is the
-  Schur expansion of s_{nu/kappa}.  One walk over the LR fillings of
-  nu/kappa with free content gives every delta at once.  `semigroup`
-  reads its block tables off it, and `_triple_expand` reads triple
-  multiplicities [V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of
-  c^nu_{lam,rho} c^rho_{mu,delta} off two levels of it: the rho of
-  s_{nu/lam}, then the delta of each s_{rho/mu}.  `triple_multiplicity`
-  and `symq.holomorphic_multiplicity` use that.
-
-The memo caches are keyed canonically: lam and mu are shifted so that
-their last part is 0, and nu by the same total, so a key does not depend
-on how a weight happened to be shifted; the skew memo is keyed on
-partitions.  The caches are plain in-memory dicts, emptied by
+The skew memo is keyed on partitions, so a key does not depend on how a
+weight happened to be shifted.  It is a plain in-memory dict, emptied by
 `clear_caches` and never written to disk, and the module is not
 thread-safe.
 """
@@ -40,14 +46,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import polyhedral
 
 GLWeight = Tuple[int, ...]
 
-_lr_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight], int] = {}
-_expand_cache: Dict[Tuple[GLWeight, GLWeight], Dict[GLWeight, int]] = {}
 _skew_cache: Dict[Tuple[GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
 
 
@@ -77,62 +81,20 @@ def _strip_zeros(lam: GLWeight) -> GLWeight:
 
 
 def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
-    """Number of LR skew tableaux of shape nu/lam and content mu.
-
-    All three must be partitions (nonnegative, weakly decreasing).  Cells
-    are filled in reverse reading order (each row right to left, top row
-    first) so the lattice condition can be checked incrementally.
-    """
-    lam = _strip_zeros(lam)
+    """c^nu_{lam,mu} for partitions (nonnegative, weakly decreasing):
+    the entry mu of s_{nu/lam}, with the letters capped at len(mu)."""
     mu = _strip_zeros(mu)
-    nu = _strip_zeros(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if len(nu) < len(lam) or any(n < l for n, l in zip(nu, lam)):
-        return 0
-    if not mu:
-        return 1 if nu == lam else 0
-    lam_pad = lam + (0,) * (len(nu) - len(lam))
-
-    # Cells in reverse reading order.
-    cells: List[Tuple[int, int]] = []
-    for r in range(len(nu)):
-        for c in range(nu[r] - 1, lam_pad[r] - 1, -1):
-            cells.append((r, c))
-    nletters = len(mu)
-    remaining = list(mu)
-    counts = [0] * (nletters + 1)  # counts[v] = #v placed so far
-    counts[0] = sum(mu) + 1  # sentinel: letter 1 always allowed
-    filled: Dict[Tuple[int, int], int] = {}
-
-    def place(k: int) -> int:
-        if k == len(cells):
-            return 1
-        r, c = cells[k]
-        total = 0
-        right = filled.get((r, c + 1))  # filled before, same row
-        above = filled.get((r - 1, c)) if r > 0 and c < nu[r - 1] else None
-        hi = right if right is not None else nletters
-        lo = (above + 1) if above is not None else 1
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0 or counts[v] + 1 > counts[v - 1]:
-                continue
-            filled[(r, c)] = v
-            remaining[v - 1] -= 1
-            counts[v] += 1
-            total += place(k + 1)
-            counts[v] -= 1
-            remaining[v - 1] += 1
-            del filled[(r, c)]
-        return total
-
-    return place(0)
+    return _skew(_strip_zeros(nu), _strip_zeros(lam), len(mu)).get(mu, 0)
 
 
 def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     """c^nu_{lam,mu} for U(n) weights of equal length n."""
     _check(lam, mu, nu)
-    return _lr(tuple(lam), tuple(mu), tuple(nu))
+    lam, mu, s = _canonical(tuple(lam), tuple(mu))
+    nu = shift(tuple(nu), -s)
+    if sum(nu) != sum(lam) + sum(mu) or (nu and nu[-1] < 0):
+        return 0
+    return lr_count_tableaux(lam, mu, nu)
 
 
 def _canonical(lam: GLWeight, mu: GLWeight):
@@ -146,45 +108,6 @@ def _canonical(lam: GLWeight, mu: GLWeight):
     return lam, mu, a + b
 
 
-def _lr(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
-    """lr_coefficient on validated tuples, memoised under the canonical key."""
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    lam, mu, s = _canonical(lam, mu)
-    if s:
-        nu = shift(nu, -s)
-    if nu and nu[-1] < 0:
-        return 0
-    key = (lam, mu, nu)
-    val = _lr_cache.get(key)
-    if val is None:
-        val = _lr_cache[key] = lr_count_tableaux(lam, mu, nu)
-    return val
-
-
-def _candidate_nus(lam: GLWeight, mu: GLWeight, n: int) -> Iterator[GLWeight]:
-    """Partitions nu with lam <= nu, |nu| = |lam| + |mu|, at most n rows."""
-    total = sum(lam) + sum(mu)
-    lam_pad = tuple(lam) + (0,) * (n - len(lam))
-    mu1 = mu[0] if mu else 0
-
-    def rec(row: int, prev: int, left: int, acc: List[int]):
-        if row == n:
-            if left == 0:
-                yield tuple(acc)
-            return
-        low = lam_pad[row]
-        # each row gains at most mu_1 boxes (content has mu_1 ones at most
-        # per horizontal strip; crude but safe: lam_row + |mu| works too)
-        high = min(prev, low + mu1 if row == 0 else prev, left + low)
-        for v in range(high, low - 1, -1):
-            acc.append(v)
-            yield from rec(row + 1, v, left - (v - low), acc)
-            acc.pop()
-
-    yield from rec(0, total, sum(mu), [])
-
-
 def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
     """Full decomposition of V_lam (x) V_mu for U(n), n = len(lam)."""
     _check(lam, mu)
@@ -192,28 +115,21 @@ def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
 
 
 def _tensor(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
-    """tensor_expand on validated tuples: `_expand` of the canonical
-    partitions, shifted back."""
-    lam0, mu0, s = _canonical(lam, mu)
-    return {shift(nu0, s): c for nu0, c in _expand(lam0, mu0).items()}
+    """tensor_expand on validated tuples, read off one skew expansion.
 
-
-def _expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
-    """The memoised decomposition for partitions lam and mu ending in 0.
-
-    The returned dict is the cached one; callers must not change it.
+    With lam and mu shifted to end in 0 and N = lam_1, the nu of
+    V_lam (x) V_mu are the delta of s_{(mu + N)/(N - reverse(lam))},
+    padded to n parts and shifted back.
     """
-    hit = _expand_cache.get((lam, mu))
-    if hit is None:
-        # Smaller second factor keeps the tableau search shallow.
-        l0, m0 = (lam, mu) if sum(mu) <= sum(lam) else (mu, lam)
-        hit = {}
-        for nu0 in _candidate_nus(_strip_zeros(l0), m0, len(lam)):
-            c = _lr(l0, m0, nu0)
-            if c:
-                hit[nu0] = c
-        _expand_cache[(lam, mu)] = hit
-    return hit
+    lam, mu, s = _canonical(lam, mu)
+    n = len(lam)
+    top = lam[0] if lam else 0
+    outer = _strip_zeros(shift(mu, top))
+    inner = _strip_zeros(tuple(top - x for x in reversed(lam)))
+    return {
+        shift(nu + (0,) * (n - len(nu)), s): c
+        for nu, c in _skew(outer, inner, n).items()
+    }
 
 
 def triple_multiplicity(
@@ -340,8 +256,6 @@ def clear_caches() -> None:
     polyhedral's slice tables."""
     from . import symq  # symq imports this module
 
-    _lr_cache.clear()
-    _expand_cache.clear()
     _skew_cache.clear()
     symq._cauchy_cache.clear()
     polyhedral.clear_caches()

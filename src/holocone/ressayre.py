@@ -224,7 +224,7 @@ def certify_normal(
     n = shape.rank
     normal = primitive(normal)
     g = _gamma_from_normal(normal, shape)
-    if all(v == 0 for v in g):
+    if all(v == 0 for v in g) or not admissible(g, shape):
         return None
     na, nb = tuple(normal[:n]), tuple(normal[n : 2 * n])
     ws = all_weyl_elements(shape)
@@ -233,8 +233,6 @@ def certify_normal(
     for w1 in w1s:
         for w2 in w2s:
             cand = RessayreCandidate(g, w1, w2)
-            if not admissible(g, shape):
-                return None
             if not relation_A(cand, shape):
                 continue
             if not trace_condition(cand, shape):

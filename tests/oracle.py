@@ -14,15 +14,17 @@ running that double description once per query.  The additive prune
 oracle sums each l1 norm again wherever it needs one.  The violator
 scan oracle is the package's earlier scan: one integer (or exact object)
 matrix-vector product per constraint per block of rows.  Relation (A) and
-the trace sums are counted over explicit lists of root vectors.  The
-Cauchy-component oracle is the one exception to "from scratch": it
-composes the package's own LR tableau counts, one Cauchy component of
-Sym(M_{p,q}) at a time, as a slower second path to the holomorphic
-multiplicity.  The semigroup oracle is the package's earlier join: it
-streams triples one (p-pair, q-pair) at a time, uniting the products of
-their block sets over every Cauchy component, from tables built with
-the validating `lr.tensor_expand`, one product kappa (x) delta per
-Cauchy weight, directly on the q-blocks.
+the trace sums are counted over explicit lists of root vectors.  The LR
+oracles are the package's earlier product side: one content-fixed
+tableau count per candidate nu (`oracle_lr_count_tableaux`,
+`oracle_tensor_expand`), a walk independent of the package's skew
+expansions.  The Cauchy-component oracle composes them, one Cauchy
+component of Sym(M_{p,q}) at a time (taken from `symq.cauchy_components`),
+as a slower second path to the holomorphic multiplicity.  The semigroup
+oracle is the package's earlier join: it streams triples one (p-pair,
+q-pair) at a time, uniting the products of their block sets over every
+Cauchy component, from tables built with `oracle_tensor_expand`, one
+product kappa (x) delta per Cauchy weight, directly on the q-blocks.
 """
 
 from __future__ import annotations
@@ -515,16 +517,114 @@ def oracle_positive_sum(v, shape):
 
 
 # ---------------------------------------------------------------------------
+# LR coefficients one nu at a time, by content-fixed tableau counts
+
+
+def _strip_zeros(lam):
+    out = list(lam)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def oracle_lr_count_tableaux(lam, mu, nu) -> int:
+    """Number of LR skew tableaux of shape nu/lam and content mu.
+
+    All three must be partitions (nonnegative, weakly decreasing).  Cells
+    are filled in reverse reading order (each row right to left, top row
+    first) so the lattice condition can be checked incrementally.
+    """
+    lam = _strip_zeros(lam)
+    mu = _strip_zeros(mu)
+    nu = _strip_zeros(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    if len(nu) < len(lam) or any(n < l for n, l in zip(nu, lam)):
+        return 0
+    if not mu:
+        return 1 if nu == lam else 0
+    lam_pad = lam + (0,) * (len(nu) - len(lam))
+
+    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, lam_pad[r] - 1, -1)]
+    nletters = len(mu)
+    remaining = list(mu)
+    counts = [0] * (nletters + 1)  # counts[v] = #v placed so far
+    counts[0] = sum(mu) + 1  # sentinel: letter 1 always allowed
+    filled: Dict[Tuple[int, int], int] = {}
+
+    def place(k: int) -> int:
+        if k == len(cells):
+            return 1
+        r, c = cells[k]
+        total = 0
+        right = filled.get((r, c + 1))  # filled before, same row
+        above = filled.get((r - 1, c)) if r > 0 and c < nu[r - 1] else None
+        hi = right if right is not None else nletters
+        lo = (above + 1) if above is not None else 1
+        for v in range(lo, hi + 1):
+            if remaining[v - 1] == 0 or counts[v] + 1 > counts[v - 1]:
+                continue
+            filled[(r, c)] = v
+            remaining[v - 1] -= 1
+            counts[v] += 1
+            total += place(k + 1)
+            counts[v] -= 1
+            remaining[v - 1] += 1
+            del filled[(r, c)]
+        return total
+
+    return place(0)
+
+
+def _candidate_nus(lam, mu, n):
+    """Partitions nu with lam <= nu, |nu| = |lam| + |mu|, at most n rows."""
+    total = sum(lam) + sum(mu)
+    lam_pad = tuple(lam) + (0,) * (n - len(lam))
+    mu1 = mu[0] if mu else 0
+
+    def rec(row, prev, left, acc):
+        if row == n:
+            if left == 0:
+                yield tuple(acc)
+            return
+        low = lam_pad[row]
+        # the first row gains at most mu_1 boxes (the ones of the content)
+        high = min(prev, low + mu1 if row == 0 else prev, left + low)
+        for v in range(high, low - 1, -1):
+            acc.append(v)
+            yield from rec(row + 1, v, left - (v - low), acc)
+            acc.pop()
+
+    yield from rec(0, total, sum(mu), [])
+
+
+@lru_cache(maxsize=None)
+def oracle_tensor_expand(lam, mu) -> Dict[Tuple[int, ...], int]:
+    """{nu: c^nu_{lam,mu}} for dominant U(n) weight tuples of equal length
+    n >= 1: both shifted to end in 0, then one tableau count per candidate
+    nu, shifted back.  Memoised; callers must not change the result."""
+    a, b = lam[-1], mu[-1]
+    lam0, mu0 = tuple(x - a for x in lam), tuple(x - b for x in mu)
+    if sum(mu0) > sum(lam0):  # the smaller content keeps the walk shallow
+        lam0, mu0 = mu0, lam0
+    out = {}
+    for nu0 in _candidate_nus(_strip_zeros(lam0), mu0, len(lam)):
+        c = oracle_lr_count_tableaux(lam0, mu0, nu0)
+        if c:
+            out[tuple(x + a + b for x in nu0)] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Holomorphic multiplicities one Cauchy component at a time
 
 
 def oracle_cauchy_multiplicity(lam, mu, nu, shape) -> int:
     """m(lam, mu, nu) as the sum over the Cauchy components V_delta of
     Sym^d(M_{p,q}) of the two blocks' triple multiplicities, each expanded
-    through V_lam (x) V_mu and one LR coefficient per term.  This is the
-    loop the package ran before its skew expansions; it runs on the
-    tableau counts of `lr._lr` and `lr._expand`."""
-    from holocone import lr, symq
+    through V_lam (x) V_mu and V_kappa (x) V_delta.  This is the loop the
+    package ran before its skew expansions, on `oracle_tensor_expand`."""
+    from holocone import symq
 
     p = shape.p
     d = sum(nu[:p]) - sum(lam[:p]) - sum(mu[:p])
@@ -532,11 +632,10 @@ def oracle_cauchy_multiplicity(lam, mu, nu, shape) -> int:
         return 0
 
     def triple(a, b, delta, c):
-        if sum(a) + sum(b) + sum(delta) != sum(c):
-            return 0
-        a0, b0, s = lr._canonical(a, b)
-        c0 = lr.shift(c, -s)
-        return sum(k * lr._lr(kappa, delta, c0) for kappa, k in lr._expand(a0, b0).items())
+        return sum(
+            k * oracle_tensor_expand(kappa, delta).get(c, 0)
+            for kappa, k in oracle_tensor_expand(a, b).items()
+        )
 
     total = 0
     for comp in symq.cauchy_components(shape, d):
@@ -552,14 +651,12 @@ def oracle_cauchy_multiplicity(lam, mu, nu, shape) -> int:
 
 def _oracle_block_table(pairs, deltas, bound):
     """pair -> Cauchy weight delta -> set of boxed blocks in a (x) b (x) delta,
-    through the validating public `lr.tensor_expand`."""
-    from holocone import lr
-
-    bases = {(a, b): lr.tensor_expand(a, b) for a, b in pairs}
+    through `oracle_tensor_expand`."""
+    bases = {(a, b): oracle_tensor_expand(a, b) for a, b in pairs}
     support = {
         (kappa, delta): {
             res
-            for res in lr.tensor_expand(kappa, delta)
+            for res in oracle_tensor_expand(kappa, delta)
             if res[0] <= bound and res[-1] >= -bound
         }
         for kappa in set().union(*bases.values())

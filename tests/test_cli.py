@@ -253,6 +253,21 @@ def test_points_are_narrowed_to_int8_when_they_fit(tmp_path):
     assert pts.tolist() == [[1, 0, 0, 0, 1, -1], [-(2**63), 0, 128, 0, 0, 2**63 - 1]]
 
 
+def test_points_are_read_in_blocks(tmp_path, capsys, monkeypatch):
+    # Blocks of two lines: int8 blocks, a blank block and then a block
+    # holding 200 join exactly; a short row in a later block is refused.
+    monkeypatch.setattr(cli, "_WRITE_ROWS", 2)
+    rows = [[1, 0, 0, 0, 1, -1], [-1, 0, 0, 0, 0, 1], [2, 0, 0, 0, 1, -1], [200, 0, 0, 0, -3, 3], [1, 1, 0, 0, 0, 0]]
+    lines = [",".join(map(str, r)) + "\n" for r in rows]
+    infile = tmp_path / "in.txt"
+    infile.write_text(POINTS_HEADER + "".join(lines[:2]) + "\n\n" + "".join(lines[2:]))
+    pts, _ = cli.load_points(infile)
+    assert pts.dtype == np.int64 and pts.tolist() == rows
+    infile.write_text(POINTS_HEADER + "".join(lines[:3]) + "1,0,0,0,1\n")
+    assert cli.main(["hull", "--in", str(infile), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: unreadable points file")
+
+
 def test_recession_of_empty_slice_is_usage_error(tmp_path, capsys):
     cone = tmp_path / "ref.json"
     polyhedral.save_cone(reference22.reference_cone(), cone)

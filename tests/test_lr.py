@@ -1,12 +1,18 @@
 """Littlewood-Richardson engine against an independent Schur oracle."""
 
+import contextlib
+import importlib
+import io
+import pkgutil
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import holocone
 import oracle
-from holocone import lr
+from holocone import lr, polyhedral, reference22, ressayre, schubert, symq, verify
+from holocone.weights import Shape, all_weyl_elements
 
 
 def partitions_up_to(total_max, rows):
@@ -86,6 +92,20 @@ class TestOracleEquivalence:
                 (n,),
             )
             assert got == want
+
+    @given(st.data(), st.integers(1, 4), st.sampled_from(["free", "zero", "equal"]))
+    @settings(max_examples=300, deadline=None)
+    def test_skew_products_match_tableau_counts(self, data, n, second):
+        # The duality read of V_lam (x) V_mu off one skew expansion against
+        # one content-fixed tableau count per candidate nu.
+        def weight():
+            parts = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            return tuple(sorted(parts, reverse=True))
+
+        lam = weight()
+        mu = {"free": weight, "zero": lambda: (0,) * n, "equal": lambda: lam}[second]()
+        assert lr._tensor(lam, mu) == oracle.oracle_tensor_expand(lam, mu)
+        assert lr._tensor(mu, lam) == oracle.oracle_tensor_expand(lam, mu)
 
 
 class TestProperties:
@@ -214,7 +234,7 @@ class TestSkew:
         size = sum(nu) - sum(kappa)
         want = {}
         for delta in lr.partitions(size, m) if size >= 0 else ():
-            c = lr.lr_count_tableaux(kappa, delta, nu)
+            c = oracle.oracle_lr_count_tableaux(kappa, delta, nu)
             if c:
                 want[delta] = c
         assert got == want
@@ -242,7 +262,8 @@ class TestCanonicalCacheKey:
         lr.clear_caches()
         lam, mu, nu = (2, 1, 0), (2, 1, 0), (3, 2, 1)
         assert lr.lr_coefficient(lam, mu, nu) == 2
-        entries = dict(lr._lr_cache)
+        entries = dict(lr._skew_cache)
+        assert entries
         for a, b in [(1, 0), (0, -2), (-3, 5), (4, 4)]:
             got = lr.lr_coefficient(
                 lr.shift(lam, a), lr.shift(mu, b), lr.shift(nu, a + b)
@@ -250,7 +271,7 @@ class TestCanonicalCacheKey:
             assert got == 2
             # nu shifted alone has the wrong size: the answer is 0
             assert lr.lr_coefficient(lam, mu, lr.shift(nu, a - b + 1)) == 0
-        assert lr._lr_cache == entries
+        assert lr._skew_cache == entries
 
     def test_shifted_tensor_expand_adds_no_cache_entry(self):
         lr.clear_caches()
@@ -258,12 +279,48 @@ class TestCanonicalCacheKey:
         base = lr.tensor_expand(lam, mu)
         triple = lr.triple_multiplicity(lam, mu, delta, nu)
         assert triple == 2
-        lr_entries, expand_entries = dict(lr._lr_cache), dict(lr._expand_cache)
+        entries = dict(lr._skew_cache)
+        assert entries
         for a, b in [(1, 0), (0, -2), (-3, 5)]:
             got = lr.tensor_expand(lr.shift(lam, a), lr.shift(mu, b))
             assert got == {lr.shift(k, a + b): c for k, c in base.items()}
             assert lr.triple_multiplicity(
                 lr.shift(lam, a), lr.shift(mu, b), delta, lr.shift(nu, a + b)
             ) == triple
-        assert lr._lr_cache == lr_entries
-        assert lr._expand_cache == expand_entries
+        assert lr._skew_cache == entries
+
+
+def module_memos():
+    """Every module-level dict of the package whose name ends in _cache."""
+    out = {}
+    for info in pkgutil.iter_modules(holocone.__path__):
+        module = importlib.import_module(f"holocone.{info.name}")
+        for name, value in vars(module).items():
+            if name.endswith("_cache") and isinstance(value, dict):
+                out[f"{info.name}.{name}"] = value
+    return out
+
+
+class TestClearCaches:
+    def test_clearing_leaves_every_memo_empty(self):
+        # A verify22 pass and one request of each serve kind fill every
+        # memo; the two clear calls a cold start makes empty them all.
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert verify.verify22(bound=1, out=io.StringIO()) == 0
+        s22, s33 = Shape(2, 2), Shape(3, 3)
+        ref = reference22.reference_cone()
+        triple = ((1, 0, 0, -1), (1, 0, 0, 0), (2, 1, 0, -1))
+        symq.holomorphic_multiplicity(*triple, s22)
+        assert symq.holomorphic_multiplicity(
+            (2, 1, 0, 0, -1, -1), (2, 1, 0, 0, -1, -1), (4, 3, 1, -1, -2, -3), s33
+        ) == 18
+        polyhedral.cone_member(ref, sum(triple, ()))
+        polyhedral.recession_cone(polyhedral.slice_at(ref, triple[0], triple[1])).with_v_rep()
+        w = all_weyl_elements(s33)
+        ressayre.check_candidate(ressayre.RessayreCandidate((1, 0, 0, 0, 0, -1), w[0], w[1]), s33)
+        memos = module_memos()
+        assert {"lr._skew_cache", "symq._cauchy_cache", "polyhedral._slice_cache"} <= set(memos)
+        assert all(memos.values()), [k for k, v in memos.items() if not v]
+        lr.clear_caches()
+        schubert.clear_caches()
+        assert [k for k, v in module_memos().items() if v] == []
