@@ -118,6 +118,15 @@ def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
     return cone
 
 
+def _save(save, *args) -> None:
+    """save(*args), whose last argument is the output path; a path that
+    cannot be written (say, in a missing directory) is a UsageError."""
+    try:
+        save(*args)
+    except OSError as e:
+        raise UsageError(f"cannot write {args[-1]}: {e.strerror or e!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # Point file interchange (versioned text, one triple per line)
 
@@ -231,7 +240,7 @@ def cmd_enumerate(args) -> int:
         raise UsageError("need --out")
     bound = _bound_of(args)
     points = semigroup.enumerate_semigroup_points(shape, bound)
-    save_points(points, shape, bound, args.out)
+    _save(save_points, points, shape, bound, args.out)
     print(f"{len(points)} triples")
     return 0
 
@@ -243,7 +252,7 @@ def cmd_hull(args) -> int:
     cone = polyhedral.cone_from_points(
         pts, provenance=f"hull-of:{os.path.basename(args.infile)}"
     )
-    polyhedral.save_cone(cone, args.out)
+    _save(polyhedral.save_cone, cone, args.out)
     print(
         f"{len(cone.inequalities)} facets, "
         f"{len(cone.equalities or ())} equalities"
@@ -293,7 +302,7 @@ def cmd_recession(args) -> int:
     for r in rec.rays or ():
         print("ray " + ",".join(map(str, r)))
     if args.out:
-        polyhedral.save_cone(rec, args.out)
+        _save(polyhedral.save_cone, rec, args.out)
     return 0
 
 
@@ -334,7 +343,7 @@ def cmd_ressayre(args) -> int:
         raise UsageError("search needs --in and --out")
     cone = _load_cone(args.infile, shape).with_h_rep()
     results = ressayre.search_certificates(shape, cone.inequalities)
-    ressayre.save_certificates(results, shape, args.out)
+    _save(ressayre.save_certificates, results, shape, args.out)
     missing = [
         normal
         for normal, cert in results

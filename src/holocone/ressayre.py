@@ -11,7 +11,7 @@ A passing candidate yields the linear inequality
 
 on triples, and every facet of the Horn cone arises this way.  The
 search inverts this: given a facet normal it reads off gamma from the
-C-block and scans the finitely many Weyl pairs.
+C-block and checks the one lex-least Weyl pair that matches the rest.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
-from .weights import Shape, WeylElement, all_weyl_elements, check_length, longest_weyl
+from .weights import Shape, WeylElement, blocks, check_length, longest_weyl
 
 CERT_FILE_VERSION = 1
 
@@ -215,32 +215,32 @@ def _gamma_from_normal(normal: Sequence, shape: Shape):
 def certify_normal(
     normal: Sequence, shape: Shape
 ) -> Optional[FacetCertificate]:
-    """First certificate matching the facet normal exactly, or None.
+    """The certificate matching the facet normal exactly, or None.
 
-    gamma is forced by the C-block; (w1, w2) pairs are filtered by the
-    exact match of the A- and B-blocks before the expensive checks run.
-    Deterministic: Weyl pairs are scanned in lexicographic order.
+    gamma is forced by the C-block.  The stable block sort matches equal
+    entries in index order, so w = sort(target)^-1 o sort(gamma) is the
+    lex-least w with w.gamma == target if any is.  Only that (w1, w2) is
+    checked, and it decides for all: relation_A and trace_condition read
+    w only through w.gamma, schubert_condition through min-rep(w0 o w o
+    sigma^-1) (schubert.cell_class_rep), and w'.gamma == w.gamma means
+    w' = w o s with s in Stab(gamma) = sigma^-1 W_P sigma, the same coset.
     """
     n = shape.rank
     normal = primitive(normal)
     g = _gamma_from_normal(normal, shape)
     if all(v == 0 for v in g) or not admissible(g, shape):
         return None
-    na, nb = tuple(normal[:n]), tuple(normal[n : 2 * n])
-    ws = all_weyl_elements(shape)
-    w1s = [w for w in ws if tuple(w.apply(g, shape)) == na]
-    w2s = [w for w in ws if tuple(w.apply(g, shape)) == nb]
-    for w1 in w1s:
-        for w2 in w2s:
-            cand = RessayreCandidate(g, w1, w2)
-            if not relation_A(cand, shape):
-                continue
-            if not trace_condition(cand, shape):
-                continue
-            k = schubert_condition(cand, shape)
-            if k >= 1:
-                return FacetCertificate(cand, k, tuple(normal))
-    return None
+    na, nb = normal[:n], normal[n : 2 * n]
+    def sort(v) -> WeylElement:
+        return WeylElement(*map(schubert.block_sorting_perm, blocks(v, shape)))
+    w1, w2 = (sort(t).inverse().compose(sort(g)) for t in (na, nb))
+    cand = RessayreCandidate(g, w1, w2)
+    if (w1.apply(g, shape), w2.apply(g, shape)) != (na, nb) or not relation_A(cand, shape):
+        return None
+    if not trace_condition(cand, shape):
+        return None
+    k = schubert_condition(cand, shape)
+    return FacetCertificate(cand, k, normal) if k >= 1 else None
 
 
 def search_certificates(

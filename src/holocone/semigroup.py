@@ -90,8 +90,11 @@ def _block_table(
         return out
 
     table: Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]] = {}
-    for a in blocks:
-        for b in blocks:
+    for i, a in enumerate(blocks):
+        for b in blocks[:i]:  # V_a (x) V_b = V_b (x) V_a, built as (b, a)
+            if (b, a) in table:
+                table[a, b] = table[b, a]
+        for b in blocks[i:]:
             per_delta: Dict[Vector, Set[Vector]] = {}
             for kappa in lr._tensor(a, b):
                 if kappa not in support:

@@ -9,6 +9,7 @@ normalization of the invariant bilinear form never matters.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
 
@@ -43,12 +44,20 @@ def blocks(x: Sequence, shape: Shape):
     return tuple(x[: shape.p]), tuple(x[shape.p :])
 
 
+_NUMBER = re.compile(r"\s*[-+]?([0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)\s*")
+
+
 def parse_number(s):
     """An exact number from text such as "3", " -3/2" or "0.25".
 
-    Integers come back as ints, other rationals as Fractions.  Malformed
-    text, a zero denominator included, raises ValueError.
+    Only an optional sign and an integer, a/b or a plain decimal parse,
+    with whitespace around.  Integers come back as ints, other rationals
+    as Fractions.  Malformed text, a zero denominator included, raises
+    ValueError, and so do exponents and "_" separators, which Fraction
+    would take: Fraction("1e10000000") runs for seconds.
     """
+    if not _NUMBER.fullmatch(s):
+        raise ValueError(f"not a number: {s!r}")
     try:
         f = Fraction(s)
     except ZeroDivisionError:

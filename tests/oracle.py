@@ -25,6 +25,8 @@ oracle is the package's earlier join: it streams triples one (p-pair,
 q-pair) at a time, uniting the products of their block sets over every
 Cauchy component, from tables built with `oracle_tensor_expand`, one
 product kappa (x) delta per Cauchy weight, directly on the q-blocks.
+The certificate oracle is the package's earlier search: it scans every
+Weyl pair matching a facet normal, where the package checks one.
 """
 
 from __future__ import annotations
@@ -740,3 +742,37 @@ def oracle_semigroup_points(shape, bound):
         raise ValueError("bound must be >= 0")
     flat = chain.from_iterable(l + m + n for l, m, n in _oracle_iter_semigroup(shape, bound))
     return np.fromiter(flat, dtype=np.int8).reshape(-1, 3 * shape.rank)
+
+
+# ---------------------------------------------------------------------------
+# Facet certification by a scan of Weyl pairs
+
+
+def oracle_certify_normal(normal, shape):
+    """The package's earlier certificate search: every (w1, w2) with
+    w1.gamma and w2.gamma equal to the A- and B-blocks, scanned in
+    lexicographic order through relation (A), the trace condition and the
+    Schubert number; the first pair with k >= 1 is the certificate."""
+    from holocone import ressayre
+    from holocone.polyhedral import primitive
+    from holocone.weights import all_weyl_elements
+
+    n = shape.rank
+    normal = primitive(normal)
+    g = ressayre._gamma_from_normal(normal, shape)
+    if all(v == 0 for v in g) or not ressayre.admissible(g, shape):
+        return None
+    ws = all_weyl_elements(shape)
+    w1s = [w for w in ws if w.apply(g, shape) == normal[:n]]
+    w2s = [w for w in ws if w.apply(g, shape) == normal[n : 2 * n]]
+    for w1 in w1s:
+        for w2 in w2s:
+            cand = ressayre.RessayreCandidate(g, w1, w2)
+            if not ressayre.relation_A(cand, shape):
+                continue
+            if not ressayre.trace_condition(cand, shape):
+                continue
+            k = ressayre.schubert_condition(cand, shape)
+            if k >= 1:
+                return ressayre.FacetCertificate(cand, k, normal)
+    return None

@@ -220,6 +220,10 @@ RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
                      id="ressayre-gamma-zero-denominator"),
         pytest.param(None, ["mult", "--p", "1", "--q", "1", "--lam", "1/0;0", "--mu", "0;0", "--nu", "0;0"],
                      id="mult-zero-denominator"),
+        pytest.param(None, ["mult", "--p", "2", "--q", "2", "--triple", "1e1,0;0,0|1,0;0,0|2,0;0,0"],
+                     id="mult-exponent"),
+        pytest.param(None, ["mult", "--p", "1", "--q", "1", "--lam", "1_0;0", "--mu", "0;0", "--nu", "0;0"],
+                     id="mult-underscore"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
@@ -276,6 +280,28 @@ def test_recession_of_empty_slice_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert cli.main(argv + ["--lam", "1,0;0,-1"]) == 0
     assert capsys.readouterr().out == "ray 1,0,0,-1\nray 1,1,-1,-1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--p", "1", "--q", "1", "--bound", "1", "--out", "OUT"],
+        ["hull", "--in", "PTS", "--out", "OUT"],
+        ["recession", "--p", "2", "--q", "2", "--in", "CONE",
+         "--lam", "1,0;0,-1", "--mu", "1,0;0,0", "--out", "OUT"],
+        ["ressayre", "search", "--p", "2", "--q", "2", "--in", "CONE", "--out", "OUT"],
+    ],
+    ids=["enumerate", "hull", "recession", "ressayre-search"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    pts, cone = tmp_path / "pts.txt", tmp_path / "ref.json"
+    cli.save_points(semigroup.enumerate_semigroup_points(Shape(1, 1), 1), Shape(1, 1), 1, pts)
+    polyhedral.save_cone(reference22.reference_cone(), cone)
+    out = tmp_path / "missing" / "out"
+    files = {"PTS": str(pts), "CONE": str(cone), "OUT": str(out)}
+    assert cli.main([files.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and str(out) in err
 
 
 class TestRessayreCommands:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 from holocone import reference22, ressayre, semigroup
-from holocone.polyhedral import dot, primitive
+from holocone.polyhedral import cone_from_points, dot, primitive
 from holocone.weights import Shape, all_weyl_elements, identity_weyl, longest_weyl
 
 
@@ -184,6 +184,23 @@ class TestWeylConsistency:
                 base, s
             ) == ressayre.check_candidate(moved, s)
 
+    @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1), Shape(3, 2)])
+    def test_independent_stabilizer_moves(self, shape):
+        # (gamma, w1 s1, w2 s2) with s1, s2 in Stab(gamma) chosen apart:
+        # every check reads w only through w.gamma or its Stab(gamma) coset.
+        rng = random.Random(53)
+        ws = all_weyl_elements(shape)
+        for _ in range(60):
+            g = tuple(rng.randint(-1, 1) for _ in range(shape.rank))
+            if all(v == 0 for v in g):
+                continue
+            stab = [w for w in ws if w.apply(g, shape) == g]
+            w1, w2 = rng.choice(ws), rng.choice(ws)
+            s1, s2 = rng.choice(stab), rng.choice(stab)
+            assert ressayre.check_candidate(
+                cand(g, w1, w2), shape
+            ) == ressayre.check_candidate(cand(g, w1.compose(s1), w2.compose(s2)), shape)
+
 
 class TestSchubertCondition:
     def test_point_flag_with_empty_euler(self):
@@ -315,6 +332,61 @@ class TestCertifyNormals:
             )
             is None
         )
+
+
+def indicator_normals(shape):
+    """Every distinct (w1.1_S, w2.1_S, -w0.1_S) over the proper nonempty S."""
+    n = shape.rank
+    ws = all_weyl_elements(shape)
+    out = set()
+    for ind in product((0, 1), repeat=n):
+        if 0 < sum(ind) < n:
+            orbit = {w.apply(ind, shape) for w in ws}
+            c = tuple(-x for x in longest_weyl(shape).apply(ind, shape))
+            out.update(a + b + c for a in orbit for b in orbit)
+    return sorted(out)
+
+
+SCAN_SHAPES = [Shape(2, 1), Shape(2, 2), Shape(3, 1), Shape(3, 2)]
+
+
+class TestOnePairPerNormal:
+    """certify_normal checks one closed-form Weyl pair; the oracle scans
+    them all and must return the same certificate, pair included."""
+
+    def test_indicator_normal_count(self):
+        assert sum(len(indicator_normals(s)) for s in SCAN_SHAPES) == 784
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_indicator_normals(self, shape):
+        certified = 0
+        for nrm in indicator_normals(shape):
+            got = ressayre.certify_normal(nrm, shape)
+            assert got == oracle.oracle_certify_normal(nrm, shape), nrm
+            certified += got is not None
+        assert certified
+
+    @pytest.mark.parametrize("shape", SCAN_SHAPES, ids=str)
+    def test_box_one_hull_facets(self, shape):
+        cone = cone_from_points(semigroup.enumerate_semigroup_points(shape, 1))
+        for nrm in cone.inequalities:
+            assert ressayre.certify_normal(nrm, shape) == oracle.oracle_certify_normal(nrm, shape)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_integer_normals(self, data):
+        shape = data.draw(st.sampled_from([Shape(2, 2), Shape(3, 1)]))
+        n = shape.rank
+        ints = st.integers(-2, 2)
+        g = tuple(data.draw(st.lists(ints, min_size=n, max_size=n)))
+        w1, w2 = (data.draw(st.sampled_from(all_weyl_elements(shape))) for _ in range(2))
+        nrm = list(w1.apply(g, shape) + w2.apply(g, shape))
+        nrm += [-x for x in longest_weyl(shape).apply(g, shape)]
+        for i in data.draw(st.lists(st.integers(0, 3 * n - 1), max_size=2)):
+            nrm[i] = data.draw(ints)
+        nrm = [data.draw(st.integers(1, 3)) * x for x in nrm]
+        if any(nrm):
+            assert ressayre.certify_normal(nrm, shape) == oracle.oracle_certify_normal(nrm, shape)
 
 
 class TestCertificateFiles:

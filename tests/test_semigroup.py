@@ -163,6 +163,19 @@ class TestBlockTables:
         } == want_q
 
 
+def test_block_table_expands_each_unordered_pair_once(monkeypatch):
+    # V_a (x) V_b = V_b (x) V_a: the table of (a, b) reuses that of (b, a).
+    calls = []
+    tensor = lr._tensor
+    monkeypatch.setattr(lr, "_tensor", lambda a, b: calls.append((a, b)) or tensor(a, b))
+    for length in (3, 1):
+        calls.clear()
+        table = semigroup._block_table(length, 2, 1)
+        pairs = [tuple(sorted(c)) for c in calls]
+        assert len(pairs) == len(set(pairs)) > 0
+        assert all(table[a, b] == table[b, a] for a, b in table)
+
+
 class TestAdditivity:
     def test_sum_of_members_is_member(self):
         rng = random.Random(40)

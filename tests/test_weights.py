@@ -16,6 +16,7 @@ from holocone.weights import (
     is_dominant,
     longest_weyl,
     pairing,
+    parse_number,
     parse_weight,
     rho_scaling_factor,
     star_involution,
@@ -154,6 +155,16 @@ class TestParsing:
     def test_rejects_missing_block(self):
         with pytest.raises(ValueError):
             parse_weight("1,2,3")
+
+    def test_number_forms(self):
+        assert parse_number("3") == 3 and type(parse_number("3")) is int
+        assert parse_number(" -3/2") == Fraction(-3, 2)
+        assert parse_number("0.25") == Fraction(1, 4)
+
+    @pytest.mark.parametrize("text", ["1e5", "1_0", "1.5/2", "nan"])
+    def test_rejects_exponents_and_separators(self, text):
+        with pytest.raises(ValueError):
+            parse_number(text)
 
 
 class TestRoots:
