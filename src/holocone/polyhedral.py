@@ -44,6 +44,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .weights import parse_number
@@ -55,7 +56,7 @@ CONE_FILE_VERSION = 1
 
 def dot(a: Sequence, b: Sequence):
     """Exact dot product; stays in int when both vectors are integral."""
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def primitive(v: Sequence) -> IntVec:

@@ -8,16 +8,20 @@ degree bound would not do.
 Membership needs only the support of each tensor product: Littlewood-
 Richardson coefficients are never negative, so a sum of their products
 is positive exactly when one term is, and no multiplicity is added up.
-For each pair a = (lam', mu') of boxed p-blocks, the table lists per
-Cauchy partition delta (`symq.cauchy_components`) the boxed blocks n of
-nu with n in lam' (x) mu' (x) delta.  It is read off skew expansions:
-n is in kappa (x) delta exactly when c^n_{kappa,delta} != 0, so for each
-kappa in lam' (x) mu' and each boxed n containing it, one expansion of
-s_{n/kappa} (`lr._skew`) gives every delta at once.  The q side goes
-through duals: with w* = -reverse(w), [V_m : V_b (x) V_delta^*] =
-[V_m* : V_b* (x) V_delta], so the q-table is the same table built on
-the q-blocks, whose rows are mapped back by the star when they are
-written out.
+Each side is one table of rows (a, b, n): a pair (a, b) of boxed
+p-blocks and a boxed block n of nu, with the Cauchy partitions delta
+(`symq.cauchy_components`) for which n is in a (x) b (x) delta.  Since n
+is in kappa (x) delta exactly when c^n_{kappa,delta} != 0, this is a
+Boolean product through kappa.  Pairs and kappa are grouped by
+s = |a| + |b| = |kappa|; per group, a 0/1 matrix T_s of unordered pairs
+x (kappa in a (x) b, one `lr._tensor` each) times a 0/1 matrix S_s of
+kappa x (n, delta) (every delta of one n read off one skew expansion
+s_{n/kappa}, `lr._skew`) is nonzero exactly at the (pair, n, delta) of
+the table; as V_a (x) V_b = V_b (x) V_a, the rows of (b, a) repeat
+those of (a, b).  The q side goes through duals: with
+w* = -reverse(w), [V_m : V_b (x) V_delta^*] = [V_m* : V_b* (x) V_delta],
+so the q-table is the same table built on the q-blocks, whose rows are
+mapped back by the star when they are written out.
 
 The two tables are joined by one Boolean matrix product per Cauchy
 degree d.  A p-row (a, n) can only meet components of degree
@@ -32,8 +36,7 @@ already cap the degree.  Everything is deterministic.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Tuple
 
 from . import lr, symq
 from .polyhedral import _SCAN_ROWS
@@ -62,67 +65,79 @@ def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
     return out
 
 
-def _block_table(
-    length: int, bound: int, q: int
-) -> Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]]:
-    """Pair (a, b) of boxed blocks -> partition delta of at most q parts
-    -> the boxed blocks n in a (x) b (x) delta.
+def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
+    """Per Cauchy degree d, the rows (a, b, n) of boxed blocks with n in
+    a (x) b (x) delta for some delta in deltas[d], as an int8 matrix of
+    the concatenated blocks, and their Boolean incidence with deltas[d].
 
-    For each kappa in a (x) b, every delta comes at once from s_{n/kappa},
-    once kappa and n are shifted so that kappa ends in 0.  Such a delta
-    fits in n - kappa_last, so |delta| <= q (n_1 - kappa_last) <= 3 q bound:
-    the box caps the degree.
+    Pairs are grouped by s = |a| + |b|.  T_s marks kappa in a (x) b for
+    each unordered pair; S_s marks (n, delta) for each kappa of weight s
+    and boxed n with c^n_{kappa,delta} != 0, each delta in a fixed slot
+    of its degree |n| - s.  Both are 0/1 float32 matrices, so every entry
+    of T_s @ S_s is a sum of nonnegative integers at most the inner
+    dimension < 2**24, held exactly, and nonzero exactly when one term
+    is.  No such delta has more parts than q or a part above
+    n_1 - kappa_last <= 3 bound, so |n| - s <= 3 q bound = len(deltas) - 1:
+    the box caps the degree, and no n beyond it is expanded.
     """
-    blocks = dominant_box_vectors(length, bound)
-    support: Dict[Vector, Dict[Vector, Set[Vector]]] = {}
-
-    def support_of(kappa: Vector) -> Dict[Vector, Set[Vector]]:
-        # n contains kappa, so the parts of either equal to kappa's last
-        # part s are its trailing ones: dropping them strips the zeros.
-        s = kappa[-1]
-        k0 = tuple(x - s for x in kappa if x != s)
-        out: Dict[Vector, Set[Vector]] = {}
-        for n in blocks:
-            if all(x >= y for x, y in zip(n, kappa)):
-                n0 = tuple(x - s for x in n if x != s)
-                for delta in lr._skew(n0, k0, q):
-                    out.setdefault(delta, set()).add(n)
-        return out
-
-    table: Dict[Tuple[Vector, Vector], Dict[Vector, Set[Vector]]] = {}
-    for i, a in enumerate(blocks):
-        for b in blocks[:i]:  # V_a (x) V_b = V_b (x) V_a, built as (b, a)
-            if (b, a) in table:
-                table[a, b] = table[b, a]
-        for b in blocks[i:]:
-            per_delta: Dict[Vector, Set[Vector]] = {}
-            for kappa in lr._tensor(a, b):
-                if kappa not in support:
-                    support[kappa] = support_of(kappa)
-                for delta, ns in support[kappa].items():
-                    per_delta.setdefault(delta, set()).update(ns)
-            if per_delta:
-                table[a, b] = per_delta
-    return table
-
-
-def _incidence(table, deltas: List[Vector], length: int):
-    """The rows (a, b, n) of one degree, as an int8 matrix of the
-    concatenated blocks of `length`, and their Boolean incidence with
-    `deltas`."""
     import numpy as np
 
-    rows: Dict[Tuple[Vector, Vector, Vector], int] = {}
-    hits: List[Tuple[int, int]] = []
-    for (a, b), per_delta in table.items():
-        for j, delta in enumerate(deltas):
-            for n in per_delta.get(delta, ()):
-                hits.append((rows.setdefault((a, b, n), len(rows)), j))
-    vals = np.array(list(chain.from_iterable(chain.from_iterable(rows))), dtype=np.int8)
-    inc = np.zeros((len(rows), len(deltas)), dtype=bool)
-    if hits:
-        inc[tuple(np.array(hits).T)] = True
-    return vals.reshape(-1, 3 * length), inc
+    blocks = dominant_box_vectors(length, bound)
+    mat = np.array(blocks, dtype=np.int8)
+    sums = [sum(n) for n in blocks]
+    top = len(deltas) - 1
+    width = max(map(len, deltas))
+    slot = {delta: j for ds in deltas for j, delta in enumerate(ds)}
+
+    # s -> (unordered pairs (i, j), i <= j; T entries (pair, kappa); kappa -> column)
+    groups: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]], Dict[Vector, int]]] = {}
+    for i, a in enumerate(blocks):
+        for j in range(i, len(blocks)):
+            pairs, hits, kappas = groups.setdefault(sums[i] + sums[j], ([], [], {}))
+            for kappa in lr._tensor(a, blocks[j]):
+                hits.append((len(pairs), kappas.setdefault(kappa, len(kappas))))
+            pairs.append((i, j))
+
+    # One product per group, over the columns (n, delta slot) of every
+    # boxed n; S_s is zero in the columns of an n with |n| - s > top.
+    rows, products = [], []
+    for s, (pairs, hits, kappas) in groups.items():
+        ks = list(kappas)
+        # n contains kappa, so the parts of either equal to kappa's last
+        # part are its trailing ones: dropping them strips the zeros.
+        k0s = [tuple(x - k[-1] for x in k if x != k[-1]) for k in ks]
+        S = np.zeros((len(ks), len(blocks) * width), dtype=np.float32)
+        inside = (mat[None] >= np.array(ks)[:, None]).all(axis=2)
+        for k, n in zip(*(x.tolist() for x in np.nonzero(inside))):
+            if sums[n] - s <= top:
+                last = ks[k][-1]
+                n0 = tuple(x - last for x in blocks[n] if x != last)
+                for delta in lr._skew(n0, k0s[k], q):
+                    S[k, n * width + slot[delta]] = 1
+        T = np.zeros((len(pairs), len(ks)), dtype=np.float32)
+        T[tuple(np.array(hits).T)] = 1
+        products.append(T @ S > 0)
+        rows += pairs
+
+    hit = np.concatenate(products).reshape(len(rows), len(blocks), width)
+    r, n = np.nonzero(hit.any(axis=2))
+    # V_a (x) V_b = V_b (x) V_a: the cell (b, a, n) repeats (a, b, n).
+    ab = np.array(rows)[r]
+    twin = np.flatnonzero(ab[:, 0] != ab[:, 1])
+    r, n = np.r_[r, r[twin]], np.r_[n, n[twin]]
+    idx = np.column_stack([np.r_[ab, ab[twin, ::-1]], n])
+    inc = hit[r, n]
+    t = np.array(sums)
+    degree = t[idx[:, 2]] - t[idx[:, 0]] - t[idx[:, 1]]
+    order = np.argsort(degree, kind="stable")
+    cuts = np.searchsorted(degree[order], np.arange(top + 2))
+    return [
+        (
+            mat[idx[order[lo:hi]]].reshape(-1, 3 * length),
+            inc[order[lo:hi], : len(ds)],
+        )
+        for ds, lo, hi in zip(deltas, cuts, cuts[1:])
+    ]
 
 
 def _joined_count(p_inc, q_inc) -> int:
@@ -149,6 +164,7 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     """
     import numpy as np
 
+    shape.validate()
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound > MAX_BOUND:
@@ -156,19 +172,13 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     p, q = shape.p, shape.q
     # d = |nu'|-|lam'|-|mu'| <= p*bound + 2*p*bound, and symmetrically
     # d = |lam''|+|mu''|-|nu''| <= 2*q*bound + q*bound; q <= p wins.
-    comps = [symq.cauchy_components(shape, d) for d in range(3 * q * bound + 1)]
-    # The q-table is built on the duals w* = -reverse(w), where a q-row
+    deltas = [
+        [c.delta for c in symq.cauchy_components(shape, d)] for d in range(3 * q * bound + 1)
+    ]
+    # The q side is built on the duals w* = -reverse(w), where a q-row
     # (b, m) of Cauchy weight delta* reads as a p-style row (b*, m*) of
     # weight delta; the fill below maps its blocks back.
-    p_table = _block_table(p, bound, q)
-    q_table = _block_table(q, bound, q)
-    joins = [
-        (
-            _incidence(p_table, [c.delta for c in cs], p),
-            _incidence(q_table, [c.delta for c in cs], q),
-        )
-        for cs in comps
-    ]
+    joins = list(zip(_incidences(p, bound, q, deltas), _incidences(q, bound, q, deltas)))
 
     r = shape.rank
     out = np.empty(

@@ -46,6 +46,15 @@ class TestGeneralities:
         with pytest.raises(ValueError):
             semigroup.enumerate_semigroup(Shape(1, 1), -1)
 
+    @pytest.mark.parametrize(
+        "shape", [Shape(1, 2), Shape(0, 1), Shape(2, 0)], ids=lambda s: f"U{s.p}{s.q}"
+    )
+    def test_invalid_shape_rejected(self, shape):
+        # Outside p >= q >= 1 the join has no meaning: U(1,2) would come
+        # out short of the oracle, and an empty block has no rows.
+        with pytest.raises(ValueError):
+            semigroup.enumerate_semigroup_points(shape, 1)
+
     def test_deterministic_and_sorted(self):
         a = semigroup.enumerate_semigroup(Shape(2, 1), 1)
         b = semigroup.enumerate_semigroup(Shape(2, 1), 1)
@@ -112,6 +121,7 @@ JOIN_CASES = (
     + [(Shape(2, 2), b) for b in range(3)]
     + [(Shape(3, 1), b) for b in range(3)]
     + [(Shape(3, 2), 1), (Shape(3, 3), 1)]
+    + [(Shape(4, 1), 1), (Shape(4, 2), 1), (Shape(2, 1), 3)]
 )
 
 
@@ -138,11 +148,33 @@ TABLE_CASES = [
     (Shape(3, 1), 2),
     (Shape(3, 2), 1),
     (Shape(3, 3), 1),
+    (Shape(4, 1), 1),
+    (Shape(4, 2), 1),
+    (Shape(2, 1), 3),
 ]
 
 
 def dual(w):
     return tuple(-x for x in reversed(w))
+
+
+def block_table(length, shape, bound):
+    """Pair (a, b) -> Cauchy partition delta -> the blocks n in
+    a (x) b (x) delta, read off the rows and incidences of `_incidences`."""
+    deltas = [
+        [c.delta for c in symq.cauchy_components(shape, d)]
+        for d in range(3 * shape.q * bound + 1)
+    ]
+    table = {}
+    for ds, (vals, inc) in zip(deltas, semigroup._incidences(length, bound, shape.q, deltas)):
+        assert vals.dtype == np.int8 and inc.shape == (len(vals), len(ds))
+        for row, hits in zip(vals.tolist(), inc.tolist()):
+            assert any(hits)  # a row meets some component of its degree
+            a, b, n = (tuple(row[k * length : (k + 1) * length]) for k in range(3))
+            for delta, hit in zip(ds, hits):
+                if hit:
+                    table.setdefault((a, b), {}).setdefault(delta, set()).add(n)
+    return table
 
 
 class TestBlockTables:
@@ -155,8 +187,8 @@ class TestBlockTables:
         lr.clear_caches()
         want_p, want_q = oracle.oracle_block_tables(shape, bound)
         lr.clear_caches()
-        assert semigroup._block_table(shape.p, bound, shape.q) == want_p
-        q_table = semigroup._block_table(shape.q, bound, shape.q)
+        assert block_table(shape.p, shape, bound) == want_p
+        q_table = block_table(shape.q, shape, bound)
         assert {
             (dual(a), dual(b)): {delta: {dual(m) for m in ms} for delta, ms in per_delta.items()}
             for (a, b), per_delta in q_table.items()
@@ -164,15 +196,17 @@ class TestBlockTables:
 
 
 def test_block_table_expands_each_unordered_pair_once(monkeypatch):
-    # V_a (x) V_b = V_b (x) V_a: the table of (a, b) reuses that of (b, a).
+    # V_a (x) V_b = V_b (x) V_a: the rows of (a, b) reuse the product of (b, a).
     calls = []
     tensor = lr._tensor
     monkeypatch.setattr(lr, "_tensor", lambda a, b: calls.append((a, b)) or tensor(a, b))
     for length in (3, 1):
         calls.clear()
-        table = semigroup._block_table(length, 2, 1)
+        table = block_table(length, Shape(3, 1), 2)
         pairs = [tuple(sorted(c)) for c in calls]
-        assert len(pairs) == len(set(pairs)) > 0
+        blocks = semigroup.dominant_box_vectors(length, 2)
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) == {tuple(sorted((a, b))) for a in blocks for b in blocks}
         assert all(table[a, b] == table[b, a] for a, b in table)
 
 
