@@ -23,23 +23,27 @@ w* = -reverse(w), [V_m : V_b (x) V_delta^*] = [V_m* : V_b* (x) V_delta],
 so the q-table is the same table built on the q-blocks, whose rows are
 mapped back by the star when they are written out.
 
-The two tables are joined by one Boolean matrix product per Cauchy
-degree d.  A p-row (a, n) can only meet components of degree
-|n| - |a|, so each row belongs to one degree; its entry in column delta
-says that n occurs in lam' (x) mu' (x) delta.  A q-row (b, m) belongs to
-degree |b| - |m| in the same way.  The triple (a, n; b, m) is in the
-semigroup exactly when the two rows share a component, i.e. when
-(P_d Q_d^T) is nonzero at that entry.  Distinct entries give distinct
-triples, so each triple is found once, and the box bounds on n and m
-already cap the degree.  Everything is deterministic.
+The two tables are joined per Cauchy degree d.  A p-row (a, n) can
+only meet components of degree |n| - |a|, so each row belongs to one
+degree; its entry in column delta says that n occurs in
+lam' (x) mu' (x) delta.  A q-row (b, m) belongs to degree |b| - |m| in
+the same way.  The triple (a, n; b, m) is in the semigroup exactly when
+the two rows share a component.  Rows of one degree with the same
+pattern of components meet the same rows of the other side, so each
+side is grouped by distinct pattern (`_pattern_groups`), one Boolean
+product of the distinct patterns says which groups g, h meet, and the
+joined entries are the union of the Cartesian products g x h.  Distinct
+entries give distinct triples, so each triple is found once, and the
+box bounds on n and m already cap the degree.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Dict, List, Tuple
 
 from . import lr, symq
-from .polyhedral import _SCAN_ROWS
 from .weights import Shape
 
 Vector = Tuple[int, ...]
@@ -140,36 +144,56 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     ]
 
 
-def _joined_count(p_inc, q_inc) -> int:
-    """The number of nonzero entries of p_inc @ q_inc.T, from the
-    distinct row patterns of each side."""
+def _pattern_groups(inc):
+    """The distinct rows of a Boolean matrix of at least one row and
+    column, in the order of their packed bytes, and for each the
+    ascending indices of the rows equal to it."""
     import numpy as np
 
-    pu, pn = np.unique(p_inc, axis=0, return_counts=True)
-    qu, qn = np.unique(q_inc, axis=0, return_counts=True)
-    return int(pn @ (pu @ qu.T) @ qn)
+    packed = np.packbits(inc, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    return inc[order[starts]], np.split(order, starts[1:])
+
+
+def _join_blocks(p_inc, q_inc):
+    """The pairs (g, h) of p-row and q-row index groups of one degree
+    whose patterns share a component: the nonzero entries of
+    p_inc @ q_inc.T are the disjoint union of the products g x h."""
+    import numpy as np
+
+    if not (len(p_inc) and len(q_inc)):
+        return []
+    (p_pat, p_groups), (q_pat, q_groups) = _pattern_groups(p_inc), _pattern_groups(q_inc)
+    return [(p_groups[g], q_groups[h]) for g, h in zip(*np.nonzero(p_pat @ q_pat.T))]
 
 
 def enumerate_semigroup_points(shape: Shape, bound: int):
     """Box-bounded semigroup triples as a compact numpy int8 matrix.
 
     One row per triple, columns (lam, mu, nu) concatenated, each triple
-    once.  The rows come degree by degree in the order of the per-degree
-    matrix join: deterministic, the same on every run, but not sorted.
-    The matrix is sized by a count of the join first and then filled in
-    place, in blocks of `_SCAN_ROWS` joined entries, so no list of rows
-    or chunks is ever built; this keeps the large (2,2) verification
-    runs, where the triple count reaches 10^7, in bounded memory.
-    Entries fit in int8 for every bound up to MAX_BOUND.
+    once.  The matrix is sized by the Cartesian blocks of the join (see
+    the module docstring) and each block is written in place with one
+    broadcast sum of its p-rows and q-rows, so no list of rows is ever
+    built; this keeps the large (2,2) verification runs, where the
+    triple count reaches 10^7, in bounded memory.  The rows come degree
+    by degree and block by block: deterministic, the same on every run,
+    but not sorted.  Entries fit in int8 for every bound up to MAX_BOUND.
     """
     import numpy as np
 
     shape.validate()
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise ValueError(f"bound must be an integer, got {bound!r}") from None
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound > MAX_BOUND:
         raise ValueError("bound too large for the packed representation")
-    p, q = shape.p, shape.q
+    p, q, r = shape.p, shape.q, shape.rank
     # d = |nu'|-|lam'|-|mu'| <= p*bound + 2*p*bound, and symmetrically
     # d = |lam''|+|mu''|-|nu''| <= 2*q*bound + q*bound; q <= p wins.
     deltas = [
@@ -177,27 +201,25 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     ]
     # The q side is built on the duals w* = -reverse(w), where a q-row
     # (b, m) of Cauchy weight delta* reads as a p-style row (b*, m*) of
-    # weight delta; the fill below maps its blocks back.
-    joins = list(zip(_incidences(p, bound, q, deltas), _incidences(q, bound, q, deltas)))
+    # weight delta; P and Q below map its blocks back.
+    blocks = []
+    for (p_vals, p_inc), (q_vals, q_inc) in zip(
+        _incidences(p, bound, q, deltas), _incidences(q, bound, q, deltas)
+    ):
+        # Each row spread over the output columns, zeros elsewhere: a p-row
+        # in the first p columns of lam, mu and nu, a q-row's blocks
+        # negated and reversed in the last q, so a triple is one sum.
+        P = np.zeros((len(p_vals), 3, r), dtype=np.int8)
+        P[:, :, :p] = p_vals.reshape(-1, 3, p)
+        Q = np.zeros((len(q_vals), 3, r), dtype=np.int8)
+        Q[:, :, p:] = -q_vals.reshape(-1, 3, q)[:, :, ::-1]
+        blocks += [(P, Q, i, j) for i, j in _join_blocks(p_inc, q_inc)]
 
-    r = shape.rank
-    out = np.empty(
-        (sum(_joined_count(pi, qi) for (_, pi), (_, qi) in joins), 3 * r), dtype=np.int8
-    )
-    p_cols = [k * r + i for k in range(3) for i in range(p)]
-    # -reverse of each q-block: column p + i takes entry q - 1 - i, negated.
-    q_cols = [k * r + p + q - 1 - i for k in range(3) for i in range(q)]
-    filled = 0
-    for (p_vals, p_inc), (q_vals, q_inc) in joins:
-        if not len(q_inc):
-            continue
-        step = max(1, _SCAN_ROWS // len(q_inc))
-        for start in range(0, len(p_inc), step):
-            i, j = np.nonzero(p_inc[start : start + step] @ q_inc.T)
-            end = filled + len(i)
-            out[filled:end, p_cols] = p_vals[start + i]
-            out[filled:end, q_cols] = -q_vals[j]
-            filled = end
+    out = np.empty((sum(len(i) * len(j) for _, _, i, j in blocks), 3 * r), dtype=np.int8)
+    end = 0
+    for P, Q, i, j in blocks:
+        start, end = end, end + len(i) * len(j)
+        np.add(P[i, None], Q[None, j], out=out[start:end].reshape(len(i), len(j), 3, r))
     return out
 
 

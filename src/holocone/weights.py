@@ -9,6 +9,7 @@ normalization of the invariant bilinear form never matters.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Sequence, Tuple
@@ -28,7 +29,11 @@ class Shape(NamedTuple):
         return self.p + self.q
 
     def validate(self) -> "Shape":
-        if not (self.p >= self.q >= 1):
+        try:
+            p, q = operator.index(self.p), operator.index(self.q)
+        except TypeError:
+            raise ValueError(f"p and q must be integers, got {self}") from None
+        if not (p >= q >= 1):
             raise ValueError(f"need p >= q >= 1, got {self}")
         return self
 

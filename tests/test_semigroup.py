@@ -6,6 +6,7 @@ from itertools import product
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holocone import lr, semigroup, symq
 from holocone.weights import Shape
@@ -54,6 +55,24 @@ class TestGeneralities:
         # out short of the oracle, and an empty block has no rows.
         with pytest.raises(ValueError):
             semigroup.enumerate_semigroup_points(shape, 1)
+
+    @pytest.mark.parametrize(
+        "p,q,bound",
+        [(2.0, 1, 1), ("2", 1, 1), (2, 1.0, 1), (2, 1, 1.5), (2, 1, "1")],
+        ids=["p-float", "p-str", "q-float", "bound-float", "bound-str"],
+    )
+    def test_non_integer_rejected(self, p, q, bound):
+        if bound == 1:
+            with pytest.raises(ValueError):
+                Shape(p, q).validate()
+        with pytest.raises(ValueError):
+            semigroup.enumerate_semigroup_points(Shape(p, q), bound)
+
+    def test_numpy_integers_accepted(self):
+        shape = Shape(np.int64(2), np.int32(1))
+        assert shape.validate() is shape
+        got = semigroup.enumerate_semigroup_points(shape, np.int16(1))
+        assert np.array_equal(got, semigroup.enumerate_semigroup_points(Shape(2, 1), 1))
 
     def test_deterministic_and_sorted(self):
         a = semigroup.enumerate_semigroup(Shape(2, 1), 1)
@@ -114,6 +133,14 @@ class TestPackedPoints:
         assert pts.shape == (2916, 12)
 
 
+def degree_deltas(shape, bound):
+    """The Cauchy partitions of every degree the box can reach."""
+    return [
+        [c.delta for c in symq.cauchy_components(shape, d)]
+        for d in range(3 * shape.q * bound + 1)
+    ]
+
+
 # Every shape and bound the matrix join is checked on against the oracle.
 JOIN_CASES = (
     [(Shape(1, 1), b) for b in range(4)]
@@ -139,6 +166,57 @@ class TestMatrixJoin:
         lr.clear_caches()
         assert np.array_equal(semigroup.enumerate_semigroup_points(shape, bound), pts)
 
+    @pytest.mark.parametrize(
+        "shape,bound", JOIN_CASES, ids=[f"U{s.p}{s.q}-b{b}" for s, b in JOIN_CASES]
+    )
+    def test_blocks_tile_the_joined_entries(self, shape, bound):
+        # Per degree, the Cartesian blocks are disjoint and cover exactly
+        # the nonzero entries of P_d Q_d^T.
+        deltas = degree_deltas(shape, bound)
+        p_tables = semigroup._incidences(shape.p, bound, shape.q, deltas)
+        q_tables = semigroup._incidences(shape.q, bound, shape.q, deltas)
+        for (_, p_inc), (_, q_inc) in zip(p_tables, q_tables):
+            blocks = semigroup._join_blocks(p_inc, q_inc)
+            joined = p_inc @ q_inc.T
+            assert sum(len(g) * len(h) for g, h in blocks) == np.count_nonzero(joined)
+            covered = np.zeros_like(joined)
+            for g, h in blocks:
+                covered[np.ix_(g, h)] = True
+            assert np.array_equal(covered, joined)
+
+
+@st.composite
+def boolean_matrices(draw):
+    """A Boolean matrix of width 1-20 (keys of 1-3 bytes) with repeated
+    and single rows; past one byte, two of its rows differ only after
+    their first byte."""
+    width = draw(st.integers(1, 20))
+    row = st.lists(st.booleans(), min_size=width, max_size=width)
+    base = draw(st.lists(row, min_size=1, max_size=6))
+    if width > 8:
+        k = draw(st.integers(8, width - 1))
+        base.append(base[0][:k] + [not base[0][k]] + base[0][k + 1 :])
+    extra = draw(st.lists(st.integers(0, len(base) - 1), max_size=30))
+    picks = draw(st.permutations(list(range(len(base))) + extra))
+    return np.array([base[i] for i in picks], dtype=bool)
+
+
+class TestPatternGroups:
+    @given(boolean_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_groups_partition_rows_by_distinct_pattern(self, inc):
+        patterns, groups = semigroup._pattern_groups(inc)
+        assert patterns.shape == (len(groups), inc.shape[1])
+        assert len(set(map(tuple, patterns.tolist()))) == len(patterns)
+        assert sorted(np.concatenate(groups).tolist()) == list(range(len(inc)))
+        for pattern, group in zip(patterns, groups):
+            assert list(group) == sorted(group)
+            assert (inc[group] == pattern).all()
+        again = semigroup._pattern_groups(inc)
+        assert np.array_equal(again[0], patterns)
+        assert all(np.array_equal(a, b) for a, b in zip(again[1], groups))
+        assert len(again[1]) == len(groups)
+
 
 TABLE_CASES = [
     (Shape(2, 1), 2),
@@ -161,10 +239,7 @@ def dual(w):
 def block_table(length, shape, bound):
     """Pair (a, b) -> Cauchy partition delta -> the blocks n in
     a (x) b (x) delta, read off the rows and incidences of `_incidences`."""
-    deltas = [
-        [c.delta for c in symq.cauchy_components(shape, d)]
-        for d in range(3 * shape.q * bound + 1)
-    ]
+    deltas = degree_deltas(shape, bound)
     table = {}
     for ds, (vals, inc) in zip(deltas, semigroup._incidences(length, bound, shape.q, deltas)):
         assert vals.dtype == np.int8 and inc.shape == (len(vals), len(ds))
