@@ -371,37 +371,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around holomorphic Horn cones of U(p,q).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_):
-        sp = sub.add_parser(name, help=help_)
+    integer = {"type": int}
+    # every option not named here takes a string
+    options = {"p": integer, "q": integer, "n": integer, "in": {"dest": "infile"},
+               "bound": {"type": int, "default": 3}}
+    triple = "p q lam mu nu triple"
+    # Each subcommand gets exactly the options it reads.
+    commands = [
+        ("lr", cmd_lr, "n lam mu nu", "Littlewood-Richardson coefficient c^nu_{lam,mu}"),
+        ("mult", cmd_mult, triple, "holomorphic multiplicity m(lam, mu, nu)"),
+        ("member", cmd_member, triple, "integral Horn semigroup membership"),
+        ("enumerate", cmd_enumerate, "p q bound out", "box-bounded semigroup triples to a file"),
+        ("hull", cmd_hull, "in out", "exact facets of the cone of a points file"),
+        ("cone-member", cmd_cone_member, "in " + triple, "triple membership in a cone file"),
+        ("slice", cmd_slice, "in p q lam mu", "C-slice of a triple cone at fixed (A, B)"),
+        ("recession", cmd_recession, "in p q lam mu out", "recession cone of a C-slice"),
+        ("ressayre", cmd_ressayre, "p q in out gamma w1 w2", "facet certificates: verify or search"),
+        ("verify22", cmd_verify22, "bound", "end-to-end (2,2) cone reproduction"),
+    ]
+    parsers = {}
+    for name, fn, names, help_ in commands:
+        sp = parsers[name] = sub.add_parser(name, help=help_)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--p", type=int)
-        sp.add_argument("--q", type=int)
-        sp.add_argument("--n", type=int)
-        sp.add_argument("--lam")
-        sp.add_argument("--mu")
-        sp.add_argument("--nu")
-        sp.add_argument("--triple")
-        sp.add_argument("--bound", type=int, default=3)
-        sp.add_argument("--in", dest="infile")
-        sp.add_argument("--out")
-        sp.add_argument("--gamma")
-        sp.add_argument("--w1")
-        sp.add_argument("--w2")
-        return sp
-
-    add("lr", cmd_lr, "Littlewood-Richardson coefficient c^nu_{lam,mu}")
-    add("mult", cmd_mult, "holomorphic multiplicity m(lam, mu, nu)")
-    add("member", cmd_member, "integral Horn semigroup membership")
-    add("enumerate", cmd_enumerate, "box-bounded semigroup triples to a file")
-    add("hull", cmd_hull, "exact facets of the cone of a points file")
-    add("cone-member", cmd_cone_member, "triple membership in a cone file")
-    add("slice", cmd_slice, "C-slice of a triple cone at fixed (A, B)")
-    add("recession", cmd_recession, "recession cone of a C-slice")
-    rp = add("ressayre", cmd_ressayre, "facet certificates: verify or search")
-    rp.add_argument("mode", choices=["verify", "search"])
-    vp = add("verify22", cmd_verify22, "end-to-end (2,2) cone reproduction")
-    vp.add_argument(
+        for opt in names.split():
+            sp.add_argument("--" + opt, **options.get(opt, {}))
+    parsers["ressayre"].add_argument("mode", choices=["verify", "search"])
+    parsers["verify22"].add_argument(
         "--inject-fault", action="store_true", help=argparse.SUPPRESS
     )
     return ap

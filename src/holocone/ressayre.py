@@ -113,23 +113,13 @@ def trace_condition(c: RessayreCandidate, shape: Shape) -> bool:
 def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
     """Intersection number k of the certificate's Schubert problem.
 
-    k = point_coefficient([X_gamma] . [X_{w1,gamma}] . [X_{w2,gamma}]
-    . Eul(q^{gamma>0})) on the partial flag variety of gamma.
+    k is the point coefficient of [X_gamma] . [X_{w1,gamma}] .
+    [X_{w2,gamma}] . Eul(q^{gamma>0}) on the partial flag variety of
+    gamma (schubert.intersection_number).
     """
     if not admissible(c.gamma, shape):
         raise ValueError("schubert_condition requires an admissible gamma")
-    g = c.gamma
-    f = schubert.flag_type_of(g, shape)
-    cls = schubert.class_of_base_cell(g, shape)
-    for w in (c.w1, c.w2):
-        cls = schubert.schubert_multiply(
-            cls, schubert.class_of_cell((w.wp, w.wq), g, shape), f, shape
-        )
-        if not cls:
-            return 0
-    eul = schubert.euler_class_q_positive(g, shape)
-    cls = schubert.schubert_multiply(cls, eul, f, shape)
-    return schubert.point_coefficient(cls, f, shape)
+    return schubert.intersection_number(c.gamma, (c.w1, c.w2), shape)
 
 
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:

@@ -1,12 +1,15 @@
 """Type-A Schubert calculus on partial flag varieties of U(p) x U(q).
 
-Everything is computed in the full-flag model per unitary block: classes
-are integer combinations of Schubert classes indexed by permutations,
-products are evaluated by expanding one factor into its Schubert
-polynomial and applying the Monk/Chevalley rule monomial by monomial.
-Partial flags F_gamma enter through minimal coset representatives; the
-pullback to the full flag is injective on the Schubert basis, so no
-separate quotient model is needed.
+One kernel, the divided difference, does all the work.  H*(Fl(p) x
+Fl(q)) is Z[x, y] modulo the ideal of symmetric polynomials of positive
+degree in x and in y, with basis S_u(x) S_v(y); a partial flag variety
+F_gamma pulls back injectively onto the span of the minimal coset
+representatives, so no separate quotient model is needed.  A class is
+multiplied as a polynomial, and the coefficient of S_u(x) S_v(y) in a
+polynomial is its constant term after partial has been applied down a
+descent chain of u and then of v (partial kills the ideal), which is how
+products are expanded back into the basis and how intersection numbers
+are read off.
 
 Permutations are tuples in one-line notation with w[i] the image of
 position i, matching the WeylElement convention of the weights module.
@@ -73,7 +76,7 @@ def all_perms(n: int) -> List[Perm]:
 # Schubert polynomials
 
 
-def _divided_difference(i: int, f: Poly, n: int) -> Poly:
+def _divided_difference(i: int, f: Poly) -> Poly:
     """partial_i f = (f - s_i f) / (x_i - x_{i+1}), exact on monomials."""
     out: Poly = {}
 
@@ -112,13 +115,13 @@ def schubert_polynomial(w: Perm) -> Poly:
         i = next(k for k in range(n - 1) if w[k] < w[k + 1])
         ws = list(w)
         ws[i], ws[i + 1] = ws[i + 1], ws[i]
-        val = _divided_difference(i, schubert_polynomial(tuple(ws)), n)
+        val = _divided_difference(i, schubert_polynomial(tuple(ws)))
     _schubert_poly_cache[key] = val
     return val
 
 
 # ---------------------------------------------------------------------------
-# Cohomology of Fl(p) x Fl(q): Schubert-basis classes with the Monk rule
+# Cohomology of Fl(p) x Fl(q): classes as polynomials in x and y
 
 
 class FlagType(NamedTuple):
@@ -161,82 +164,65 @@ def is_min_coset_rep(w: Perm, comp: Sequence[int]) -> bool:
     return min_coset_rep(w, comp) == w
 
 
-def _monk_x(cls: Dict[Perm, int], k: int, n: int) -> Dict[Perm, int]:
-    """Multiply a single-flag class by x_k (0-indexed Chern root)."""
-    out: Dict[Perm, int] = {}
+def _mul(f: Poly, g: Poly) -> Poly:
+    out: Poly = {}
+    for ea, ca in f.items():
+        for eb, cb in g.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
-    def add(w, c):
-        if c:
-            out[w] = out.get(w, 0) + c
-            if not out[w]:
-                del out[w]
 
-    for w, c in cls.items():
-        lw = inversions(w)
-        for j in range(k + 1, n):
-            v = list(w)
-            v[k], v[j] = v[j], v[k]
-            if w[k] < w[j] and inversions(tuple(v)) == lw + 1:
-                add(tuple(v), c)
-        for i in range(k):
-            v = list(w)
-            v[i], v[k] = v[k], v[i]
-            if w[i] < w[k] and inversions(tuple(v)) == lw + 1:
-                add(tuple(v), -c)
+def _polynomial_of(cls: CohomologyElement) -> Poly:
+    """The sum of c * S_wp(x) * S_wq(y) over cls, exponents of x then of y."""
+    out: Poly = {}
+    for (wp, wq), c in cls.items():
+        py = schubert_polynomial(wq)
+        for ex, cx in schubert_polynomial(wp).items():
+            for ey, cy in py.items():
+                out[ex + ey] = out.get(ex + ey, 0) + c * cx * cy
+    return {e: c for e, c in out.items() if c}
+
+
+def _coefficient(f: Poly, wp: Perm, wq: Perm) -> int:
+    """Coefficient of S_wp(x) * S_wq(y) in f modulo the symmetric ideals.
+
+    partial_i S_w = S_{w s_i} at a descent i of w and 0 at an ascent, and
+    partial_i maps the ideal generated by the symmetric polynomials of
+    positive degree into itself; so applying partial down a descent chain
+    of wp (in x) and then of wq (in y) sends S_wp(x) S_wq(y) to 1, every
+    other basis element to 0 or to a polynomial without constant term,
+    and the ideal to polynomials without constant term.
+    """
+    p = len(wp)
+    for offset, w in ((0, wp), (p, wq)):
+        w = list(w)
+        while f:
+            i = next((k for k in range(len(w) - 1) if w[k] > w[k + 1]), None)
+            if i is None:
+                break
+            w[i], w[i + 1] = w[i + 1], w[i]
+            f = _divided_difference(offset + i, f)
+    return f.get((0,) * (p + len(wq)), 0)
+
+
+def _expand(poly: Poly, f: FlagType, shape: Shape) -> CohomologyElement:
+    """A polynomial pulled back from F_f, in the minimal-coset-rep basis.
+
+    Each basis coefficient is read off the part of poly of its bidegree.
+    """
+    parts: Dict[Tuple[int, int], Poly] = {}
+    for e, c in poly.items():
+        parts.setdefault((sum(e[: shape.p]), sum(e[shape.p :])), {})[e] = c
+    out: CohomologyElement = {}
+    reps_p, reps_q = ([w for w in all_perms(sum(c)) if is_min_coset_rep(w, c)] for c in f)
+    for wp in reps_p:
+        for wq in reps_q:
+            part = parts.get((inversions(wp), inversions(wq)))
+            c = _coefficient(part, wp, wq) if part else 0
+            if c:
+                out[(wp, wq)] = c
     return out
-
-
-def _monk_joint(
-    cls: CohomologyElement, k: int, block: int, shape: Shape
-) -> CohomologyElement:
-    """Multiply a joint class by x_k (block 0) or y_k (block 1)."""
-    n = shape.q if block else shape.p
-    out: CohomologyElement = {}
-    for pair, c in cls.items():
-        for w, c2 in _monk_x({pair[block]: c}, k, n).items():
-            key = (pair[0], w) if block else (w, pair[1])
-            out[key] = out.get(key, 0) + c2
-    return out
-
-
-def _mult_monomial(
-    cls: CohomologyElement, ex: Sequence[int], ey: Sequence[int], shape: Shape
-) -> CohomologyElement:
-    """Multiply by x^ex * y^ey, one Chern root at a time."""
-    cur = cls
-    for block, exps in enumerate((ex, ey)):
-        for k, e in enumerate(exps):
-            for _ in range(e):
-                cur = _monk_joint(cur, k, block, shape)
-    return {k: v for k, v in cur.items() if v}
-
-
-def multiply_by_polynomial(
-    cls: CohomologyElement, poly_x: Poly, poly_y: Poly, shape: Shape
-) -> CohomologyElement:
-    """Multiply by (sum poly_x)(x) * (sum poly_y)(y)."""
-    out: CohomologyElement = {}
-    for ex, cx in poly_x.items():
-        for ey, cy in poly_y.items():
-            for k, v in _mult_monomial(cls, ex, ey, shape).items():
-                c = v * cx * cy
-                if c:
-                    out[k] = out.get(k, 0) + c
-    return {k: v for k, v in out.items() if v}
-
-
-def multiply_by_joint_linear(
-    cls: CohomologyElement, form: Tuple[Tuple[int, ...], Tuple[int, ...]], shape: Shape
-) -> CohomologyElement:
-    """Multiply by a degree-1 class sum_k a_k x_k + sum_k b_k y_k."""
-    out: CohomologyElement = {}
-    for block, coeffs in enumerate(form):
-        for k, a in enumerate(coeffs):
-            if not a:
-                continue
-            for key, c in _monk_joint(cls, k, block, shape).items():
-                out[key] = out.get(key, 0) + a * c
-    return {k: v for k, v in out.items() if v}
 
 
 def schubert_multiply(
@@ -249,15 +235,7 @@ def schubert_multiply(
                 wq, f.comp_q
             ):
                 raise ValueError("class not supported on this flag type")
-    out: CohomologyElement = {}
-    for (up, uq), cb in b.items():
-        px = schubert_polynomial(up)
-        py = schubert_polynomial(uq)
-        for k, v in multiply_by_polynomial(a, px, py, shape).items():
-            c = v * cb
-            if c:
-                out[k] = out.get(k, 0) + c
-    return {k: v for k, v in out.items() if v}
+    return _expand(_mul(_polynomial_of(a), _polynomial_of(b)), f, shape)
 
 
 def unit_class(shape: Shape) -> CohomologyElement:
@@ -272,9 +250,8 @@ def point_class(f: FlagType, shape: Shape) -> CohomologyElement:
 
 def point_coefficient(a: CohomologyElement, f: FlagType, shape: Shape) -> int:
     """Coefficient of the point class of F_f."""
-    wp = min_coset_rep(longest_perm(shape.p), f.comp_p)
-    wq = min_coset_rep(longest_perm(shape.q), f.comp_q)
-    return a.get((wp, wq), 0)
+    (top,) = point_class(f, shape)
+    return a.get(top, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,18 +315,30 @@ def cell_class_rep(
     return min_coset_rep(u, comp)
 
 
-def class_of_cell(w_pair, gamma: Sequence, shape: Shape) -> CohomologyElement:
-    """[closure of B.(w.[e])] on F_gamma; w_pair = (perm_p, perm_q)."""
-    gp, gq = blocks(gamma, shape)
-    wp, wq = w_pair
-    return {(cell_class_rep(wp, gp), cell_class_rep(wq, gq)): 1}
-
-
 def class_of_base_cell(gamma: Sequence, shape: Shape) -> CohomologyElement:
     """[X_gamma]: the class of the closure of the B-orbit of the base point."""
-    return class_of_cell(
-        (identity_perm(shape.p), identity_perm(shape.q)), gamma, shape
-    )
+    gp, gq = blocks(gamma, shape)
+    wp = cell_class_rep(identity_perm(shape.p), gp)
+    wq = cell_class_rep(identity_perm(shape.q), gq)
+    return {(wp, wq): 1}
+
+
+def _euler_polynomial(gamma: Sequence, shape: Shape) -> Poly:
+    """prod EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}) over gamma_i > gamma_{p+j}.
+
+    sigma sorts each block of gamma upward (block_sorting_perm); the
+    product is symmetric in the variables of each part of flag_type_of.
+    """
+    gp, gq = blocks(gamma, shape)
+    sp, sq = block_sorting_perm(gp), block_sorting_perm(gq)
+    n = shape.rank
+    poly: Poly = {(0,) * n: 1}
+    for i in range(shape.p):
+        for j in range(shape.q):
+            if gp[i] > gq[j]:
+                x, y = (tuple(int(k == a) for k in range(n)) for a in (sp[i], shape.p + sq[j]))
+                poly = _mul(poly, {x: EULER_SIGN, y: -EULER_SIGN})
+    return poly
 
 
 def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
@@ -357,25 +346,35 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
 
     In the standard model the Chern root of the (i, j) weight line is
     EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}); the product over the
-    positive-pairing weights is expanded into the Schubert basis.
+    positive-pairing weights is expanded into the Schubert basis of F_gamma.
     """
-    if all(v == 0 for v in gamma):
-        raise ValueError("gamma must be nonzero")
+    return _expand(_euler_polynomial(gamma, shape), flag_type_of(gamma, shape), shape)
+
+
+def intersection_number(
+    gamma: Sequence, cells: Sequence[Tuple[Perm, Perm]], shape: Shape
+) -> int:
+    """Point coefficient of [X_gamma] . prod [X_{w,gamma}] . Eul(q^{gamma>0}) on F_gamma.
+
+    cells holds the Weyl pairs (w_p, w_q) of the translated cells.  The
+    product is taken on polynomials, S_u(x) S_v(y) for each cell class
+    times the Euler polynomial, and its coefficient at the point class
+    S_{min-rep(w0)} is read off by divided differences (_coefficient).
+    A product whose degree is not dim F_gamma has point coefficient 0.
+    """
+    f = flag_type_of(gamma, shape)
     gp, gq = blocks(gamma, shape)
-    sp = block_sorting_perm(gp)
-    sq = block_sorting_perm(gq)
-    cls = unit_class(shape)
-    for i in range(shape.p):
-        for j in range(shape.q):
-            if gp[i] > gq[j]:
-                ax = [0] * shape.p
-                by = [0] * shape.q
-                ax[sp[i]] = EULER_SIGN
-                by[sq[j]] = -EULER_SIGN
-                cls = multiply_by_joint_linear(cls, (tuple(ax), tuple(by)), shape)
-                if not cls:
-                    return {}
-    return cls
+    base = (identity_perm(shape.p), identity_perm(shape.q))
+    reps = [(cell_class_rep(wp, gp), cell_class_rep(wq, gq)) for wp, wq in (base, *cells)]
+    (top,) = point_class(f, shape)
+    degree = sum(inversions(u) + inversions(v) for u, v in reps)
+    degree += sum(a > b for a in gp for b in gq)
+    if degree != inversions(top[0]) + inversions(top[1]):
+        return 0
+    poly = _euler_polynomial(gamma, shape)
+    for rep in reps:
+        poly = _mul(poly, _polynomial_of({rep: 1}))
+    return _coefficient(poly, *top)
 
 
 def clear_caches() -> None:

@@ -26,7 +26,13 @@ q-pair) at a time, uniting the products of their block sets over every
 Cauchy component, from tables built with `oracle_tensor_expand`, one
 product kappa (x) delta per Cauchy weight, directly on the q-blocks.
 The certificate oracle is the package's earlier search: it scans every
-Weyl pair matching a facet normal, where the package checks one.
+Weyl pair matching a facet normal, where the package checks one.  The
+Schubert oracles are the package's earlier class algebra: classes are
+multiplied in the full-flag Schubert basis by Monk's rule, one Chern
+root at a time (`oracle_schubert_multiply`, the Euler class
+`oracle_euler_class` and the Schubert number `oracle_schubert_condition`),
+where the package multiplies polynomials and reads the basis coefficients
+off with divided differences.
 """
 
 from __future__ import annotations
@@ -776,3 +782,95 @@ def oracle_certify_normal(normal, shape):
             if k >= 1:
                 return ressayre.FacetCertificate(cand, k, normal)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Schubert products by Monk's rule
+
+
+def _monk(cls, k: int, block: int, shape):
+    """A class {(wp, wq): c} times x_k (block 0) or y_k (block 1), by Monk's
+    rule: x_k S_w = sum S_{w t_kj} over k < j minus sum S_{w t_ik} over
+    i < k, each over the transpositions that raise the length by one."""
+    from holocone.schubert import inversions
+
+    n = shape.q if block else shape.p
+    out = {}
+    for pair, c in cls.items():
+        w = pair[block]
+        lw = inversions(w)
+        for i, j, sign in [(k, j, 1) for j in range(k + 1, n)] + [(i, k, -1) for i in range(k)]:
+            v = list(w)
+            v[i], v[j] = v[j], v[i]
+            v = tuple(v)
+            if w[i] < w[j] and inversions(v) == lw + 1:
+                key = (pair[0], v) if block else (v, pair[1])
+                out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}
+
+
+def _monk_polynomial(cls, poly_x, poly_y, shape):
+    """cls times poly_x(x) * poly_y(y), one Chern root at a time."""
+    out = {}
+    for ex, cx in poly_x.items():
+        for ey, cy in poly_y.items():
+            cur = cls
+            for block, exps in enumerate((ex, ey)):
+                for k, e in enumerate(exps):
+                    for _ in range(e):
+                        cur = _monk(cur, k, block, shape)
+            for key, c in cur.items():
+                out[key] = out.get(key, 0) + c * cx * cy
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_schubert_multiply(a, b, shape):
+    """The package's earlier cup product: each basis class (u, v) of b is
+    expanded into S_u(x) S_v(y), and a is multiplied by it monomial by
+    monomial with Monk's rule, in the full-flag Schubert basis."""
+    from holocone.schubert import schubert_polynomial
+
+    out = {}
+    for (u, v), cb in b.items():
+        prod = _monk_polynomial(a, schubert_polynomial(u), schubert_polynomial(v), shape)
+        for key, c in prod.items():
+            out[key] = out.get(key, 0) + c * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def oracle_euler_class(gamma, shape):
+    """The package's earlier Euler class: the unit class times each Chern
+    root EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}) of a weight
+    e_i - e_{p+j} with gamma_i > gamma_{p+j}, by Monk's rule."""
+    from holocone.schubert import EULER_SIGN, block_sorting_perm, unit_class
+    from holocone.weights import blocks
+
+    gp, gq = blocks(gamma, shape)
+    sp, sq = block_sorting_perm(gp), block_sorting_perm(gq)
+    cls = unit_class(shape)
+    for i in range(shape.p):
+        for j in range(shape.q):
+            if gp[i] > gq[j]:
+                out = {}
+                for k, block, sign in ((sp[i], 0, EULER_SIGN), (sq[j], 1, -EULER_SIGN)):
+                    for key, c in _monk(cls, k, block, shape).items():
+                        out[key] = out.get(key, 0) + sign * c
+                cls = {key: c for key, c in out.items() if c}
+    return cls
+
+
+def oracle_schubert_condition(cand, shape) -> int:
+    """The package's earlier Schubert number: the class of the base cell
+    times the classes of the two translated cells and the Euler class,
+    multiplied class by class with Monk's rule; the coefficient of the
+    point class of F_gamma."""
+    from holocone import schubert as sc
+    from holocone.weights import blocks, identity_weyl
+
+    gp, gq = blocks(cand.gamma, shape)
+    cls = sc.unit_class(shape)
+    for w in (identity_weyl(shape), cand.w1, cand.w2):
+        cell = {(sc.cell_class_rep(w.wp, gp), sc.cell_class_rep(w.wq, gq)): 1}
+        cls = oracle_schubert_multiply(cls, cell, shape)
+    cls = oracle_schubert_multiply(cls, oracle_euler_class(cand.gamma, shape), shape)
+    return sc.point_coefficient(cls, sc.flag_type_of(cand.gamma, shape), shape)

@@ -434,6 +434,30 @@ class TestEntryPoint:
             )
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # once took --p/--q and silently verified U(2,2)
+            pytest.param(["verify22", "--p", "3", "--q", "1", "--bound", "1"], id="verify22-p-q"),
+            pytest.param(
+                ["lr", "--n", "2", "--lam", "1,0", "--mu", "1,0", "--nu", "2,0", "--bound", "200"],
+                id="lr-bound",
+            ),
+            pytest.param(["hull", "--p", "2", "--in", "OUT", "--out", "OUT"], id="hull-p"),
+            pytest.param(["mult", "--p", "1", "--q", "1", "--triple", "0;0|0;0|0;0", "--out", "OUT"],
+                         id="mult-out"),
+            pytest.param(["slice", "--p", "1", "--q", "1", "--in", "OUT", "--lam", "0;0", "--mu", "0;0",
+                          "--nu", "0;0"], id="slice-nu"),
+            pytest.param(["enumerate", "--p", "1", "--q", "1", "--out", "OUT", "--gamma", "1;0"],
+                         id="enumerate-gamma"),
+        ],
+    )
+    def test_option_a_subcommand_does_not_read_exits_2(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([str(tmp_path / "out") if a == "OUT" else a for a in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "holocone.cli", "frobnicate"],

@@ -389,6 +389,25 @@ class TestOnePairPerNormal:
             assert ressayre.certify_normal(nrm, shape) == oracle.oracle_certify_normal(nrm, shape)
 
 
+# (indicator normals, certified, certified with k = 1) per shape
+CERTIFIED_COUNTS = [
+    (Shape(2, 1), (18, 5, 5)),
+    (Shape(2, 2), (98, 13, 13)),
+    (Shape(3, 1), (110, 17, 17)),
+    (Shape(3, 2), (558, 38, 38)),
+    (Shape(4, 1), (690, 55, 55)),
+    (Shape(3, 3), (3134, 103, 103)),
+    (Shape(4, 2), (3458, 117, 116)),
+]
+
+
+@pytest.mark.parametrize("shape, counts", CERTIFIED_COUNTS, ids=[str(s) for s, _ in CERTIFIED_COUNTS])
+def test_certified_indicator_normal_counts(shape, counts):
+    certs = [ressayre.certify_normal(nrm, shape) for nrm in indicator_normals(shape)]
+    good = [c for c in certs if c is not None]
+    assert (len(certs), len(good), sum(c.k == 1 for c in good)) == counts
+
+
 class TestCertificateFiles:
     def test_round_trip(self, tmp_path):
         s = Shape(2, 2)

@@ -1,11 +1,15 @@
-"""Schubert calculus: polynomials, Monk products, duality, Euler classes."""
+"""Schubert calculus: polynomials, products read off by divided
+differences, duality, Euler classes, and the Schubert numbers of facet
+candidates, checked against the Monk-rule oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
-from holocone import lr, schubert as sc
-from holocone.weights import Shape
+import oracle
+from holocone import lr, ressayre, schubert as sc
+from holocone.weights import Shape, all_weyl_elements
 
 
 def full_flag(shape: Shape) -> sc.FlagType:
@@ -327,3 +331,91 @@ class TestEulerClass:
     def test_zero_gamma_rejected(self):
         with pytest.raises(ValueError):
             sc.euler_class_q_positive((0, 0), Shape(1, 1))
+
+
+def compositions(n):
+    """Every composition of n into positive parts."""
+    if n == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, n + 1) for rest in compositions(n - k)]
+
+
+def min_reps(comp):
+    return [w for w in sc.all_perms(sum(comp)) if sc.is_min_coset_rep(w, comp)]
+
+
+class TestAgainstMonkOracle:
+    """The divided-difference kernel against the earlier Monk-rule engine
+    (tests/oracle.py): products of multi-term classes of mixed degree,
+    Euler classes, and the Schubert numbers of facet candidates."""
+
+    @pytest.mark.parametrize(
+        "shape", [Shape(2, 2), Shape(3, 2), Shape(3, 3), Shape(4, 2)], ids=str
+    )
+    def test_products_over_every_flag_type(self, shape):
+        rng = random.Random(36)
+        for comp_p in compositions(shape.p):
+            for comp_q in compositions(shape.q):
+                f = sc.FlagType(comp_p, comp_q)
+                basis = [(u, v) for u in min_reps(comp_p) for v in min_reps(comp_q)]
+                for _ in range(3):
+                    # up to three classes each, coefficients -2, 1, 2 or 3
+                    a, b = (
+                        {key: rng.choice((-2, 1, 2, 3)) for key in rng.choices(basis, k=3)}
+                        for _ in range(2)
+                    )
+                    got = sc.schubert_multiply(a, b, f, shape)
+                    assert got == oracle.oracle_schubert_multiply(a, b, shape), (f, a, b)
+
+    def test_products_of_mixed_degree(self):
+        # (x_1 + 2 S_120(x) + 3 y_1)(x_1 + y_1) on the full flags of U(3,2):
+        # the product has parts of degree 2 and 3, with coefficients > 1.
+        shape = Shape(3, 2)
+        f = sc.FlagType((1, 1, 1), (1, 1))
+        e, s = (0, 1), (1, 0)
+        a = {((1, 0, 2), e): 1, ((1, 2, 0), e): 2, ((0, 1, 2), s): 3}
+        b = {((1, 0, 2), e): 1, ((0, 1, 2), s): 1}
+        got = sc.schubert_multiply(a, b, f, shape)
+        assert got == oracle.oracle_schubert_multiply(a, b, shape)
+        assert len({sc.inversions(u) + sc.inversions(v) for u, v in got}) == 2
+        assert max(got.values()) > 1
+
+    @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 2), Shape(3, 3)], ids=str)
+    def test_euler_class(self, shape):
+        rng = random.Random(37)
+        for _ in range(60):
+            g = tuple(rng.randint(-2, 2) for _ in range(shape.rank))
+            if any(g):
+                got = sc.euler_class_q_positive(g, shape)
+                assert got == oracle.oracle_euler_class(g, shape), g
+
+    @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1)], ids=str)
+    def test_schubert_condition_every_candidate(self, shape):
+        ws = all_weyl_elements(shape)
+        nonzero = 0
+        for g in product((-1, 0, 1), repeat=shape.rank):
+            if any(g) and ressayre.admissible(g, shape):
+                for w1 in ws:
+                    for w2 in ws:
+                        c = ressayre.RessayreCandidate(g, w1, w2)
+                        k = ressayre.schubert_condition(c, shape)
+                        assert k == oracle.oracle_schubert_condition(c, shape), c
+                        nonzero += k != 0
+        assert nonzero
+
+    def test_schubert_condition_sample_u33(self):
+        shape = Shape(3, 3)
+        rng = random.Random(38)
+        ws = all_weyl_elements(shape)
+        gammas = [
+            g
+            for g in product((-1, 0, 1), repeat=shape.rank)
+            if any(g) and ressayre.admissible(g, shape)
+        ]
+        nonzero = 0
+        for _ in range(400):
+            c = ressayre.RessayreCandidate(rng.choice(gammas), rng.choice(ws), rng.choice(ws))
+            k = ressayre.schubert_condition(c, shape)
+            assert k == oracle.oracle_schubert_condition(c, shape), c
+            nonzero += k != 0
+        assert nonzero
