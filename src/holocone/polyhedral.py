@@ -25,8 +25,10 @@ of all the constraints by each block of rows: in float64 where the
 bound max ||c||_1 * max |x| < 2**53 makes every partial sum an exactly
 representable integer, and otherwise (Fractions, larger bounds) in
 exact Python numbers.  `additive_prune` takes integer input one l1
-level at a time, looking each difference of two rows up among the rows
-as a packed row key; object input takes the exact loop, one point at a
+level at a time, with each row as one int64 code in mixed radix, so
+the difference of two rows is one subtraction of codes, looked up
+among the codes and confirmed against the row it names; object input,
+and rows too wide for int64 codes, take the exact loop, one point at a
 time.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
@@ -417,10 +419,13 @@ def _worst_violators(pts, normals, lins):
     return sorted({tuple(arr[i].tolist()) for i in where if i >= 0})
 
 
-# Kept rows per step of `additive_prune`: rows found reducible leave the
-# level after each step.  Level rows go in chunks of _SCAN_ROWS //
-# _PRUNE_STEP, so each step's differences fill one block of _SCAN_ROWS.
-_PRUNE_STEP = 4
+# Differences per step of `additive_prune`.  A step tests the rows left
+# in a level against the next max(1, _PRUNE_STEP // rows) kept rows: one
+# at a time while many rows remain, so each step drops the rows it
+# reduces before the next, and many at once for the last few rows, so
+# they cross the kept rows in few steps.  Level rows go in chunks of
+# _SCAN_ROWS // 4, which bounds the rows a step's hit check gathers.
+_PRUNE_STEP = 2048
 
 
 def additive_prune(points) -> List[IntVec]:
@@ -434,49 +439,75 @@ def additive_prune(points) -> List[IntVec]:
 
     x is reduced only by kept points g of smaller norm than x, so points
     of one l1 level never affect each other.  Integer input is therefore
-    pruned one level at a time: every row of a level is tested against a
-    few kept rows per step, by looking up each x - g among the rows as a
-    packed row key (`searchsorted` on a void view).  Object input
-    (Fractions, ints beyond int64) and spans too wide for int64 norms use
-    the exact loop.
+    pruned one level at a time, each row of a level against a block of
+    kept rows per step (`_PRUNE_STEP`).  Each row is one int64 code in
+    mixed radix span + 1, digit j being x_j - lo, most significant first
+    (lo <= 0 <= lo + span bound every entry), so codes sort as the rows
+    do.  The code of x - g is code(x) - code(g) - lo * sum((span + 1)^j):
+    one subtraction of codes, looked up with `searchsorted`.  A difference
+    with a digit outside [0, span] can carry the code of another row, so
+    each hit is confirmed against the row it names.  Object input
+    (Fractions, ints beyond int64) and rows with (span + 1)^dim >= 2**63,
+    whose codes do not fit, take the exact loop.
     """
     import numpy as np
 
     arr = _point_matrix(points)
     dim = arr.shape[1]
-    if arr.dtype.kind not in "iu":
-        return _prune_loop(arr.tolist())
     # Every entry, and every difference of two rows, lies in [-span, span].
-    span = int(arr.max(initial=0)) - int(arr.min(initial=0))
-    if span * dim >= 2**63:
+    lo = int(arr.min(initial=0))
+    span = int(arr.max(initial=0)) - lo
+    if arr.dtype.kind not in "iu" or (span + 1) ** dim >= 2**63:
         return _prune_loop(arr.tolist())
-    rows = arr.astype(np.int8 if span < 2**7 else np.int16 if span < 2**15 else np.int64)
-    rows = rows[rows.any(axis=1)]
-    if not len(rows):
+    if arr.dtype == np.uint64:
+        arr = arr.view(np.int64)  # entries within span < 2**63 keep their value
+    # Codes and norms column by column, by Horner's rule: no int64 copy of
+    # the whole matrix.  Norms fit: dim * span < (span + 1)^dim by
+    # Bernoulli's inequality.
+    codes = np.zeros(len(arr), dtype=np.int64)
+    norm = np.zeros(len(arr), dtype=np.int64)
+    for col in arr.T:
+        codes *= span + 1
+        codes += col
+        norm += np.abs(col, dtype=np.int64)
+    shift = -lo * sum((span + 1) ** j for j in range(dim))  # the code of the zero row
+    codes, first = np.unique(codes + shift, return_index=True)
+    nonzero = codes != shift
+    codes, first = codes[nonzero], first[nonzero]
+    if not len(codes):
         return []
-    packed = np.dtype((np.void, rows.itemsize * dim))
-    keys, first = np.unique(np.ascontiguousarray(rows).view(packed).ravel(), return_index=True)
-    rows = rows[first]  # one row per key, in the order of `keys`
-    norm = np.abs(rows).sum(axis=1, dtype=np.int64)
+    rows, norm = arr[first], norm[first]  # one row per code, in code order
     order = np.argsort(norm, kind="stable")
-    kept = rows[:0]  # in increasing norm
+    kept = order[:0]  # row indices, in increasing norm
     for level in np.split(order, np.flatnonzero(np.diff(norm[order])) + 1):
         nx = norm[level[0]]
         survivors = [kept]
-        chunk = _SCAN_ROWS // _PRUNE_STEP
-        for start in range(0, len(level), chunk):
-            x = rows[level[start : start + chunk]]
-            for step in range(0, len(kept), _PRUNE_STEP):
-                if not len(x):
-                    break
-                g = kept[step : step + _PRUNE_STEP]
-                diff = (x[:, None, :] - g).reshape(-1, dim).view(packed).ravel()
-                at = np.searchsorted(keys, diff) % len(keys)  # past the end: no match
-                found = (keys[at] == diff) & (norm[at] < nx)
-                x = x[~found.reshape(len(x), len(g)).any(axis=1)]
+        # code(x) - (code(g) - shift) is code(x - g) if every digit of x - g
+        # is in [0, span].  Otherwise it may be another row's code (hence
+        # the check of each hit) or wrap past 2**63 to below every code.
+        kept_codes = codes[kept] - shift
+        for start in range(0, len(level), _SCAN_ROWS // 4):
+            x = level[start : start + _SCAN_ROWS // 4]
+            xc = codes[x]
+            step = 0
+            while step < len(kept) and len(x):
+                stop = step + max(1, _PRUNE_STEP // len(x))
+                g = kept[step:stop]
+                diff = (xc[:, None] - kept_codes[step:stop]).ravel()
+                at = np.searchsorted(codes, diff) % len(codes)  # past the end: no match
+                hit = np.flatnonzero(codes[at] == diff)
+                if len(hit):
+                    h = at[hit]
+                    xi, gi = np.divmod(hit, len(g))
+                    diff_rows = rows[x[xi]].astype(np.int64) - rows[g[gi]]
+                    real = (diff_rows == rows[h]).all(axis=1) & (norm[h] < nx)
+                    live = np.ones(len(x), dtype=bool)
+                    live[xi[real]] = False
+                    x, xc = x[live], xc[live]
+                step = stop
             survivors.append(x)
         kept = np.concatenate(survivors)
-    return sorted(map(tuple, kept.tolist()))
+    return list(map(tuple, rows[np.sort(kept)].tolist()))
 
 
 def _prune_loop(rows) -> List[IntVec]:

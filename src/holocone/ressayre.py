@@ -44,6 +44,25 @@ def _check_gamma(gamma) -> None:
         raise ValueError("gamma must be nonzero")
 
 
+def _check_weyl(c: RessayreCandidate, shape: Shape) -> None:
+    """ValueError unless w1 and w2 are Weyl elements of the shape: pairs of
+    permutations of range(p) and range(q)."""
+    for name, w in (("w1", c.w1), ("w2", c.w2)):
+        if not (isinstance(w, WeylElement) and _permutes(w.wp, shape.p) and _permutes(w.wq, shape.q)):
+            raise ValueError(f"{name} must permute range({shape.p}) and range({shape.q}), got {w!r}")
+
+
+def _permutes(b, n: int) -> bool:
+    """Whether b is a tuple or list of the ints 0, ..., n-1 in some order."""
+    return type(b) in (tuple, list) and set(map(type, b)) <= {int} and sorted(b) == list(range(n))
+
+
+def _translates(c: RessayreCandidate, shape: Shape):
+    """(w1.gamma, w2.gamma, gamma), the blocks every predicate reads."""
+    g = c.gamma
+    return c.w1.apply(g, shape), c.w2.apply(g, shape), g
+
+
 def admissible(gamma: Sequence, shape: Shape) -> bool:
     """span(R_o intersect gamma-perp) == span(R_o) intersect gamma-perp.
 
@@ -80,10 +99,14 @@ def relation_A(c: RessayreCandidate, shape: Shape) -> bool:
     the differences within a block, and the noncompact ones e_i - e_{p+j}
     as the differences between a p-index and a q-index.
     """
+    _check_weyl(c, shape)
+    return _relation_A(*_translates(c, shape), shape)
+
+
+def _relation_A(t1, t2, g, shape: Shape) -> bool:
+    """`relation_A` from the translates t1 = w1.gamma and t2 = w2.gamma."""
     p = shape.p
-    g = c.gamma
-    translates = (c.w1.apply(g, shape), c.w2.apply(g, shape), g)
-    lhs = sum(x > 0 for v in translates for x in _compact_diffs(v, p))
+    lhs = sum(x > 0 for v in (t1, t2, g) for x in _compact_diffs(v, p))
     rhs = 2 * sum(x != 0 for x in _compact_diffs(g, p)) + sum(
         a > b for a in g[:p] for b in g[p:]
     )
@@ -101,13 +124,16 @@ def _positive_sum(v):
 
 def trace_condition(c: RessayreCandidate, shape: Shape) -> bool:
     """Eq.-(15)-style trace identity between gamma and its translates."""
+    _check_weyl(c, shape)
+    return _trace_condition(*_translates(c, shape), shape)
+
+
+def _trace_condition(t1, t2, g, shape: Shape) -> bool:
+    """`trace_condition` from the translates t1 = w1.gamma and t2 = w2.gamma."""
     w0 = longest_weyl(shape)
-    g = c.gamma
-    lhs = _positive_sum(g)
-    rhs = _positive_sum(w0.compose(c.w1).apply(g, shape)) + _positive_sum(
-        w0.compose(c.w2).apply(g, shape)
+    return _positive_sum(g) == _positive_sum(w0.apply(t1, shape)) + _positive_sum(
+        w0.apply(t2, shape)
     )
-    return lhs == rhs
 
 
 def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
@@ -117,6 +143,7 @@ def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
     [X_{w2,gamma}] . Eul(q^{gamma>0}) on the partial flag variety of
     gamma (schubert.intersection_number).
     """
+    _check_weyl(c, shape)
     if not admissible(c.gamma, shape):
         raise ValueError("schubert_condition requires an admissible gamma")
     return schubert.intersection_number(c.gamma, (c.w1, c.w2), shape)
@@ -124,24 +151,22 @@ def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
 
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
     """Primitive normal of <A,w1.g> + <B,w2.g> - <C,w0.g> >= 0 on triples."""
-    g = c.gamma
+    _check_weyl(c, shape)
+    t1, t2, g = _translates(c, shape)
     w0 = longest_weyl(shape)
-    vec = (
-        tuple(c.w1.apply(g, shape))
-        + tuple(c.w2.apply(g, shape))
-        + tuple(-x for x in w0.apply(g, shape))
-    )
-    return primitive(vec)
+    return primitive(t1 + t2 + tuple(-x for x in w0.apply(g, shape)))
 
 
 def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
     """All four predicates at once (UI helper); short-circuits nothing."""
     adm = admissible(c.gamma, shape)
+    _check_weyl(c, shape)
+    t = _translates(c, shape)
     out = {
         "admissible": adm,
-        "relation_A": relation_A(c, shape),
-        "trace_condition": trace_condition(c, shape),
-        "schubert_k": schubert_condition(c, shape) if adm else 0,
+        "relation_A": _relation_A(*t, shape),
+        "trace_condition": _trace_condition(*t, shape),
+        "schubert_k": schubert.intersection_number(c.gamma, (c.w1, c.w2), shape) if adm else 0,
     }
     out["certified"] = (
         out["admissible"]
@@ -214,6 +239,8 @@ def certify_normal(
     w only through w.gamma, schubert_condition through min-rep(w0 o w o
     sigma^-1) (schubert.cell_class_rep), and w'.gamma == w.gamma means
     w' = w o s with s in Stab(gamma) = sigma^-1 W_P sigma, the same coset.
+    Once w1.gamma and w2.gamma match the normal's A- and B-blocks, the
+    predicates read those blocks as the translates.
     """
     n = shape.rank
     normal = primitive(normal)
@@ -223,14 +250,14 @@ def certify_normal(
     na, nb = normal[:n], normal[n : 2 * n]
     def sort(v) -> WeylElement:
         return WeylElement(*map(schubert.block_sorting_perm, blocks(v, shape)))
-    w1, w2 = (sort(t).inverse().compose(sort(g)) for t in (na, nb))
-    cand = RessayreCandidate(g, w1, w2)
-    if (w1.apply(g, shape), w2.apply(g, shape)) != (na, nb) or not relation_A(cand, shape):
+    sg = sort(g)
+    w1, w2 = (sort(t).inverse().compose(sg) for t in (na, nb))
+    if (w1.apply(g, shape), w2.apply(g, shape)) != (na, nb) or not _relation_A(na, nb, g, shape):
         return None
-    if not trace_condition(cand, shape):
+    if not _trace_condition(na, nb, g, shape):
         return None
-    k = schubert_condition(cand, shape)
-    return FacetCertificate(cand, k, normal) if k >= 1 else None
+    k = schubert.intersection_number(g, (w1, w2), shape)
+    return FacetCertificate(RessayreCandidate(g, w1, w2), k, normal) if k >= 1 else None
 
 
 def search_certificates(

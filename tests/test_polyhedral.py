@@ -408,9 +408,11 @@ class TestAdditivePrune:
         assert ph.additive_prune(thirds) == [tuple(Fraction(x, 3) for x in k) for k in want]
 
     # (dtype, lo, hi): rows with entries lo and hi span hi - lo together
-    # with 0, on either side of each packed-key dtype boundary (int8 keys
-    # up to a span of 127, int16 up to 2**15 - 1, then int64 while
-    # dim * span < 2**63, then the exact loop).
+    # with 0.  Rows are coded in int64 while (span + 1)^dim < 2**63: for
+    # dim 1, 2 and 3 up to spans 2**63 - 2, 3,037,000,498 and 2**21 - 2;
+    # wider spans take the exact loop.  So the spans up to 2**15 are
+    # coded at every dim, 2**21 at dim 1 and 2, 2**62 at dim 1, and the
+    # two widest never; the cases keep every dtype and sign pattern.
     SPANS = [
         (np.int8, -128, 127),
         (np.int8, -127, 0),
@@ -441,6 +443,40 @@ class TestAdditivePrune:
         assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
         assert ph.additive_prune(rows) == want
 
+    # dim -> the widest span whose codes fit: (span + 1)^dim < 2**63
+    WIDEST = {1: 2**63 - 2, 2: 3_037_000_498, 3: 2**21 - 2}
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_code_width_boundary_matches_oracle(self, data):
+        """Spans at the widest that codes in int64 and one past it: the
+        first is pruned on codes, the second by the exact loop."""
+        dim = data.draw(st.sampled_from(sorted(self.WIDEST)))
+        span = self.WIDEST[dim] + data.draw(st.integers(0, 1))
+        lo = -data.draw(st.sampled_from([0, 1, span // 2, span - 1, span]))
+        hi = lo + span
+        entry = st.sampled_from([lo, lo + 1, 0, 1, hi - 1, hi])
+        big = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=6))
+        small = data.draw(st.lists(st.lists(st.integers(-1, 1), min_size=dim, max_size=dim), max_size=8))
+        rows = [[lo] + [0] * (dim - 1), [hi] + [0] * (dim - 1)] + small + big
+        rows += [[a + b for a, b in zip(x, y)] for x in big for y in small]
+        rows = data.draw(st.permutations([r for r in rows if all(lo <= v <= hi for v in r)]))
+        want = oracle.oracle_additive_prune(rows)
+        with mock.patch.object(ph, "_prune_loop", wraps=ph._prune_loop) as loop:
+            assert ph.additive_prune(rows) == want
+        assert loop.called == ((span + 1) ** dim >= 2**63)
+        if hi < 2**63:
+            dtype = np.int64 if lo >= -(2**63) else object
+            assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
+
+    def test_aliased_code_is_confirmed_against_its_row(self):
+        # lo = -1 and span 2 give radix 3 and codes 3 * (x0 + 1) + (x1 + 1):
+        # (-1, 1) codes as 2 and (0, -1) as 3.  The difference (-1, 2) has
+        # the digit 3 and codes as 3 too, so a lookup by code alone would
+        # split (-1, 1) as (0, -1) + (0, -1) and drop it.
+        rows = [(-1, 1), (0, -1)]
+        assert ph.additive_prune(rows) == oracle.oracle_additive_prune(rows) == rows
+
     def test_uint64_is_not_cast_with_a_wrap(self):
         # 2**63 wraps to -2**63 in int64; (2**63, 0) splits as (1, 0) + (2**63 - 1, 0).
         pts = np.array([[1, 0], [2**63 - 1, 0], [2**63, 0], [2**63, 1]], dtype=np.uint64)
@@ -461,8 +497,9 @@ class TestAdditivePrune:
         assert ph.additive_prune([(0, 0), (0, 0)]) == []
         twice = np.array([[1, -1], [1, -1], [0, 0], [2, -2]], dtype=np.int8)
         assert ph.additive_prune(twice) == [(1, -1)]
-        for shape in (Shape(2, 2), Shape(3, 1)):
-            pts = semigroup.enumerate_semigroup_points(shape, 1)
+        # U(2,1) at box 2 has entries in [-2, 2]: radix 5
+        for shape, box in ((Shape(2, 2), 1), (Shape(3, 1), 1), (Shape(2, 1), 2)):
+            pts = semigroup.enumerate_semigroup_points(shape, box)
             assert ph.additive_prune(pts) == oracle.oracle_additive_prune(pts)
 
 

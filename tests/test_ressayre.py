@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracle
 from holocone import reference22, ressayre, semigroup
 from holocone.polyhedral import cone_from_points, dot, primitive
-from holocone.weights import Shape, all_weyl_elements, identity_weyl, longest_weyl
+from holocone.weights import Shape, WeylElement, all_weyl_elements, identity_weyl, longest_weyl
 
 
 def cand(gamma, w1, w2):
@@ -234,6 +234,37 @@ class TestInequalityOf:
         e = identity_weyl(s)
         got = ressayre.inequality_of(cand((-1, 0), e, e), s)
         assert got == (-1, 0, -1, 0, 1, 0)  # a1 + b1 <= c1
+
+
+MALFORMED_WEYL = [
+    WeylElement((0, 0), (0, 1)),  # a repeated index
+    WeylElement((0, 1, 2), (0, 1)),  # a p-block of length 3
+    WeylElement((0,), (0, 1)),  # a p-block of length 1
+    WeylElement((1, 2), (0, 1)),  # not a permutation of range(2)
+    WeylElement((0, 1), (0.0, 1.0)),  # float entries
+    ((0, 1),),  # not a pair
+]
+
+
+@pytest.mark.parametrize("slot", ["w1", "w2"])
+@pytest.mark.parametrize("bad", MALFORMED_WEYL, ids=repr)
+@pytest.mark.parametrize(
+    "predicate",
+    [
+        ressayre.check_candidate,
+        ressayre.relation_A,
+        ressayre.trace_condition,
+        ressayre.schubert_condition,
+        ressayre.inequality_of,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_malformed_weyl_element_is_value_error(predicate, bad, slot):
+    s = Shape(2, 2)
+    e = identity_weyl(s)
+    ws = {"w1": e, "w2": e, slot: bad}
+    with pytest.raises(ValueError, match=slot):
+        predicate(cand((1, 0, 0, 0), ws["w1"], ws["w2"]), s)
 
 
 class TestCertifyNormals:
