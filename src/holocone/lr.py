@@ -6,8 +6,12 @@ unchanged.  There is one tableau walk: `_skew(nu, kappa, maxlen)`
 (partitions without trailing zeros) is the Schur expansion of
 s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one walk over the LR
 fillings of nu/kappa with free content (letters <= maxlen, the reverse
-reading word a lattice word).  Every coefficient and product is read off
-it.
+reading word a lattice word).  The walk stores the cells of nu/kappa
+only, so its memory does not grow with nu_1.  With maxlen <= 1 there is
+no walk: the one delta of at most one part is (d), d = |nu| - |kappa|,
+and by Pieri's rule c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal
+strip (kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Every
+coefficient and product is read off `_skew`.
 
 - Skew side, nu and kappa fixed: `lr_count_tableaux(lam, mu, nu)` is
   the entry mu of s_{nu/lam}; `lr_coefficient` validates, shifts and
@@ -165,16 +169,36 @@ def _skew(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
 
 
 def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
+    """`_skew` without the memo, for maxlen <= len(nu): Pieri's rule in
+    closed form when maxlen <= 1, else the walk over the cells of nu/kappa
+    (see the module docstring)."""
     if len(kappa) > len(nu) or any(k > n for k, n in zip(kappa, nu)):
         return {}
+    if nu == kappa:
+        return {(): 1}
+    if maxlen <= 1:
+        # A horizontal strip has kappa_i >= nu_{i+1} for every i, so nu
+        # has at most one part more than kappa.
+        strip = len(nu) <= len(kappa) + 1 and all(k >= n for k, n in zip(kappa, nu[1:]))
+        return {(sum(nu) - sum(kappa),): 1} if maxlen and strip else {}
     kap = kappa + (0,) * (len(nu) - len(kappa))
-    # Cells in reverse reading order (each row right to left, top row
-    # first); grid holds 0 in the cells of kappa, so the cell above a
-    # cell of the top skew row never forces a letter above 1.
-    cells = [(r, c) for r in range(len(nu)) for c in range(nu[r] - 1, kap[r] - 1, -1)]
-    grid = [[0] * (row + 1) for row in nu]
-    for r, row in enumerate(nu):
-        grid[r][row] = maxlen  # no neighbour to the right
+    # One flat list of letters: row r holds its skew columns kap_r..nu_r - 1
+    # from index starts[r] + kap_r on, then maxlen, as no neighbour to the
+    # right, so storage is the size of the skew diagram.  Cells in reverse
+    # reading order (each row right to left, top row first) as (index,
+    # index of the cell above); a cell of the top row, or under kappa
+    # (columns before `left`), reads the 0 at index 0, so nothing forces
+    # its letter past 1.
+    grid, starts = [0], []
+    for n, k in zip(nu, kap):
+        starts.append(len(grid) - k)
+        grid += [0] * (n - k)
+        grid.append(maxlen)
+    cells = [
+        (s + c, t + c if c >= left else 0)
+        for s, t, n, k, left in zip(starts, [0] + starts, nu, kap, nu[:1] + kap)
+        for c in range(n - 1, k - 1, -1)
+    ]
     counts = [len(cells) + 1] + [0] * maxlen  # counts[v] = #v placed so far
     out: Dict[GLWeight, int] = {}
 
@@ -183,12 +207,10 @@ def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight,
             delta = tuple(c for c in counts[1:] if c)
             out[delta] = out.get(delta, 0) + 1
             return
-        r, c = cells[k]
-        row = grid[r]
-        lo = grid[r - 1][c] + 1 if r else 1
-        for v in range(lo, row[c + 1] + 1):
+        i, j = cells[k]
+        for v in range(grid[j] + 1, grid[i + 1] + 1):
             if counts[v] < counts[v - 1]:
-                row[c] = v
+                grid[i] = v
                 counts[v] += 1
                 place(k + 1)
                 counts[v] -= 1

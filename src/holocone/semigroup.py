@@ -14,11 +14,14 @@ p-blocks and a boxed block n of nu, with the Cauchy partitions delta
 is in kappa (x) delta exactly when c^n_{kappa,delta} != 0, this is a
 Boolean product through kappa.  Pairs and kappa are grouped by
 s = |a| + |b| = |kappa|; per group, a 0/1 matrix T_s of unordered pairs
-x (kappa in a (x) b, one `lr._tensor` each) times a 0/1 matrix S_s of
-kappa x (n, delta) (every delta of one n read off one skew expansion
-s_{n/kappa}, `lr._skew`) is nonzero exactly at the (pair, n, delta) of
-the table; as V_a (x) V_b = V_b (x) V_a, the rows of (b, a) repeat
-those of (a, b).  The q side goes through duals: with
+x (kappa in a (x) b) times a 0/1 matrix S_s of kappa x (n, delta) (every
+delta of one n read off one skew expansion s_{n/kappa}, `lr._skew`) is
+nonzero exactly at the (pair, n, delta) of the table; as
+V_a (x) V_b = V_b (x) V_a, the rows of (b, a) repeat those of (a, b).
+The kappa of T_s come from one `lr._tensor` per unordered pair of shift
+classes: with w0 = w - w_last (1,...,1), V_a (x) V_b is V_a0 (x) V_b0
+shifted by a_last + b_last, so every pair of the classes of a0 and b0
+reads the one support.  The q side goes through duals: with
 w* = -reverse(w), [V_m : V_b (x) V_delta^*] = [V_m* : V_b* (x) V_delta],
 so the q-table is the same table built on the q-blocks, whose rows are
 mapped back by the star when they are written out.
@@ -75,9 +78,11 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     the concatenated blocks, and their Boolean incidence with deltas[d].
 
     Pairs are grouped by s = |a| + |b|.  T_s marks kappa in a (x) b for
-    each unordered pair; S_s marks (n, delta) for each kappa of weight s
-    and boxed n with c^n_{kappa,delta} != 0, each delta in a fixed slot
-    of its degree |n| - s.  Both are 0/1 float32 matrices, so every entry
+    each unordered pair: the support of V_a0 (x) V_b0, one `lr._tensor`
+    per unordered pair of shift classes {a0, b0}, shifted by
+    a_last + b_last.  S_s marks (n, delta) for each kappa of weight s and
+    boxed n with c^n_{kappa,delta} != 0, each delta in a fixed slot of
+    its degree |n| - s.  Both are 0/1 float32 matrices, so every entry
     of T_s @ S_s is a sum of nonnegative integers at most the inner
     dimension < 2**24, held exactly, and nonzero exactly when one term
     is.  No such delta has more parts than q or a part above
@@ -93,30 +98,41 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     width = max(map(len, deltas))
     slot = {delta: j for ds in deltas for j, delta in enumerate(ds)}
 
-    # s -> (unordered pairs (i, j), i <= j; T entries (pair, kappa); kappa -> column)
-    groups: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]], Dict[Vector, int]]] = {}
+    # A kappa is kept as (kappa - kappa_last without its zeros,
+    # kappa_last): one key per kappa, and the partition `lr._skew` takes.
+    zeroed = [tuple(x - a[-1] for x in a) for a in blocks]
+    supports: Dict[Tuple[Vector, Vector], List[Tuple[Vector, int]]] = {}
+    # s -> (unordered pairs (i, j), i <= j; T entries (pair, kappa); kappa key -> column)
+    groups: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]], Dict]] = {}
     for i, a in enumerate(blocks):
         for j in range(i, len(blocks)):
+            key = min(zeroed[i], zeroed[j]), max(zeroed[i], zeroed[j])
+            support = supports.get(key)
+            if support is None:
+                support = supports[key] = [
+                    (tuple(x - k[-1] for x in k if x != k[-1]), k[-1]) for k in lr._tensor(*key)
+                ]
+            shift = a[-1] + blocks[j][-1]
             pairs, hits, kappas = groups.setdefault(sums[i] + sums[j], ([], [], {}))
-            for kappa in lr._tensor(a, blocks[j]):
-                hits.append((len(pairs), kappas.setdefault(kappa, len(kappas))))
+            for k0, last in support:
+                hits.append((len(pairs), kappas.setdefault((k0, last + shift), len(kappas))))
             pairs.append((i, j))
 
     # One product per group, over the columns (n, delta slot) of every
     # boxed n; S_s is zero in the columns of an n with |n| - s > top.
     rows, products = [], []
     for s, (pairs, hits, kappas) in groups.items():
-        ks = list(kappas)
-        # n contains kappa, so the parts of either equal to kappa's last
-        # part are its trailing ones: dropping them strips the zeros.
-        k0s = [tuple(x - k[-1] for x in k if x != k[-1]) for k in ks]
+        keys = list(kappas)
+        ks = [tuple(x + last for x in k0) + (last,) * (length - len(k0)) for k0, last in keys]
         S = np.zeros((len(ks), len(blocks) * width), dtype=np.float32)
         inside = (mat[None] >= np.array(ks)[:, None]).all(axis=2)
         for k, n in zip(*(x.tolist() for x in np.nonzero(inside))):
             if sums[n] - s <= top:
-                last = ks[k][-1]
+                k0, last = keys[k]
+                # n contains kappa, so its parts equal to kappa's last part
+                # are its trailing ones: dropping them strips the zeros.
                 n0 = tuple(x - last for x in blocks[n] if x != last)
-                for delta in lr._skew(n0, k0s[k], q):
+                for delta in lr._skew(n0, k0, q):
                     S[k, n * width + slot[delta]] = 1
         T = np.zeros((len(pairs), len(ks)), dtype=np.float32)
         T[tuple(np.array(hits).T)] = 1

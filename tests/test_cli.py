@@ -36,6 +36,20 @@ class TestLr:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "n,lam,mu,nu",
+        [(2, "E,0", "0,0", "E,0"), (3, "E,1,0", "1,1,0", "E,2,1")],
+        ids=["empty-skew", "walk"],
+    )
+    def test_huge_entries(self, capsys, n, lam, mu, nu):
+        # Parts of 10^20 cost nothing: only the skew cells are stored.
+        big = str(10**20)
+        argv = ["lr", "--n", str(n)]
+        for flag, w in (("--lam", lam), ("--mu", mu), ("--nu", nu)):
+            argv += [flag, w.replace("E", big)]
+        code, out = run(argv, capsys)
+        assert code == 0 and out.strip() == "1"
+
 
 class TestMultMember:
     def test_mult_fixture(self, capsys):
@@ -66,6 +80,18 @@ class TestMultMember:
             capsys,
         )
         assert code == 0
+
+    def test_member_with_huge_entries(self, capsys):
+        big = str(10**20)
+        code, out = run(
+            [
+                "member",
+                "--p", "2", "--q", "1",
+                "--lam", f"{big},0;0", "--mu", "0,0;0", "--nu", f"{big},0;0",
+            ],
+            capsys,
+        )
+        assert code == 0 and out.strip() == "True"
 
     def test_shape_mismatch_is_usage_error(self, capsys):
         code, _ = run(

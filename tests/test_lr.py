@@ -5,9 +5,10 @@ import importlib
 import io
 import pkgutil
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import holocone
 import oracle
@@ -221,6 +222,57 @@ class TestSkew:
         assert lr._skew((2, 1), (1,), 2) == {(2,): 1, (1, 1): 1}
         assert lr._skew((2, 1), (1,), 1) == {(2,): 1}  # maxlen < len(nu)
         assert lr._skew((3, 2, 1), (2, 1), 3) == {(3,): 1, (2, 1): 2, (1, 1, 1): 1}
+        assert lr._skew((1,), (), 0) == {}  # no letters for a nonempty skew
+        # One letter is Pieri's rule, so a part of 10^20 takes no walk.
+        assert lr._skew((10**20, 5), (7,), 1) == {(10**20 - 2,): 1}
+
+    def test_walk_is_sized_by_the_skew_diagram(self):
+        # Only the skew cells of each row are stored, not nu_1 letters.
+        lr.clear_caches()
+        tracemalloc.start()
+        try:
+            assert lr.lr_coefficient((10**6, 0), (0, 0), (10**6, 0)) == 1
+            assert lr.lr_coefficient((10**6, 1, 0), (1, 1, 0), (10**6, 2, 1)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    @given(st.data(), st.sampled_from(["free", "inside", "equal", "domino"]))
+    @settings(max_examples=300, deadline=None)
+    def test_one_letter_is_pieris_rule(self, data, how):
+        # s_{nu/kappa} with one letter against the tableau count of every
+        # d: kappa not inside nu, nu = kappa, horizontal strips and skews
+        # holding a vertical domino all occur.
+        lr.clear_caches()
+        nu = _partition(data, 4, 6)
+        if how == "free":
+            kappa = _partition(data, 4, 6)
+        elif how == "inside":
+            kappa = _partition(data, 4, 6, inside=nu)
+        elif how == "equal":
+            kappa = nu
+        else:
+            # Remove a vertical domino from nu, then maybe more cells.
+            ends = [
+                i
+                for i in range(len(nu) - 1)
+                if nu[i] == nu[i + 1] and (i + 2 == len(nu) or nu[i + 2] < nu[i])
+            ]
+            assume(ends)
+            i = data.draw(st.sampled_from(ends))
+            kappa = lr._strip_zeros(
+                tuple(x - (r in (i, i + 1)) for r, x in enumerate(nu))
+            )
+            if data.draw(st.booleans()):
+                kappa = _partition(data, 4, 6, inside=kappa)
+        got = lr._skew(nu, kappa, 1)
+        want = {}
+        for d in range(sum(nu) + 1):
+            c = oracle.oracle_lr_count_tableaux(kappa, (d,), nu)
+            if c:
+                want[lr._strip_zeros((d,))] = c
+        assert got == want
 
     @given(st.data(), st.booleans(), st.integers(1, 4))
     @settings(max_examples=300, deadline=None)

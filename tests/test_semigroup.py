@@ -221,13 +221,16 @@ class TestPatternGroups:
 TABLE_CASES = [
     (Shape(2, 1), 2),
     (Shape(2, 2), 1),
+    (Shape(2, 2), 2),
     (Shape(2, 2), 3),
     (Shape(3, 1), 1),
     (Shape(3, 1), 2),
     (Shape(3, 2), 1),
     (Shape(3, 3), 1),
     (Shape(4, 1), 1),
+    (Shape(4, 1), 2),
     (Shape(4, 2), 1),
+    (Shape(5, 1), 1),
     (Shape(2, 1), 3),
 ]
 
@@ -271,17 +274,20 @@ class TestBlockTables:
 
 
 def test_block_table_expands_each_unordered_pair_once(monkeypatch):
-    # V_a (x) V_b = V_b (x) V_a: the rows of (a, b) reuse the product of (b, a).
+    # V_a (x) V_b is V_a0 (x) V_b0 shifted by (a_last + b_last) 1, where
+    # w0 = w - w_last 1, and V_a (x) V_b = V_b (x) V_a: the rows of every
+    # pair reuse one product per unordered pair of classes {a0, b0}.
     calls = []
     tensor = lr._tensor
     monkeypatch.setattr(lr, "_tensor", lambda a, b: calls.append((a, b)) or tensor(a, b))
-    for length in (3, 1):
+    for length, n_pairs in ((3, 120), (1, 1)):
         calls.clear()
         table = block_table(length, Shape(3, 1), 2)
         pairs = [tuple(sorted(c)) for c in calls]
         blocks = semigroup.dominant_box_vectors(length, 2)
-        assert len(pairs) == len(set(pairs))
-        assert set(pairs) == {tuple(sorted((a, b))) for a in blocks for b in blocks}
+        classes = {tuple(x - a[-1] for x in a) for a in blocks}
+        assert len(pairs) == len(set(pairs)) == n_pairs
+        assert set(pairs) == {tuple(sorted((a, b))) for a in classes for b in classes}
         assert all(table[a, b] == table[b, a] for a, b in table)
 
 
