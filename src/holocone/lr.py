@@ -7,11 +7,13 @@ unchanged.  There is one tableau walk: `_skew(nu, kappa, maxlen)`
 s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one walk over the LR
 fillings of nu/kappa with free content (letters <= maxlen, the reverse
 reading word a lattice word).  The walk stores the cells of nu/kappa
-only, so its memory does not grow with nu_1.  With maxlen <= 1 there is
-no walk: the one delta of at most one part is (d), d = |nu| - |kappa|,
-and by Pieri's rule c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal
-strip (kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Every
-coefficient and product is read off `_skew`.
+only, so its memory does not grow with nu_1, and it is a loop over
+them, not a recursion, so Python's recursion limit does not bound the
+number of cells.  With maxlen <= 1 there is no walk: the one delta of
+at most one part is (d), d = |nu| - |kappa|, and by Pieri's rule
+c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal strip
+(kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Every coefficient
+and product is read off `_skew`.
 
 - Skew side, nu and kappa fixed: `lr_count_tableaux(lam, mu, nu)` is
   the entry mu of s_{nu/lam}; `lr_coefficient` validates, shifts and
@@ -19,7 +21,9 @@ coefficient and product is read off `_skew`.
   `_triple_expand` reads triple multiplicities
   [V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of
   c^nu_{lam,rho} c^rho_{mu,delta} off two levels of it: the rho of
-  s_{nu/lam}, then the delta of each s_{rho/mu}.
+  s_{nu/lam}, then the delta of each s_{rho/mu}.  The count is
+  symmetric in lam and mu, so the first level skews nu by the larger of
+  the two (by |w|, then w), which leaves the fewest cells to walk.
   `triple_multiplicity` and `symq.holomorphic_multiplicity` use that.
 - Product side, lam and mu fixed: `_tensor(lam, mu)` lists every nu of
   V_lam (x) V_mu from one skew expansion, by the star duality
@@ -40,10 +44,13 @@ functions trust their caller: they take tuples already validated and
 check nothing, so code that has validated its weights once calls them in
 its inner loops.
 
-The skew memo is keyed on partitions, so a key does not depend on how a
-weight happened to be shifted.  It is a plain in-memory dict, emptied by
-`clear_caches` and never written to disk, and the module is not
-thread-safe.
+Two memos, both keyed on partitions, so a key does not depend on how a
+weight happened to be shifted: `_skew_cache` holds the skew expansions,
+keyed (nu, kappa, maxlen), and `_triple_cache` the triple expansions,
+keyed (nu, larger, smaller, maxlen), so (lam, mu) and (mu, lam) share
+an entry.  Both hand out their cached dicts, which callers must not
+change.  They are plain in-memory dicts, emptied by `clear_caches` and
+never written to disk, and the module is not thread-safe.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from . import polyhedral
 GLWeight = Tuple[int, ...]
 
 _skew_cache: Dict[Tuple[GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
+_triple_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
 
 
 def is_weakly_decreasing(w) -> bool:
@@ -199,23 +207,40 @@ def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight,
         for s, t, n, k, left in zip(starts, [0] + starts, nu, kap, nu[:1] + kap)
         for c in range(n - 1, k - 1, -1)
     ]
-    counts = [len(cells) + 1] + [0] * maxlen  # counts[v] = #v placed so far
+    # counts[v] = #v placed so far; the trailing 0, which no letter
+    # reaches, ends the content.
+    counts = [len(cells) + 1] + [0] * maxlen + [0]
+    # Depth-first over the cells, in a loop: letters[k] is the letter at
+    # cell k, 0 while it has none, and each cell tries its letters in
+    # increasing order, from one past the cell above up to its right
+    # neighbour, skipping those that would break the lattice word.
+    letters = [0] * len(cells)
+    last = len(cells) - 1
     out: Dict[GLWeight, int] = {}
-
-    def place(k: int) -> None:
-        if k == len(cells):
-            delta = tuple(c for c in counts[1:] if c)
-            out[delta] = out.get(delta, 0) + 1
-            return
+    k = 0
+    while k >= 0:
         i, j = cells[k]
-        for v in range(grid[j] + 1, grid[i + 1] + 1):
-            if counts[v] < counts[v - 1]:
-                grid[i] = v
-                counts[v] += 1
-                place(k + 1)
-                counts[v] -= 1
-
-    place(0)
+        v = letters[k]
+        if v:
+            counts[v] -= 1
+        else:
+            v = grid[j]
+        top = grid[i + 1]
+        v += 1
+        while v <= top and counts[v] >= counts[v - 1]:
+            v += 1
+        if v > top:
+            letters[k] = 0
+            k -= 1
+        elif k == last:
+            counts[v] += 1
+            delta = tuple(counts[1 : counts.index(0)])
+            out[delta] = out.get(delta, 0) + 1
+            letters[k] = v
+        else:
+            grid[i] = letters[k] = v
+            counts[v] += 1
+            k += 1
     return out
 
 
@@ -223,20 +248,32 @@ def _triple_expand(lam: GLWeight, mu: GLWeight, nu: GLWeight, maxlen: int) -> Di
     """{delta: [V_nu : V_lam (x) V_mu (x) V_delta]} over partitions delta
     with at most `maxlen` parts, on validated tuples of equal length.
 
-    t[delta] = sum over rho of c^nu_{lam,rho} c^rho_{mu,delta}, read off
-    two levels of skew expansions: s_{nu/lam} gives the rho, and each
-    s_{rho/mu} gives the delta.
+    t[delta] = sum over rho of c^nu_{kappa,rho} c^rho_{kappa',delta},
+    read off two levels of skew expansions: s_{nu/kappa} gives the rho,
+    and each s_{rho/kappa'} gives the delta.  The count is symmetric in
+    lam and mu, so kappa is the larger of the two partitions by (|w|, w)
+    and kappa' the other: the first walk then has the fewest cells.
+    Memoised on (nu, kappa, kappa', maxlen) after the shift to partitions
+    without trailing zeros; the returned dict is the cached one, and
+    callers must not change it.
     """
     lam, mu, s = _canonical(lam, mu)
     if s:
         nu = shift(nu, -s)
     if nu and nu[-1] < 0:
         return {}
-    mu = _strip_zeros(mu)
-    t: Dict[GLWeight, int] = {}
-    for rho, a in _skew(_strip_zeros(nu), _strip_zeros(lam), len(nu)).items():
-        for delta, b in _skew(rho, mu, maxlen).items():
-            t[delta] = t.get(delta, 0) + a * b
+    nu, lam, mu = _strip_zeros(nu), _strip_zeros(lam), _strip_zeros(mu)
+    if (sum(lam), lam) < (sum(mu), mu):
+        lam, mu = mu, lam
+    maxlen = min(maxlen, len(nu))
+    key = (nu, lam, mu, maxlen)
+    t = _triple_cache.get(key)
+    if t is None:
+        t = {}
+        for rho, a in _skew(nu, lam, len(nu)).items():
+            for delta, b in _skew(rho, mu, maxlen).items():
+                t[delta] = t.get(delta, 0) + a * b
+        _triple_cache[key] = t
     return t
 
 
@@ -274,11 +311,12 @@ def partitions(total: int, max_parts: int, max_part: int | None = None):
 
 
 def clear_caches() -> None:
-    """Empty the LR memo caches, symq's memo of Cauchy components and
-    polyhedral's slice tables."""
+    """Empty the LR memos (skew and triple expansions), symq's memo of
+    Cauchy components and polyhedral's slice tables."""
     from . import symq  # symq imports this module
 
     _skew_cache.clear()
+    _triple_cache.clear()
     symq._cauchy_cache.clear()
     polyhedral.clear_caches()
 

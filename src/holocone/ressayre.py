@@ -54,7 +54,16 @@ def _check_weyl(c: RessayreCandidate, shape: Shape) -> None:
 
 def _permutes(b, n: int) -> bool:
     """Whether b is a tuple or list of the ints 0, ..., n-1 in some order."""
-    return type(b) in (tuple, list) and set(map(type, b)) <= {int} and sorted(b) == list(range(n))
+    return type(b) in (tuple, list) and {*map(type, b)} <= _INT and sorted(b) == _identity(n)
+
+
+_INT = frozenset((int,))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> List[int]:
+    """[0, ..., n-1], shared: `_permutes` compares with it and never changes it."""
+    return list(range(n))
 
 
 def _translates(c: RessayreCandidate, shape: Shape):

@@ -12,10 +12,16 @@ on each block.  On the q side the duality [V_C : V_A (x) V_B (x)
 V_delta^*] = [V_C^* : V_A^* (x) V_B^* (x) V_delta], where V_w^* has
 highest weight -reverse(w), turns t_q into the same count as t_p, so
 both come from `lr._triple_expand`, without a loop over the components.
+That function memoises each block's expansion on canonical partitions,
+with A and B in a fixed order, so a request that repeats a block
+triple up to a shift or the swap of A and B walks no tableaux.  Each
+weight is validated once per request: its length, then dominance of
+each block, then integrality.
 """
 
 from __future__ import annotations
 
+from operator import ge, neg
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import lr
@@ -37,7 +43,7 @@ _cauchy_cache: Dict[Tuple[int, int, int], Tuple[CauchyComponent, ...]] = {}
 def natural_negation(delta: Sequence[int], q: int) -> Tuple[int, ...]:
     """delta^nat = (-delta_q, ..., -delta_1) after padding to q parts."""
     padded = tuple(delta) + (0,) * (q - len(delta))
-    return tuple(-v for v in reversed(padded))
+    return tuple(map(neg, reversed(padded)))
 
 
 def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
@@ -72,7 +78,8 @@ def _split_dominant(x: Sequence[int], shape: Shape):
     """
     check_length(x, shape)
     p = shape.p
-    if not (lr.is_weakly_decreasing(x[:p]) and lr.is_weakly_decreasing(x[p:])):
+    a, b = x[:p], x[p:]
+    if not (all(map(ge, a, a[1:])) and all(map(ge, b, b[1:]))):
         raise ValueError(f"weight not dominant: {x}")
     ints = tuple(map(int, x))
     if ints != tuple(x):

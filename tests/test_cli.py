@@ -50,6 +50,15 @@ class TestLr:
         code, out = run(argv, capsys)
         assert code == 0 and out.strip() == "1"
 
+    def test_walk_of_many_cells(self, capsys):
+        # 1,200 skew cells: the walk is a loop, so its depth is not bounded
+        # by the interpreter's recursion limit.
+        code, out = run(
+            ["lr", "--n", "3", "--lam", "600,0,0", "--mu", "600,600,0", "--nu", "600,600,600"],
+            capsys,
+        )
+        assert code == 0 and out.strip() == "1"
+
 
 class TestMultMember:
     def test_mult_fixture(self, capsys):

@@ -6,6 +6,7 @@ import io
 import pkgutil
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -342,6 +343,70 @@ class TestCanonicalCacheKey:
         assert lr._skew_cache == entries
 
 
+    def test_swapped_and_shifted_blocks_reuse_the_triple_memo(self):
+        # [V_nu : V_lam (x) V_mu (x) V_delta] is symmetric in lam and mu,
+        # so (mu, lam, nu) and shifted weights hit the memo of (lam, mu, nu).
+        shape = Shape(3, 3)
+        lam, mu, nu = (3, 1, 0, 1, 0, -2), (1, 1, 0, 0, 0, -1), (4, 2, 1, 0, -1, -2)
+        lr.clear_caches()
+        assert symq.holomorphic_multiplicity(lam, mu, nu, shape) == 6
+        entries = dict(lr._triple_cache)
+        assert entries
+        with mock.patch.object(lr, "_skew_fillings", wraps=lr._skew_fillings) as walks:
+            assert symq.holomorphic_multiplicity(mu, lam, nu, shape) == 6
+            for a, b in [(1, 0), (0, -2), (-3, 5)]:
+                got = symq.holomorphic_multiplicity(
+                    lr.shift(lam, a), lr.shift(mu, b), lr.shift(nu, a + b), shape
+                )
+                assert got == 6
+        assert walks.call_count == 0
+        assert lr._triple_cache == entries
+
+
+def _triple_by_oracle(lam, mu, nu, maxlen):
+    """sum over rho of c^nu_{lam,rho} c^rho_{mu,delta}, by delta, from
+    tableau counts, after shifting lam and mu to end in 0."""
+    a, b = lam[-1], mu[-1]
+    lam, mu, nu = lr.shift(lam, -a), lr.shift(mu, -b), lr.shift(nu, -a - b)
+    out = {}
+    if nu[-1] < 0:
+        return out
+    n = len(nu)
+    for rho in lr.partitions(sum(nu) - sum(lam), n) if sum(nu) >= sum(lam) else ():
+        c1 = oracle.oracle_lr_count_tableaux(lam, rho, nu)
+        if not c1:
+            continue
+        for delta in lr.partitions(sum(rho) - sum(mu), maxlen) if sum(rho) >= sum(mu) else ():
+            c2 = oracle.oracle_lr_count_tableaux(mu, delta, rho)
+            if c2:
+                out[delta] = out.get(delta, 0) + c1 * c2
+    return out
+
+
+class TestTripleExpand:
+    @given(st.data(), st.integers(2, 3), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_two_level_tableau_sum_in_both_orders(self, data, n, maxlen):
+        weight = st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(
+            lambda w: tuple(sorted(w, reverse=True))
+        )
+        lam, mu = data.draw(weight), data.draw(weight)
+        nu = data.draw(
+            st.lists(st.integers(-3, 6), min_size=n, max_size=n).map(
+                lambda w: tuple(sorted(w, reverse=True))
+            )
+        )
+        want = _triple_by_oracle(lam, mu, nu, maxlen)
+        lr.clear_caches()
+        assert lr._triple_expand(lam, mu, nu, maxlen) == want
+        lr.clear_caches()
+        assert lr._triple_expand(mu, lam, nu, maxlen) == want
+        assert lr._triple_expand(lam, mu, nu, maxlen) == want
+        # Another letter bound on a warm memo gets its own answer.
+        other = n + 1 - maxlen
+        assert lr._triple_expand(mu, lam, nu, other) == _triple_by_oracle(lam, mu, nu, other)
+
+
 def module_memos():
     """Every module-level dict of the package whose name ends in _cache."""
     out = {}
@@ -371,7 +436,9 @@ class TestClearCaches:
         w = all_weyl_elements(s33)
         ressayre.check_candidate(ressayre.RessayreCandidate((1, 0, 0, 0, 0, -1), w[0], w[1]), s33)
         memos = module_memos()
-        assert {"lr._skew_cache", "symq._cauchy_cache", "polyhedral._slice_cache"} <= set(memos)
+        assert {
+            "lr._skew_cache", "lr._triple_cache", "symq._cauchy_cache", "polyhedral._slice_cache"
+        } <= set(memos)
         assert all(memos.values()), [k for k, v in memos.items() if not v]
         lr.clear_caches()
         schubert.clear_caches()

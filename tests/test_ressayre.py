@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,6 +244,10 @@ MALFORMED_WEYL = [
     WeylElement((1, 2), (0, 1)),  # not a permutation of range(2)
     WeylElement((0, 1), (0.0, 1.0)),  # float entries
     ((0, 1),),  # not a pair
+    WeylElement((True, 0), (0, 1)),  # a bool entry
+    WeylElement((0, 1), (np.int64(1), 0)),  # a numpy int64 entry
+    WeylElement((1.0, 0), (0, 1)),  # a 1.0 entry
+    WeylElement((0, 1), (1, 1)),  # a repeated index in the q-block
 ]
 
 

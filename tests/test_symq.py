@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -249,14 +250,30 @@ class TestHolomorphicMultiplicity:
             ((0, 1, 0, 0), "weight not dominant"),
             ((Fraction(1, 2), 0, 0, 0), "integral weight required"),
             ((1, 0, 0), "weight length 3 != p\\+q = 4"),
+            # The length is checked first, then dominance, then integrality.
+            ((0, 1, 0, 0, 0), "weight length 5 != p\\+q = 4"),
+            ((Fraction(1, 2), 1, 0, 0), "weight not dominant"),
+            ((1, 0, Fraction(1, 2), 1), "weight not dominant"),
         ],
-        ids=["not-dominant", "not-integral", "wrong-length"],
+        ids=[
+            "not-dominant", "not-integral", "wrong-length",
+            "too-long-not-dominant", "not-dominant-not-integral-p", "not-dominant-not-integral-q",
+        ],
     )
     def test_rejects_each_bad_weight(self, bad, message):
         good = (1, 0, 0, -1)
         for args in ((bad, good, good), (good, bad, good), (good, good, bad)):
             with pytest.raises(ValueError, match=message):
                 symq.holomorphic_multiplicity(*args, Shape(2, 2))
+
+    def test_accepts_lists_and_numpy_arrays(self):
+        shape = Shape(2, 2)
+        req = ((1, 0, 0, -1), (1, 0, 0, -1), (2, 1, -1, -2))
+        want = symq.holomorphic_multiplicity(*req, shape)
+        assert want > 0
+        for convert in (list, lambda w: np.array(w, dtype=np.int64)):
+            got = symq.holomorphic_multiplicity(*map(convert, req), shape)
+            assert type(got) is int and got == want
 
     def test_matches_public_lr_composition_and_s_fold(self):
         # holomorphic_multiplicity runs on the unchecked LR functions; the
@@ -318,13 +335,15 @@ class TestSkewExpansions:
         ) as counts:
             assert symq.holomorphic_multiplicity(*req, shape) == 18
             memo = {k: dict(v) for k, v in lr._skew_cache.items()}
-            assert memo
+            triples = {k: dict(v) for k, v in lr._triple_cache.items()}
+            assert memo and triples
             assert symq.holomorphic_multiplicity(*req, shape) == 18
         assert counts.call_count == 0
         assert lr._skew_cache == memo
+        assert lr._triple_cache == triples
         assert oracle.oracle_cauchy_multiplicity(*req, shape) == 18
         lr.clear_caches()
-        assert lr._skew_cache == {}
+        assert lr._skew_cache == {} and lr._triple_cache == {}
 
     def test_frozen_answers(self):
         # sha256 of 500 answers on a fixed grid, as computed by the
