@@ -87,16 +87,24 @@ def _parse_weyl(text: str, shape: Shape) -> WeylElement:
     return WeylElement(_parse_perm(a, shape.p), wq)
 
 
+def _int_of(args, option: str) -> int:
+    try:
+        return parse_int(getattr(args, option))
+    except ValueError as e:
+        raise UsageError(f"--{option}: {e}") from None
+
+
 def _shape_of(args) -> Shape:
     if args.p is None or args.q is None:
         raise UsageError("need --p and --q")
-    return Shape(args.p, args.q).validate()
+    return Shape(_int_of(args, "p"), _int_of(args, "q")).validate()
 
 
 def _bound_of(args) -> int:
-    if not 0 <= args.bound <= semigroup.MAX_BOUND:
+    bound = _int_of(args, "bound")
+    if not 0 <= bound <= semigroup.MAX_BOUND:
         raise UsageError(f"--bound must be in 0..{semigroup.MAX_BOUND}")
-    return args.bound
+    return bound
 
 
 def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
@@ -160,7 +168,7 @@ def load_points(path):
             if header[:2] != ["holocone-points", str(POINTS_FILE_VERSION)]:
                 raise ValueError("not a holocone-points file of this version")
             fields = dict(kv.split("=") for kv in header[2:])
-            shape = Shape(int(fields["p"]), int(fields["q"])).validate()
+            shape = Shape(parse_int(fields["p"]), parse_int(fields["q"])).validate()
             blocks = []
             while lines := list(itertools.islice(fh, _WRITE_ROWS)):
                 with warnings.catch_warnings():
@@ -190,10 +198,11 @@ def cmd_lr(args) -> int:
         raise UsageError("need --n")
     if args.lam is None or args.mu is None or args.nu is None:
         raise UsageError("need --lam, --mu and --nu")
+    n = _int_of(args, "n")
     lam, mu, nu = (_parse_gl_weight(w) for w in (args.lam, args.mu, args.nu))
     for w in (lam, mu, nu):
-        if len(w) != args.n:
-            raise UsageError(f"weight {w} does not have length {args.n}")
+        if len(w) != n:
+            raise UsageError(f"weight {w} does not have length {n}")
     print(lr.lr_coefficient(lam, mu, nu))
     return 0
 
@@ -330,8 +339,7 @@ def cmd_ressayre(args) -> int:
 
 
 def cmd_verify22(args) -> int:
-    corrupt = verify.inject_extra_point if args.inject_fault else None
-    return verify.verify22(bound=_bound_of(args), corrupt=corrupt)
+    return verify.verify22(bound=_bound_of(args))
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around holomorphic Horn cones of U(p,q).",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    integer = {"type": int}
-    # every option not named here takes a string
-    options = {"p": integer, "q": integer, "n": integer, "in": {"dest": "infile"},
-               "bound": {"type": int, "default": 3}}
+    # Every option takes a string; the commands read the integers among
+    # them with `parse_int`.
+    options = {"in": {"dest": "infile"}, "bound": {"default": "3"}}
     triple = "p q lam mu nu triple"
     # Each subcommand gets exactly the options it reads.
     commands = [
@@ -369,9 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         for opt in names.split():
             sp.add_argument("--" + opt, **options.get(opt, {}))
     parsers["ressayre"].add_argument("mode", choices=["verify", "search"])
-    parsers["verify22"].add_argument(
-        "--inject-fault", action="store_true", help=argparse.SUPPRESS
-    )
     return ap
 
 
@@ -379,6 +383,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        # argparse reads "--opt=--" as an empty list of values
+        if [] in vars(args).values():
+            raise UsageError("'--' is not an option value")
         return args.fn(args)
     except ValueError as e:  # UsageError included: every refusal exits 2
         print(f"error: {e}", file=sys.stderr)

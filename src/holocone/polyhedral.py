@@ -25,11 +25,10 @@ of all the constraints by each block of rows: in float64 where the
 bound max ||c||_1 * max |x| < 2**53 makes every partial sum an exactly
 representable integer, and otherwise (Fractions, larger bounds) in
 exact Python numbers.  `additive_prune` takes integer input one l1
-level at a time, with each row as one int64 code in mixed radix, so
+level at a time, with each row as one int64 code in balanced radix, so
 the difference of two rows is one subtraction of codes, looked up
-among the codes and confirmed against the row it names; object input,
-and rows too wide for int64 codes, take the exact loop, one point at a
-time.
+among the codes; object input, and rows too wide for int64 codes, take
+the exact loop, one point at a time.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -424,7 +423,10 @@ def _worst_violators(pts, normals, lins):
 # at a time while many rows remain, so each step drops the rows it
 # reduces before the next, and many at once for the last few rows, so
 # they cross the kept rows in few steps.  Level rows go in chunks of
-# _SCAN_ROWS // 4, which bounds the rows a step's hit check gathers.
+# _SCAN_ROWS // 4, and each chunk crosses the kept rows on its own: more
+# steps than a whole level would take, but each on arrays of at most a
+# chunk, which runs faster (on the U(3,2) box-2 semigroup, 6,183 steps
+# against 788, and about 10% less time).
 _PRUNE_STEP = 2048
 
 
@@ -441,73 +443,59 @@ def additive_prune(points) -> List[IntVec]:
     of one l1 level never affect each other.  Integer input is therefore
     pruned one level at a time, each row of a level against a block of
     kept rows per step (`_PRUNE_STEP`).  Each row is one int64 code in
-    mixed radix span + 1, digit j being x_j - lo, most significant first
-    (lo <= 0 <= lo + span bound every entry), so codes sort as the rows
-    do.  The code of x - g is code(x) - code(g) - lo * sum((span + 1)^j):
-    one subtraction of codes, looked up with `searchsorted`.  A difference
-    with a digit outside [0, span] can carry the code of another row, so
-    each hit is confirmed against the row it names.  Object input
-    (Fractions, ints beyond int64) and rows with (span + 1)^dim >= 2**63,
-    whose codes do not fit, take the exact loop.
+    balanced radix R = 2 span + 1, its entries the digits, most
+    significant first.  Every row and every difference of two rows lies
+    in [-span, span]^dim, where the code is one-to-one and sorts as the
+    rows do; so code(x - g) = code(x) - code(g) exactly, and a lookup of
+    that difference among the codes (`searchsorted`) finds h = x - g
+    whenever it is a row.  Object input (Fractions, ints beyond int64)
+    and rows with R^dim >= 2**63, whose codes do not fit, take the exact
+    loop.
     """
     import numpy as np
 
     arr = _point_matrix(points)
     dim = arr.shape[1]
     # Every entry, and every difference of two rows, lies in [-span, span].
-    lo = int(arr.min(initial=0))
-    span = int(arr.max(initial=0)) - lo
-    if arr.dtype.kind not in "iu" or (span + 1) ** dim >= 2**63:
+    span = int(arr.max(initial=0)) - int(arr.min(initial=0))
+    if arr.dtype.kind not in "iu" or (2 * span + 1) ** dim >= 2**63:
         return _prune_loop(arr.tolist())
     if arr.dtype == np.uint64:
         arr = arr.view(np.int64)  # entries within span < 2**63 keep their value
     # Codes and norms column by column, by Horner's rule: no int64 copy of
-    # the whole matrix.  Norms fit: dim * span < (span + 1)^dim by
-    # Bernoulli's inequality.
+    # the whole matrix.  Norms fit: dim * span < R^dim by Bernoulli's
+    # inequality.
     codes = np.zeros(len(arr), dtype=np.int64)
     norm = np.zeros(len(arr), dtype=np.int64)
     for col in arr.T:
-        codes *= span + 1
+        codes *= 2 * span + 1
         codes += col
         norm += np.abs(col, dtype=np.int64)
-    shift = -lo * sum((span + 1) ** j for j in range(dim))  # the code of the zero row
-    codes, first = np.unique(codes + shift, return_index=True)
-    nonzero = codes != shift
+    codes, first = np.unique(codes, return_index=True)
+    nonzero = codes != 0  # the code of the zero row
     codes, first = codes[nonzero], first[nonzero]
     if not len(codes):
         return []
-    rows, norm = arr[first], norm[first]  # one row per code, in code order
+    norm = norm[first]  # one norm per code, in code order
     order = np.argsort(norm, kind="stable")
-    kept = order[:0]  # row indices, in increasing norm
+    kept = order[:0]  # code indices, in increasing norm
     for level in np.split(order, np.flatnonzero(np.diff(norm[order])) + 1):
         nx = norm[level[0]]
-        survivors = [kept]
-        # code(x) - (code(g) - shift) is code(x - g) if every digit of x - g
-        # is in [0, span].  Otherwise it may be another row's code (hence
-        # the check of each hit) or wrap past 2**63 to below every code.
-        kept_codes = codes[kept] - shift
+        survivors, kept_codes = [kept], codes[kept]
         for start in range(0, len(level), _SCAN_ROWS // 4):
             x = level[start : start + _SCAN_ROWS // 4]
             xc = codes[x]
             step = 0
             while step < len(kept) and len(x):
                 stop = step + max(1, _PRUNE_STEP // len(x))
-                g = kept[step:stop]
-                diff = (xc[:, None] - kept_codes[step:stop]).ravel()
+                diff = xc[:, None] - kept_codes[step:stop]
                 at = np.searchsorted(codes, diff) % len(codes)  # past the end: no match
-                hit = np.flatnonzero(codes[at] == diff)
-                if len(hit):
-                    h = at[hit]
-                    xi, gi = np.divmod(hit, len(g))
-                    diff_rows = rows[x[xi]].astype(np.int64) - rows[g[gi]]
-                    real = (diff_rows == rows[h]).all(axis=1) & (norm[h] < nx)
-                    live = np.ones(len(x), dtype=bool)
-                    live[xi[real]] = False
-                    x, xc = x[live], xc[live]
+                whole = ~((codes[at] == diff) & (norm[at] < nx)).any(axis=1)
+                x, xc = x[whole], xc[whole]
                 step = stop
             survivors.append(x)
         kept = np.concatenate(survivors)
-    return list(map(tuple, rows[np.sort(kept)].tolist()))
+    return list(map(tuple, arr[first[np.sort(kept)]].tolist()))
 
 
 def _prune_loop(rows) -> List[IntVec]:

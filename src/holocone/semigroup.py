@@ -208,10 +208,9 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     # The q side is built on the duals w* = -reverse(w), where a q-row
     # (b, m) of Cauchy weight delta* reads as a p-style row (b*, m*) of
     # weight delta; P and Q below map its blocks back.
+    tables = {n: _incidences(n, bound, q, deltas) for n in {p, q}}  # one if p == q
     blocks = []
-    for (p_vals, p_inc), (q_vals, q_inc) in zip(
-        _incidences(p, bound, q, deltas), _incidences(q, bound, q, deltas)
-    ):
+    for (p_vals, p_inc), (q_vals, q_inc) in zip(tables[p], tables[q]):
         # Each row spread over the output columns, zeros elsewhere: a p-row
         # in the first p columns of lam, mu and nu, a q-row's blocks
         # negated and reversed in the last q, so a triple is one sum.

@@ -141,6 +141,7 @@ def s_fold_multiplicity(
     Sym(M_{p,q}), then recurse.  The contraction order does not change the
     result; tests exercise this.
     """
+    shape.validate()
     if len(lams) < 2:
         raise ValueError("need at least two summand weights (s >= 2)")
     split = [_split_dominant(l, shape) for l in lams]

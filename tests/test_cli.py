@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holocone import cli, lr, polyhedral, reference22, semigroup
 from holocone.weights import Shape
@@ -230,6 +230,7 @@ BOUND_COMMANDS = {
     "verify22": ["verify22"],
 }
 RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
+ZEROS_10_1 = ",".join(["0"] * 10) + ";0"  # the zero weight of U(10,1)
 
 
 @pytest.mark.parametrize(
@@ -266,6 +267,25 @@ RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
                      id="lr-underscore"),
         pytest.param(None, ["lr", "--n", "2", "--lam", "\u0661,0", "--mu", "0,0", "--nu", "\u0661,0"],
                      id="lr-non-ascii-digit"),
+        # the integer options read parse_int's grammar, as the weights do
+        pytest.param(None, ["mult", "--p", "\u0662", "--q", "1", "--triple", "1,0;0|0,0;0|1,0;0"],
+                     id="mult-p-non-ascii-digit"),
+        pytest.param(None, ["mult", "--p", "1_0", "--q", "1", "--triple", "|".join([ZEROS_10_1] * 3)],
+                     id="mult-p-underscore"),
+        pytest.param(None, ["lr", "--n", "\u0662", "--lam", "1,0", "--mu", "0,0", "--nu", "1,0"],
+                     id="lr-n-non-ascii-digit"),
+        pytest.param(None, ["verify22", "--bound", "\u0661"], id="verify22-bound-non-ascii-digit"),
+        pytest.param(POINTS_HEADER.replace("p=1", "p=\u0661") + "1,0,0,0,1,-1\n",
+                     ["hull", "--in", "IN", "--out", "OUT"], id="hull-header-non-ascii-digit"),
+        # argparse hands "--opt=--" on as an empty list
+        pytest.param(None, [*RESSAYRE_VERIFY, "--gamma=1,0;0,0", "--w1=--", "--w2=12"],
+                     id="ressayre-w1-dashes"),
+        pytest.param(None, ["mult", "--p", "1", "--q", "1", "--triple=--"], id="mult-triple-dashes"),
+        pytest.param(None, ["lr", "--n", "2", "--lam=--", "--mu=1,0", "--nu=1,1"], id="lr-lam-dashes"),
+        pytest.param(None, ["enumerate", "--p", "2", "--q", "2", "--bound", "1", "--out=--"],
+                     id="enumerate-out-dashes"),
+        pytest.param(None, ["hull", "--in=--", "--out=OUT"], id="hull-in-dashes"),
+        pytest.param(None, ["mult", "--p=--", "--q", "1", "--triple", "1;0|0;0|1;0"], id="mult-p-dashes"),
     ],
 )
 def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
@@ -293,6 +313,7 @@ FUZZ_REQUESTS = {
 )
 @settings(max_examples=60, deadline=None)
 @given(text=st.text(max_size=8))
+@example(text="--")
 def test_any_option_text_exits_0_1_or_2(command, option, text):
     """Arbitrary short text in one option never escapes `cli.main`: the
     answer is 0 or 1, or 2 with one "error: " line, as the contract says."""
@@ -521,6 +542,8 @@ class TestEntryPoint:
                           "--nu", "0;0"], id="slice-nu"),
             pytest.param(["enumerate", "--p", "1", "--q", "1", "--out", "OUT", "--gamma", "1;0"],
                          id="enumerate-gamma"),
+            # a hidden flag that nothing used; the library's corrupt= hook stays
+            pytest.param(["verify22", "--bound", "1", "--inject-fault"], id="verify22-inject-fault"),
         ],
     )
     def test_option_a_subcommand_does_not_read_exits_2(self, argv, capsys, tmp_path):

@@ -408,11 +408,11 @@ class TestAdditivePrune:
         assert ph.additive_prune(thirds) == [tuple(Fraction(x, 3) for x in k) for k in want]
 
     # (dtype, lo, hi): rows with entries lo and hi span hi - lo together
-    # with 0.  Rows are coded in int64 while (span + 1)^dim < 2**63: for
-    # dim 1, 2 and 3 up to spans 2**63 - 2, 3,037,000,498 and 2**21 - 2;
-    # wider spans take the exact loop.  So the spans up to 2**15 are
-    # coded at every dim, 2**21 at dim 1 and 2, 2**62 at dim 1, and the
-    # two widest never; the cases keep every dtype and sign pattern.
+    # with 0.  Rows are coded in int64 while (2 span + 1)^dim < 2**63: for
+    # dim 1, 2 and 3 up to spans 2**62 - 1, 1,518,500,249 and 2**20 - 1;
+    # wider spans take the exact loop.  So the spans up to 2**16 are
+    # coded at every dim, 2**21 at dim 1 and 2, and the three widest
+    # never; the cases keep every dtype and sign pattern.
     SPANS = [
         (np.int8, -128, 127),
         (np.int8, -127, 0),
@@ -443,8 +443,8 @@ class TestAdditivePrune:
         assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
         assert ph.additive_prune(rows) == want
 
-    # dim -> the widest span whose codes fit: (span + 1)^dim < 2**63
-    WIDEST = {1: 2**63 - 2, 2: 3_037_000_498, 3: 2**21 - 2}
+    # dim -> the widest span whose codes fit: (2 span + 1)^dim < 2**63
+    WIDEST = {1: 2**62 - 1, 2: 1_518_500_249, 3: 2**20 - 1}
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
@@ -464,16 +464,17 @@ class TestAdditivePrune:
         want = oracle.oracle_additive_prune(rows)
         with mock.patch.object(ph, "_prune_loop", wraps=ph._prune_loop) as loop:
             assert ph.additive_prune(rows) == want
-        assert loop.called == ((span + 1) ** dim >= 2**63)
+        assert loop.called == ((2 * span + 1) ** dim >= 2**63)
         if hi < 2**63:
             dtype = np.int64 if lo >= -(2**63) else object
             assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
 
-    def test_aliased_code_is_confirmed_against_its_row(self):
-        # lo = -1 and span 2 give radix 3 and codes 3 * (x0 + 1) + (x1 + 1):
-        # (-1, 1) codes as 2 and (0, -1) as 3.  The difference (-1, 2) has
-        # the digit 3 and codes as 3 too, so a lookup by code alone would
-        # split (-1, 1) as (0, -1) + (0, -1) and drop it.
+    def test_difference_beyond_the_rows_is_not_aliased(self):
+        # Span 2: the difference (-1, 2) of (-1, 1) and (0, -1) has an
+        # entry beyond the rows' own range [-1, 1].  An offset radix 3
+        # (digits x_j + 1) codes it as (0, -1), which would split (-1, 1)
+        # as (0, -1) + (0, -1) and drop it; the balanced radix 5 codes
+        # every difference apart from the other rows.
         rows = [(-1, 1), (0, -1)]
         assert ph.additive_prune(rows) == oracle.oracle_additive_prune(rows) == rows
 

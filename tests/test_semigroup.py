@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import oracle
@@ -289,6 +290,15 @@ def test_block_table_expands_each_unordered_pair_once(monkeypatch):
         assert len(pairs) == len(set(pairs)) == n_pairs
         assert set(pairs) == {tuple(sorted((a, b))) for a in classes for b in classes}
         assert all(table[a, b] == table[b, a] for a, b in table)
+
+
+@pytest.mark.parametrize("shape, calls", [(Shape(2, 2), 1), (Shape(3, 1), 2)], ids=str)
+def test_one_block_table_per_block_length(monkeypatch, shape, calls):
+    # U(p,p) reads its p-rows and q-rows from one table.
+    incidences = mock.Mock(wraps=semigroup._incidences)
+    monkeypatch.setattr(semigroup, "_incidences", incidences)
+    semigroup.enumerate_semigroup_points(shape, 1)
+    assert incidences.call_count == calls
 
 
 class TestAdditivity:

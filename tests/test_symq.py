@@ -416,3 +416,19 @@ class TestSFold:
     def test_requires_two_factors(self):
         with pytest.raises(ValueError):
             symq.s_fold_multiplicity([(1, -1)], (1, -1), Shape(1, 1))
+
+    @pytest.mark.parametrize(
+        "shape, lams, nu",
+        [
+            (Shape(1, 2), [(1, 0, 0), (0, 0, 0)], (1, 0, 0)),
+            (Shape(1.0, 1), [(1, 0), (0, 0)], (1, 0)),
+            (Shape(0, 0), [(), ()], ()),
+            (Shape(2, "1"), [(1, 0, 0), (0, 0, 0)], (1, 0, 0)),
+        ],
+        ids=["U12", "p-float", "U00", "q-str"],
+    )
+    def test_invalid_shape_rejected(self, shape, lams, nu):
+        # As in `holomorphic_multiplicity`: without the check U(1,2) and
+        # U(0,0) gave 1 here, and the others a TypeError.
+        with pytest.raises(ValueError):
+            symq.s_fold_multiplicity(lams, nu, shape)
