@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import sys
 import warnings
 from typing import Optional, Sequence, Tuple
@@ -237,9 +236,7 @@ def cmd_hull(args) -> int:
     if args.infile is None or args.out is None:
         raise UsageError("need --in and --out")
     pts, shape = load_points(args.infile)
-    cone = polyhedral.cone_from_points(
-        pts, provenance=f"hull-of:{os.path.basename(args.infile)}"
-    )
+    cone = polyhedral.cone_from_points(pts)
     _save(polyhedral.save_cone, cone, args.out)
     print(
         f"{len(cone.inequalities)} facets, "

@@ -289,10 +289,8 @@ def weyl_dim(lam: GLWeight) -> int:
     return int(d)
 
 
-def partitions(total: int, max_parts: int, max_part: int | None = None):
+def partitions(total: int, max_parts: int):
     """All partitions of `total` into at most `max_parts` parts."""
-    if max_part is None:
-        max_part = total
     out: List[GLWeight] = []
 
     def rec(left: int, bound: int, parts: int, acc: List[int]):
@@ -306,7 +304,7 @@ def partitions(total: int, max_parts: int, max_part: int | None = None):
             rec(left - v, v, parts - 1, acc)
             acc.pop()
 
-    rec(total, max_part, max_parts, [])
+    rec(total, total, max_parts, [])
     return out
 
 

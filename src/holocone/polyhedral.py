@@ -171,34 +171,31 @@ def rays_from_halfspaces(
     rays: List[IntVec] = []
     zerosets: List[int] = []  # per ray: bitmask of processed tight ineqs
 
+    # No vector formed below is zero: the lineality basis stays independent,
+    # every ray is nonzero modulo the lineality, and the cone is pointed
+    # modulo the lineality, so a projection off the pivot or a positive
+    # combination of a ray pair never vanishes.
     for idx, a in enumerate(ineqs):
         bit = 1 << idx
-        pivot = next((l for l in lineality if dot(a, l) != 0), None)
-        if pivot is not None:
+        k = next((i for i, l in enumerate(lineality) if dot(a, l) != 0), None)
+        if k is not None:
+            pivot = lineality.pop(k)
             pa = dot(a, pivot)
             if pa < 0:
                 pivot = tuple(-x for x in pivot)
                 pa = -pa
-            new_lin = []
-            for l in lineality:
-                if l is pivot:
-                    continue
-                la = dot(a, l)
-                cand = tuple(pa * x - la * px for x, px in zip(l, pivot))
-                if not _is_zero(cand):
-                    new_lin.append(primitive(cand))
-            lineality = new_lin
-            # All old rays now lie on the hyperplane a.x = 0, and the
-            # promoted ray is tight on every inequality seen so far.
+            # The other lineality vectors and all old rays are projected
+            # onto the hyperplane a.x = 0, and the promoted ray is tight on
+            # every inequality seen so far.
+            lineality = [
+                primitive(tuple(pa * x - dot(a, l) * px for x, px in zip(l, pivot)))
+                for l in lineality
+            ]
             rays = [
-                tuple(pa * x - dot(a, r) * px for x, px in zip(r, pivot))
+                primitive(tuple(pa * x - dot(a, r) * px for x, px in zip(r, pivot)))
                 for r in rays
             ] + [pivot]
             zerosets = [zs | bit for zs in zerosets] + [bit - 1]
-            # drop rays that collapsed to zero
-            keep = [i for i, r in enumerate(rays) if not _is_zero(r)]
-            rays = [primitive(rays[i]) for i in keep]
-            zerosets = [zerosets[i] for i in keep]
             continue
 
         vals = [dot(a, r) for r in rays]
@@ -221,8 +218,6 @@ def rays_from_halfspaces(
                     vals[i] * rj - vals[j] * ri
                     for ri, rj in zip(rays[i], rays[j])
                 )
-                if _is_zero(comb):
-                    continue
                 new_rays.append(primitive(comb))
                 new_zs.append(common | bit)
         rays, zerosets = new_rays, new_zs
@@ -255,7 +250,6 @@ class RationalCone:
     inequalities: Optional[Tuple[IntVec, ...]] = None
     equalities: Optional[Tuple[IntVec, ...]] = None
     lineality: Optional[Tuple[IntVec, ...]] = None
-    provenance: str = "unspecified"
 
     def with_h_rep(self) -> "RationalCone":
         if self.inequalities is not None:
@@ -272,7 +266,6 @@ class RationalCone:
             inequalities=ineqs,
             equalities=eqs,
             lineality=self.lineality,
-            provenance=self.provenance,
         )
 
     def with_v_rep(self) -> "RationalCone":
@@ -287,7 +280,6 @@ class RationalCone:
             inequalities=self.inequalities,
             equalities=self.equalities,
             lineality=lin,
-            provenance=self.provenance,
         )
 
     def contains(self, x: Sequence) -> bool:
@@ -552,12 +544,10 @@ def facets_of_points(points: Sequence[Sequence], dim: int, seed=None):
         active += violators
 
 
-def cone_from_points(points: Sequence[Sequence], provenance="generated-from-semigroup") -> RationalCone:
+def cone_from_points(points: Sequence[Sequence]) -> RationalCone:
     arr = _point_matrix(points)
     ineqs, eqs = facets_of_points(arr, arr.shape[1])
-    return RationalCone(
-        arr.shape[1], inequalities=ineqs, equalities=eqs, provenance=provenance
-    )
+    return RationalCone(arr.shape[1], inequalities=ineqs, equalities=eqs)
 
 
 def cone_member(cone: RationalCone, x: Sequence) -> bool:
@@ -664,7 +654,6 @@ def recession_cone(poly: Polyhedron) -> RationalCone:
         inequalities=tuple(n for n, _ in poly.inequalities),
         equalities=tuple(n for n, _ in poly.equalities),
         lineality=lin,
-        provenance="recession",
     )
 
 
@@ -675,7 +664,7 @@ def delta_K_pbar(shape) -> RationalCone:
     for k in range(1, q + 1):
         v = (1,) * k + (0,) * (p - k) + (0,) * (q - k) + (-1,) * k
         rays.append(v)
-    return RationalCone(p + q, rays=tuple(rays), lineality=(), provenance="cauchy-directions")
+    return RationalCone(p + q, rays=tuple(rays), lineality=())
 
 
 # ---------------------------------------------------------------------------
@@ -683,11 +672,7 @@ def delta_K_pbar(shape) -> RationalCone:
 
 
 def save_cone(cone: RationalCone, path) -> None:
-    obj = {
-        "version": CONE_FILE_VERSION,
-        "ambient_dim": cone.ambient_dim,
-        "provenance": cone.provenance,
-    }
+    obj = {"version": CONE_FILE_VERSION, "ambient_dim": cone.ambient_dim}
     for name in ("rays", "inequalities", "equalities", "lineality"):
         val = getattr(cone, name)
         if val is not None:
@@ -714,6 +699,4 @@ def load_cone(path) -> RationalCone:
                 raise ValueError(f"every row of {name} needs {dim} entries")
     if "rays" not in kwargs and "inequalities" not in kwargs:
         raise ValueError("cone file has neither rays nor inequalities")
-    return RationalCone(
-        dim, provenance=obj.get("provenance", "unspecified"), **kwargs
-    )
+    return RationalCone(dim, **kwargs)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from .polyhedral import RationalCone, reduce_mod_lineality
+from .polyhedral import RationalCone
 from .weights import Shape
 
 SHAPE = Shape(2, 2)
@@ -64,20 +64,5 @@ def reference_cone() -> RationalCone:
         12,
         inequalities=ALL_INEQUALITIES,
         equalities=(TRACE_EQUALITY,),
-        provenance="reference-22-table",
     )
 
-
-def canonical_reference_facets():
-    """Facet normals of the table, reduced modulo the trace equality.
-
-    This is the comparison key used against a computed hull: reduction
-    modulo the equality removes the representative ambiguity (a normal
-    plus any multiple of the trace equality cuts the same facet).
-    """
-    return tuple(
-        sorted(
-            reduce_mod_lineality(n, (TRACE_EQUALITY,))
-            for n in ALL_INEQUALITIES
-        )
-    )

@@ -11,7 +11,9 @@ A passing candidate yields the linear inequality
 
 on triples, and every facet of the Horn cone arises this way.  The
 search inverts this: given a facet normal it reads off gamma from the
-C-block and checks the one lex-least Weyl pair that matches the rest.
+C-block and checks the A- and B-blocks as the translates w1.gamma and
+w2.gamma, which is all the checks read of w1 and w2; the lex-least Weyl
+pair with those translates is the witness a certificate records.
 The public predicates and the certificate reader take one rule for a
 valid Weyl element, `weights.check_weyl`.
 """
@@ -24,8 +26,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
-from .weights import (Shape, WeylElement, blocks, check_length, check_weyl, longest_weyl,
-                      parse_int, star_involution)
+from .weights import (Shape, WeylElement, argsort, blocks, check_length, check_weyl,
+                      longest_weyl, parse_int, permute, sorted_blocks, star_involution)
 
 CERT_FILE_VERSION = 1
 
@@ -93,7 +95,10 @@ def relation_A(c: RessayreCandidate, shape: Shape) -> bool:
 
     Counted over index pairs: the compact positive roots pair with v as
     the differences within a block, and the noncompact ones e_i - e_{p+j}
-    as the differences between a p-index and a q-index.
+    as the differences between a p-index and a q-index.  It is the degree
+    condition of the Schubert problem: the codimensions of the cells of
+    gamma, w1.gamma and w2.gamma plus the rank of the Euler class equal
+    dim F_gamma (schubert.intersection_number returns 0 otherwise).
     """
     _check_pair(c, shape)
     return _relation_A(*_translates(c, shape), shape)
@@ -142,7 +147,7 @@ def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
     _check_pair(c, shape)
     if not admissible(c.gamma, shape):
         raise ValueError("schubert_condition requires an admissible gamma")
-    return schubert.intersection_number(c.gamma, (c.w1, c.w2), shape)
+    return schubert.intersection_number(c.gamma, _translates(c, shape)[:2], shape)
 
 
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
@@ -161,7 +166,7 @@ def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
         "admissible": adm,
         "relation_A": _relation_A(*t, shape),
         "trace_condition": _trace_condition(*t, shape),
-        "schubert_k": schubert.intersection_number(c.gamma, (c.w1, c.w2), shape) if adm else 0,
+        "schubert_k": schubert.intersection_number(c.gamma, t[:2], shape) if adm else 0,
     }
     out["certified"] = (
         out["admissible"]
@@ -225,15 +230,14 @@ def certify_normal(
 ) -> Optional[FacetCertificate]:
     """The certificate matching the facet normal exactly, or None.
 
-    gamma is forced by the C-block.  The stable block sort matches equal
-    entries in index order, so w = sort(target)^-1 o sort(gamma) is the
-    lex-least w with w.gamma == target if any is.  Only that (w1, w2) is
-    checked, and it decides for all: relation_A and trace_condition read
-    w only through w.gamma, schubert_condition through min-rep(w0 o w o
-    sigma^-1) (schubert.cell_class_rep), and w'.gamma == w.gamma means
-    w' = w o s with s in Stab(gamma) = sigma^-1 W_P sigma, the same coset.
-    Once w1.gamma and w2.gamma match the normal's A- and B-blocks, the
-    predicates read those blocks as the translates.
+    gamma is forced by the C-block, and the A- and B-blocks must be the
+    translates w1.gamma and w2.gamma, so they are checked as block
+    permutations of gamma by sorting.  Every check reads w only through
+    w.gamma: the trace condition directly, and the Schubert problem
+    through the cells of the translates (schubert.cell_class_rep), whose
+    degree condition is Relation (A).  So the blocks decide for every
+    Weyl pair with these translates, and the lex-least pair (_witness) is
+    built only for a certificate that is returned.
     """
     n = shape.rank
     normal = primitive(normal)
@@ -241,16 +245,24 @@ def certify_normal(
     if all(v == 0 for v in g) or not admissible(g, shape):
         return None
     na, nb = normal[:n], normal[n : 2 * n]
-    def sort(v) -> WeylElement:
-        return WeylElement(*map(schubert.block_sorting_perm, blocks(v, shape)))
-    sg = sort(g)
-    w1, w2 = (sort(t).inverse().compose(sg) for t in (na, nb))
-    if (w1.apply(g, shape), w2.apply(g, shape)) != (na, nb) or not _relation_A(na, nb, g, shape):
+    sg = sorted_blocks(g, shape)
+    if sorted_blocks(na, shape) != sg or sorted_blocks(nb, shape) != sg:
         return None
     if not _trace_condition(na, nb, g, shape):
         return None
-    k = schubert.intersection_number(g, (w1, w2), shape)
-    return FacetCertificate(RessayreCandidate(g, w1, w2), k, normal) if k >= 1 else None
+    k = schubert.intersection_number(g, (na, nb), shape)
+    if k < 1:
+        return None
+    cand = RessayreCandidate(g, _witness(g, na, shape), _witness(g, nb, shape))
+    return FacetCertificate(cand, k, normal)
+
+
+def _witness(g, t, shape: Shape) -> WeylElement:
+    """The lex-least w with w.g == t, for t a block permutation of g: per
+    block, the k-th entry of g in stable sorted order goes to the slot of
+    the k-th entry of t."""
+    pairs = zip(blocks(g, shape), blocks(t, shape))
+    return WeylElement(*(permute(argsort(a), argsort(b)) for a, b in pairs))
 
 
 def search_certificates(

@@ -9,7 +9,8 @@ multiplied as a polynomial, and the coefficient of S_u(x) S_v(y) in a
 polynomial is its constant term after partial has been applied down a
 descent chain of u and then of v (partial kills the ideal), which is how
 products are expanded back into the basis and how intersection numbers
-are read off.
+are read off.  The cells of a facet candidate are read off the
+translates t = w.gamma alone (cell_class_rep), never off w itself.
 
 Permutations are tuples in one-line notation with w[i] the image of
 position i; they and their primitives (composition, inverse, length,
@@ -20,8 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .weights import (Perm, Shape, all_perms, blocks, compose, identity_perm, inverse_perm,
-                      inversions, longest_perm)
+from .weights import (Perm, Shape, all_perms, argsort, blocks, identity_perm, inversions,
+                      longest_perm, sorted_blocks)
 
 Poly = Dict[Tuple[int, ...], int]  # exponent vector -> coefficient
 
@@ -213,16 +214,6 @@ def point_coefficient(a: CohomologyElement, f: FlagType, shape: Shape) -> int:
 # Flag types and cycle classes attached to a rational weight gamma
 
 
-def block_sorting_perm(values: Sequence) -> Perm:
-    """Minimal sigma (stable) with (sigma.values) weakly increasing.
-
-    Convention as in WeylElement: (sigma.v)[sigma[i]] = v[i].  Increasing
-    order because the parabolic attached to gamma keeps the root spaces
-    with nonpositive gamma-pairing: the base flag sorts gamma upward.
-    """
-    return inverse_perm(sorted(range(len(values)), key=lambda i: (values[i], i)))
-
-
 def _composition_of(sorted_vals: Sequence) -> Tuple[int, ...]:
     comp: List[int] = []
     prev = object()
@@ -247,45 +238,37 @@ def flag_type_of(gamma: Sequence, shape: Shape) -> FlagType:
     return FlagType(_composition_of(sorted(gp)), _composition_of(sorted(gq)))
 
 
-def cell_class_rep(
-    w_block: Perm, gamma_block: Sequence
-) -> Perm:
-    """Minimal coset representative of the closure of B.(w-shifted base point).
+def cell_class_rep(t_block: Sequence) -> Perm:
+    """Schubert class of the cell through the T-fixed point with translate t = w.gamma.
 
-    On the flag variety attached to gamma_block, the T-fixed point w.[e]
-    corresponds to the coset (w o sigma^{-1}) W_P in the standard model,
-    where sigma sorts gamma descending; its cycle class is the Schubert
-    class of min-rep(w0 o w o sigma^{-1}).
+    The class is min-rep(w0 o w o sigma^-1) for sigma the stable sort of
+    gamma's block.  Sorting t undoes w o sigma^-1 up to W_P, the
+    stabiliser of sorted gamma, so that coset is fixed by t alone, and its
+    minimal representative is the stable argsort of reversed(t).  Its
+    length #{i < j : t_i < t_j} counts the compact positive roots that
+    pair negatively with t.
     """
-    m = len(gamma_block)
-    sigma = block_sorting_perm(gamma_block)
-    comp = _composition_of(sorted(gamma_block))
-    u = compose(longest_perm(m), compose(w_block, inverse_perm(sigma)))
-    return min_coset_rep(u, comp)
+    return argsort(t_block[::-1])
 
 
 def class_of_base_cell(gamma: Sequence, shape: Shape) -> CohomologyElement:
     """[X_gamma]: the class of the closure of the B-orbit of the base point."""
-    gp, gq = blocks(gamma, shape)
-    wp = cell_class_rep(identity_perm(shape.p), gp)
-    wq = cell_class_rep(identity_perm(shape.q), gq)
-    return {(wp, wq): 1}
+    return {tuple(map(cell_class_rep, blocks(gamma, shape))): 1}
 
 
-def _euler_polynomial(gamma: Sequence, shape: Shape) -> Poly:
-    """prod EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}) over gamma_i > gamma_{p+j}.
+def _euler_polynomial(sp: Sequence, sq: Sequence, shape: Shape) -> Poly:
+    """prod EULER_SIGN * (x_a - y_b) over sp[a] > sq[b], for the sorted blocks of gamma.
 
-    sigma sorts each block of gamma upward (block_sorting_perm); the
-    product is symmetric in the variables of each part of flag_type_of.
+    Renaming each coordinate of gamma by its slot in the stable sort of its
+    block turns the product over the weights e_i - e_{p+j} with
+    gamma_i > gamma_{p+j} into this one.
     """
-    gp, gq = blocks(gamma, shape)
-    sp, sq = block_sorting_perm(gp), block_sorting_perm(gq)
     n = shape.rank
     poly: Poly = {(0,) * n: 1}
-    for i in range(shape.p):
-        for j in range(shape.q):
-            if gp[i] > gq[j]:
-                x, y = (tuple(int(k == a) for k in range(n)) for a in (sp[i], shape.p + sq[j]))
+    for a, u in enumerate(sp):
+        for b, v in enumerate(sq):
+            if u > v:
+                x, y = (tuple(int(k == c) for k in range(n)) for c in (a, shape.p + b))
                 poly = _mul(poly, {x: EULER_SIGN, y: -EULER_SIGN})
     return poly
 
@@ -294,33 +277,40 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
     """Euler class of the bundle with weights e_i - e_{p+j}, <., gamma> > 0.
 
     In the standard model the Chern root of the (i, j) weight line is
-    EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}); the product over the
-    positive-pairing weights is expanded into the Schubert basis of F_gamma.
+    EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}), sigma the stable sort
+    of each block; the product over the positive-pairing weights is
+    expanded into the Schubert basis of F_gamma.
     """
-    return _expand(_euler_polynomial(gamma, shape), flag_type_of(gamma, shape), shape)
+    poly = _euler_polynomial(*sorted_blocks(gamma, shape), shape)
+    return _expand(poly, flag_type_of(gamma, shape), shape)
 
 
-def intersection_number(
-    gamma: Sequence, cells: Sequence[Tuple[Perm, Perm]], shape: Shape
-) -> int:
+def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: Shape) -> int:
     """Point coefficient of [X_gamma] . prod [X_{w,gamma}] . Eul(q^{gamma>0}) on F_gamma.
 
-    cells holds the Weyl pairs (w_p, w_q) of the translated cells.  The
-    product is taken on polynomials, S_u(x) S_v(y) for each cell class
-    times the Euler polynomial, and its coefficient at the point class
-    S_{min-rep(w0)} is read off by divided differences (_coefficient).
-    A product whose degree is not dim F_gamma has point coefficient 0.
+    translates holds t = w.gamma for each translated cell; the cells of
+    gamma and of each t are read off by cell_class_rep, and the point
+    class is the cell of sorted gamma.  The product is taken on
+    polynomials, S_u(x) S_v(y) for each cell class times the Euler
+    polynomial, and its point coefficient is read off by divided
+    differences (_coefficient).  A product whose degree is not dim F_gamma
+    has point coefficient 0; for the two translates of a Ressayre
+    candidate that degree condition is Relation (A).  ValueError for
+    gamma = 0 or a translate that does not permute each block of gamma.
     """
-    f = flag_type_of(gamma, shape)
-    gp, gq = blocks(gamma, shape)
-    base = (identity_perm(shape.p), identity_perm(shape.q))
-    reps = [(cell_class_rep(wp, gp), cell_class_rep(wq, gq)) for wp, wq in (base, *cells)]
-    (top,) = point_class(f, shape)
+    if all(v == 0 for v in gamma):
+        raise ValueError("gamma must be nonzero")
+    sp, sq = sorted_blocks(gamma, shape)
+    for t in translates:
+        if sorted_blocks(t, shape) != (sp, sq):
+            raise ValueError(f"translate {tuple(t)} does not permute the blocks of gamma")
+    reps = [tuple(map(cell_class_rep, blocks(t, shape))) for t in (gamma, *translates)]
+    top = (cell_class_rep(sp), cell_class_rep(sq))
     degree = sum(inversions(u) + inversions(v) for u, v in reps)
-    degree += sum(a > b for a in gp for b in gq)
+    degree += sum(a > b for a in sp for b in sq)
     if degree != inversions(top[0]) + inversions(top[1]):
         return 0
-    poly = _euler_polynomial(gamma, shape)
+    poly = _euler_polynomial(sp, sq, shape)
     for rep in reps:
         poly = _mul(poly, _polynomial_of({rep: 1}))
     return _coefficient(poly, *top)

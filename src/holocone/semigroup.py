@@ -167,12 +167,14 @@ def _pattern_groups(inc):
 def _join_blocks(p_inc, q_inc):
     """The pairs (g, h) of p-row and q-row index groups of one degree
     whose patterns share a component: the nonzero entries of
-    p_inc @ q_inc.T are the disjoint union of the products g x h."""
+    p_inc @ q_inc.T are the disjoint union of the products g x h.  When
+    p == q both sides are one table, grouped once."""
     import numpy as np
 
     if not (len(p_inc) and len(q_inc)):
         return []
-    (p_pat, p_groups), (q_pat, q_groups) = _pattern_groups(p_inc), _pattern_groups(q_inc)
+    p_pat, p_groups = _pattern_groups(p_inc)
+    q_pat, q_groups = (p_pat, p_groups) if q_inc is p_inc else _pattern_groups(q_inc)
     return [(p_groups[g], q_groups[h]) for g, h in zip(*np.nonzero(p_pat @ q_pat.T))]
 
 

@@ -62,7 +62,7 @@ def verify22(
 
     mod = (reference22.TRACE_EQUALITY,)
     got = {reduce_mod_lineality(n, mod) for n in ineqs}
-    ref = set(reference22.canonical_reference_facets())
+    ref = set(reference22.reference_cone().canonical_facets()[1])
     for extra in sorted(got - ref):
         ok = False
         emit(f"UNEXPECTED FACET (canonical): {extra}")

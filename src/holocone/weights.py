@@ -57,6 +57,12 @@ def blocks(x: Sequence, shape: Shape):
     return tuple(x[: shape.p]), tuple(x[shape.p :])
 
 
+def sorted_blocks(x: Sequence, shape: Shape):
+    """Each block of x sorted upward; equal for x and y exactly when y
+    permutes each block of x, that is, when y is a Weyl translate of x."""
+    return tuple(sorted(b) for b in blocks(x, shape))
+
+
 _NUMBER = re.compile(r"\s*[-+]?([0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)\s*")
 
 
@@ -205,6 +211,11 @@ def permute(w: Perm, x: Sequence) -> tuple:
 
 def inverse_perm(w: Perm) -> Perm:
     return permute(w, range(len(w)))
+
+
+def argsort(v: Sequence) -> Perm:
+    """The slots of v in increasing order of their entries, ties in slot order."""
+    return tuple(sorted(range(len(v)), key=v.__getitem__))
 
 
 def all_perms(n: int) -> List[Perm]:

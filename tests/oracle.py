@@ -32,7 +32,8 @@ multiplied in the full-flag Schubert basis by Monk's rule, one Chern
 root at a time (`oracle_schubert_multiply`, the Euler class
 `oracle_euler_class` and the Schubert number `oracle_schubert_condition`),
 where the package multiplies polynomials and reads the basis coefficients
-off with divided differences.
+off with divided differences; the oracle's cell classes come from Weyl
+elements (`oracle_cell_class_rep`), the package's from translates.
 """
 
 from __future__ import annotations
@@ -838,15 +839,38 @@ def oracle_schubert_multiply(a, b, shape):
     return {key: c for key, c in out.items() if c}
 
 
+def _sorting_perm(values):
+    """The package's earlier block sort: the minimal sigma (stable) with
+    sigma.values weakly increasing, (sigma.v)[sigma[i]] = v[i]."""
+    from holocone.weights import inverse_perm
+
+    return inverse_perm(tuple(sorted(range(len(values)), key=lambda i: (values[i], i))))
+
+
+def oracle_cell_class_rep(w_block, gamma_block):
+    """The package's earlier cell class, from the Weyl element: the
+    minimal coset representative of w0 o w o sigma^-1 for the parabolic
+    of gamma_block, sigma its stable sort."""
+    from itertools import groupby
+
+    from holocone.schubert import min_coset_rep
+    from holocone.weights import compose, inverse_perm, longest_perm
+
+    comp = [len(list(run)) for _, run in groupby(sorted(gamma_block))]
+    sigma = _sorting_perm(gamma_block)
+    u = compose(longest_perm(len(gamma_block)), compose(w_block, inverse_perm(sigma)))
+    return min_coset_rep(u, comp)
+
+
 def oracle_euler_class(gamma, shape):
     """The package's earlier Euler class: the unit class times each Chern
     root EULER_SIGN * (x_{sigma_p(i)} - y_{sigma_q(j)}) of a weight
     e_i - e_{p+j} with gamma_i > gamma_{p+j}, by Monk's rule."""
-    from holocone.schubert import EULER_SIGN, block_sorting_perm, unit_class
+    from holocone.schubert import EULER_SIGN, unit_class
     from holocone.weights import blocks
 
     gp, gq = blocks(gamma, shape)
-    sp, sq = block_sorting_perm(gp), block_sorting_perm(gq)
+    sp, sq = _sorting_perm(gp), _sorting_perm(gq)
     cls = unit_class(shape)
     for i in range(shape.p):
         for j in range(shape.q):
@@ -861,7 +885,8 @@ def oracle_euler_class(gamma, shape):
 
 def oracle_schubert_condition(cand, shape) -> int:
     """The package's earlier Schubert number: the class of the base cell
-    times the classes of the two translated cells and the Euler class,
+    times the classes of the two translated cells, each taken from its
+    Weyl element (`oracle_cell_class_rep`), and the Euler class,
     multiplied class by class with Monk's rule; the coefficient of the
     point class of F_gamma."""
     from holocone import schubert as sc
@@ -870,7 +895,7 @@ def oracle_schubert_condition(cand, shape) -> int:
     gp, gq = blocks(cand.gamma, shape)
     cls = sc.unit_class(shape)
     for w in (identity_weyl(shape), cand.w1, cand.w2):
-        cell = {(sc.cell_class_rep(w.wp, gp), sc.cell_class_rep(w.wq, gq)): 1}
+        cell = {(oracle_cell_class_rep(w.wp, gp), oracle_cell_class_rep(w.wq, gq)): 1}
         cls = oracle_schubert_multiply(cls, cell, shape)
     cls = oracle_schubert_multiply(cls, oracle_euler_class(cand.gamma, shape), shape)
     return sc.point_coefficient(cls, sc.flag_type_of(cand.gamma, shape), shape)

@@ -836,6 +836,16 @@ class TestConeFiles:
         assert back.inequalities == cone.inequalities
         assert back.equalities == cone.equalities
 
+    def test_provenance_key_is_ignored(self, tmp_path):
+        # Files written before cones stopped recording where they came
+        # from carry a "provenance" key; it is read past.
+        path = tmp_path / "old.json"
+        path.write_text(
+            '{"version": 1, "ambient_dim": 2, "provenance": "hull-of:points.txt",'
+            ' "inequalities": [["1", "0"], ["0", "1"]]}'
+        )
+        assert ph.load_cone(path) == ph.RationalCone(2, inequalities=((1, 0), (0, 1)))
+
     def test_file_without_a_representation(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text('{"version": 1, "ambient_dim": 2, "equalities": [["1", "0"]]}')

@@ -6,12 +6,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from holocone import reference22, ressayre, semigroup
+from holocone import reference22, ressayre, schubert as sc, semigroup
 from holocone.polyhedral import cone_from_points, dot, primitive
-from holocone.weights import Shape, WeylElement, all_weyl_elements, identity_weyl, longest_weyl
+from holocone.weights import (Shape, WeylElement, all_weyl_elements, blocks, identity_weyl,
+                              longest_weyl, pairing)
 
 
 def cand(gamma, w1, w2):
@@ -82,6 +83,27 @@ class TestRelationA:
         # no compact roots; rhs counts the q-weight e1-e2 against gamma
         assert not ressayre.relation_A(cand((1, -1), e, e), s)
         assert ressayre.relation_A(cand((1, 2), e, e), s)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_schubert_degree_condition(self, data):
+        # For admissible gamma (two values a, b), Relation (A) holds exactly
+        # when the codimensions of the cells of gamma, w1.gamma and w2.gamma
+        # plus the Euler rank equal dim F_gamma; failing it gives k = 0.
+        shape = data.draw(st.sampled_from([Shape(2, 2), Shape(3, 1), Shape(3, 2)]))
+        a, b = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+        mask = data.draw(st.lists(st.booleans(), min_size=shape.rank, max_size=shape.rank))
+        g = tuple(a if m else b for m in mask)
+        assume(any(g))
+        w1, w2 = (data.draw(st.sampled_from(all_weyl_elements(shape))) for _ in range(2))
+        cells = (g, w1.apply(g, shape), w2.apply(g, shape))
+        codim = sum(sc.inversions(sc.cell_class_rep(blk)) for t in cells for blk in blocks(t, shape))
+        euler = sum(pairing(h, g) > 0 for h in oracle.noncompact_positive_roots(shape))
+        dim = sum(pairing(r, g) != 0 for r in oracle.compact_positive_roots(shape))
+        res = ressayre.check_candidate(cand(g, w1, w2), shape)
+        assert res["relation_A"] == (codim + euler == dim)
+        if not res["relation_A"]:
+            assert res["schubert_k"] == 0
 
 
 class TestTraceCondition:

@@ -9,7 +9,7 @@ import pytest
 
 import oracle
 from holocone import lr, ressayre, schubert as sc
-from holocone.weights import Shape, all_weyl_elements
+from holocone.weights import Shape, all_weyl_elements, compose, inverse_perm, permute
 
 
 def full_flag(shape: Shape) -> sc.FlagType:
@@ -54,7 +54,7 @@ class TestPermutationHelpers:
         rng = random.Random(30)
         for _ in range(50):
             w = tuple(rng.sample(range(4), 4))
-            assert sc.compose(w, sc.inverse_perm(w)) == sc.identity_perm(4)
+            assert compose(w, inverse_perm(w)) == sc.identity_perm(4)
 
     def test_min_coset_rep(self):
         assert sc.min_coset_rep((2, 0, 1, 3), (2, 2)) == (0, 2, 1, 3)
@@ -222,7 +222,7 @@ class TestPoincareDuality:
                     f,
                     shape,
                 )
-                want = 1 if v == sc.compose(w0, u) else 0
+                want = 1 if v == compose(w0, u) else 0
                 assert k == want
 
     def test_product_flag_u2_u2(self):
@@ -246,8 +246,8 @@ class TestPoincareDuality:
                         )
                         want = (
                             1
-                            if vp == sc.compose(w0, up)
-                            and vq == sc.compose(w0, uq)
+                            if vp == compose(w0, up)
+                            and vq == compose(w0, uq)
                             else 0
                         )
                         assert k == want
@@ -298,6 +298,36 @@ class TestFlagTypes:
                 if pairing(a, g) < 0
             )
             assert sc.inversions(wp) + sc.inversions(wq) == want
+
+
+class TestCellClasses:
+    def test_translate_form_matches_weyl_form(self):
+        # cell_class_rep(w.gamma) against the earlier formula in (w, gamma),
+        # min-rep(w0 o w o sigma^-1), for every w and gamma in {0,1,2}^m.
+        for m in range(1, 5):
+            for g in product(range(3), repeat=m):
+                for w in sc.all_perms(m):
+                    assert sc.cell_class_rep(permute(w, g)) == oracle.oracle_cell_class_rep(w, g)
+
+    @pytest.mark.parametrize(
+        "gamma, translates",
+        [
+            ((0, 0, 0, 0), ()),
+            ((0, 0, 0, 0), ((0, 0, 0, 0),)),
+            ((1, 0, 0, 0), ((0, 0, 1, 0),)),  # an entry moved across the blocks
+            ((1, 0, 0, 0), ((2, 0, 0, 0),)),  # not a permutation at all
+            ((1, 0, 0, 0), ((0, 1, 0, 0), (1, 0, 0))),  # too short
+        ],
+    )
+    def test_intersection_number_rejects(self, gamma, translates):
+        with pytest.raises(ValueError):
+            sc.intersection_number(gamma, translates, Shape(2, 2))
+
+    def test_intersection_number_of_translates(self):
+        # gamma = (1,1;2,2): F_gamma is a point and no noncompact weight
+        # pairs positively, so every class is 1 and k = 1.
+        g = (1, 1, 2, 2)
+        assert sc.intersection_number(g, (g, g), Shape(2, 2)) == 1
 
 
 class TestEulerClass:

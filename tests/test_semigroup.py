@@ -301,6 +301,15 @@ def test_one_block_table_per_block_length(monkeypatch, shape, calls):
     assert incidences.call_count == calls
 
 
+def test_one_table_grouped_once(monkeypatch):
+    # On U(2,2) the p-rows and q-rows of each degree are one incidence
+    # matrix, so its row patterns are grouped once: 13 tables at box 2.
+    groups = mock.Mock(wraps=semigroup._pattern_groups)
+    monkeypatch.setattr(semigroup, "_pattern_groups", groups)
+    semigroup.enumerate_semigroup_points(Shape(2, 2), 2)
+    assert groups.call_count == 13
+
+
 class TestAdditivity:
     def test_sum_of_members_is_member(self):
         rng = random.Random(40)
