@@ -8,9 +8,9 @@ where the CLI itself refuses), and `main` alone catches it, prints
 timing or progress chatter goes to stderr.
 
 A points file (`enumerate --out`, `hull --in`) is a versioned header
-line and then one comma-separated row of integers per line; `hull`
-reads the entries as int64, so an entry beyond int64, like any other
-defect, is a usage error.
+line and then one comma-separated row of integers per line, in ASCII;
+`hull` reads the entries as int64, so an entry beyond int64, like any
+other defect, is a usage error.
 """
 
 from __future__ import annotations
@@ -170,6 +170,10 @@ def load_points(path):
             shape = Shape(parse_int(fields["p"]), parse_int(fields["q"])).validate()
             blocks = []
             while lines := list(itertools.islice(fh, _WRITE_ROWS)):
+                # np.loadtxt's integer parser crashes the interpreter on some
+                # non-ASCII characters (U+EEC27, for one), so they never reach it
+                if not "".join(lines).isascii():
+                    raise ValueError("a points file is ASCII text")
                 with warnings.catch_warnings():
                     # a blank block is skipped, not reported as a numpy warning
                     warnings.simplefilter("ignore", UserWarning)
@@ -291,33 +295,32 @@ def cmd_recession(args) -> int:
     return 0
 
 
-def cmd_ressayre(args) -> int:
+def cmd_ressayre_verify(args) -> int:
     shape = _shape_of(args)
-    if args.mode == "verify":
-        if args.gamma is None or args.w1 is None or args.w2 is None:
-            raise UsageError("verify needs --gamma, --w1, --w2")
-        gamma, gshape = parse_weight(args.gamma)
-        if gshape != shape:
-            raise UsageError(
-                f"gamma has shape {gshape}, expected {shape}"
-            )
-        cand = ressayre.RessayreCandidate(
-            gamma, _parse_weyl(args.w1, shape), _parse_weyl(args.w2, shape)
+    if args.gamma is None or args.w1 is None or args.w2 is None:
+        raise UsageError("verify needs --gamma, --w1, --w2")
+    gamma, gshape = parse_weight(args.gamma)
+    if gshape != shape:
+        raise UsageError(f"gamma has shape {gshape}, expected {shape}")
+    cand = ressayre.RessayreCandidate(
+        gamma, _parse_weyl(args.w1, shape), _parse_weyl(args.w2, shape)
+    )
+    res = ressayre.check_candidate(cand, shape)
+    for key in ("admissible", "relation_A", "trace_condition"):
+        print(f"{key}: {'pass' if res[key] else 'FAIL'}")
+    print(f"schubert_k: {res['schubert_k']}")
+    if res["certified"]:
+        print(
+            "certified; inequality normal "
+            + ",".join(map(str, ressayre.inequality_of(cand, shape)))
         )
-        res = ressayre.check_candidate(cand, shape)
-        for key in ("admissible", "relation_A", "trace_condition"):
-            print(f"{key}: {'pass' if res[key] else 'FAIL'}")
-        print(f"schubert_k: {res['schubert_k']}")
-        if res["certified"]:
-            print(
-                "certified; inequality normal "
-                + ",".join(map(str, ressayre.inequality_of(cand, shape)))
-            )
-            return 0
-        print("not certified")
-        return 1
+        return 0
+    print("not certified")
+    return 1
 
-    # search mode
+
+def cmd_ressayre_search(args) -> int:
+    shape = _shape_of(args)
     if args.infile is None or args.out is None:
         raise UsageError("search needs --in and --out")
     cone = _load_cone(args.infile, shape).with_h_rep()
@@ -348,12 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="holocone",
         description="Exact computations around holomorphic Horn cones of U(p,q).",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
     # Every option takes a string; the commands read the integers among
     # them with `parse_int`.
     options = {"in": {"dest": "infile"}, "bound": {"default": "3"}}
     triple = "p q lam mu nu triple"
-    # Each subcommand gets exactly the options it reads.
+    # Each subcommand, and each mode of one, gets exactly the options it
+    # reads; a command with modes lists them in place of its options.
+    ressayre_modes = [
+        ("verify", cmd_ressayre_verify, "p q gamma w1 w2", "check one candidate (gamma, w1, w2)"),
+        ("search", cmd_ressayre_search, "p q in out", "certify every facet of a cone file"),
+    ]
     commands = [
         ("lr", cmd_lr, "n lam mu nu", "Littlewood-Richardson coefficient c^nu_{lam,mu}"),
         ("mult", cmd_mult, triple, "holomorphic multiplicity m(lam, mu, nu)"),
@@ -363,16 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
         ("cone-member", cmd_cone_member, "in " + triple, "triple membership in a cone file"),
         ("slice", cmd_slice, "in p q lam mu", "C-slice of a triple cone at fixed (A, B)"),
         ("recession", cmd_recession, "in p q lam mu out", "recession cone of a C-slice"),
-        ("ressayre", cmd_ressayre, "p q in out gamma w1 w2", "facet certificates: verify or search"),
+        ("ressayre", None, ressayre_modes, "facet certificates: verify or search"),
         ("verify22", cmd_verify22, "bound", "end-to-end (2,2) cone reproduction"),
     ]
-    parsers = {}
-    for name, fn, names, help_ in commands:
-        sp = parsers[name] = sub.add_parser(name, help=help_)
-        sp.set_defaults(fn=fn)
-        for opt in names.split():
-            sp.add_argument("--" + opt, **options.get(opt, {}))
-    parsers["ressayre"].add_argument("mode", choices=["verify", "search"])
+
+    def add(sub, commands) -> None:
+        for name, fn, names, help_ in commands:
+            sp = sub.add_parser(name, help=help_)
+            if fn is None:
+                add(sp.add_subparsers(dest="mode", required=True), names)
+                continue
+            sp.set_defaults(fn=fn)
+            for opt in names.split():
+                sp.add_argument("--" + opt, **options.get(opt, {}))
+
+    add(ap.add_subparsers(dest="command", required=True), commands)
     return ap
 
 

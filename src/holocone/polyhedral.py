@@ -689,6 +689,8 @@ def load_cone(path) -> RationalCone:
     if version != CONE_FILE_VERSION:
         raise ValueError(f"unsupported cone file version: {version}")
     dim = obj["ambient_dim"]
+    if type(dim) is not int or dim < 0:
+        raise ValueError(f"ambient_dim must be an integer >= 0, got {dim!r}")
     kwargs = {}
     for name in ("rays", "inequalities", "equalities", "lineality"):
         if name in obj:

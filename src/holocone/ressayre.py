@@ -1,11 +1,13 @@
 """Certification of holomorphic Horn-cone facets.
 
 A candidate is a rational weight gamma together with a pair of Weyl
-elements (w1, w2).  Four exact checks qualify it as a facet certificate:
-admissibility of gamma (a span condition over the root system),
-a dimension count ("Relation (A)"), a trace identity relating gamma to
-its Weyl translates, and a Schubert-calculus intersection number k >= 1.
-A passing candidate yields the linear inequality
+elements (w1, w2).  It is a facet certificate when gamma is admissible
+(a span condition over the root system) and a Schubert-calculus
+intersection number k is >= 1.  Two more exact checks are reported
+beside these, and both follow from them: a dimension count ("Relation
+(A)", the degree condition of the Schubert problem) and a trace
+identity relating gamma to its Weyl translates.  A certificate yields
+the linear inequality
 
     <A, w1.gamma> + <B, w2.gamma> - <C, w0.gamma> >= 0
 
@@ -14,8 +16,9 @@ search inverts this: given a facet normal it reads off gamma from the
 C-block and checks the A- and B-blocks as the translates w1.gamma and
 w2.gamma, which is all the checks read of w1 and w2; the lex-least Weyl
 pair with those translates is the witness a certificate records.
-The public predicates and the certificate reader take one rule for a
-valid Weyl element, `weights.check_weyl`.
+`check_candidate` is the one verdict on a candidate; it, `inequality_of`
+and the certificate reader take one rule for a valid Weyl element,
+`weights.check_weyl`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
 from .weights import (Shape, WeylElement, argsort, blocks, check_length, check_weyl,
-                      longest_weyl, parse_int, permute, sorted_blocks, star_involution)
+                      parse_int, permute, sorted_blocks, star_involution)
 
 CERT_FILE_VERSION = 1
 
@@ -84,36 +87,6 @@ def admissible(gamma: Sequence, shape: Shape) -> bool:
     return len(set(gamma)) <= 2
 
 
-def _compact_diffs(v: Sequence, p: int) -> List:
-    """<alpha, v> = v_i - v_j over the compact positive roots alpha = e_i - e_j,
-    which are the index pairs i < j inside one block."""
-    return [b[i] - b[j] for b in (v[:p], v[p:]) for i, j in combinations(range(len(b)), 2)]
-
-
-def relation_A(c: RessayreCandidate, shape: Shape) -> bool:
-    """Dimension count over root/weight sets (Horn specialization).
-
-    Counted over index pairs: the compact positive roots pair with v as
-    the differences within a block, and the noncompact ones e_i - e_{p+j}
-    as the differences between a p-index and a q-index.  It is the degree
-    condition of the Schubert problem: the codimensions of the cells of
-    gamma, w1.gamma and w2.gamma plus the rank of the Euler class equal
-    dim F_gamma (schubert.intersection_number returns 0 otherwise).
-    """
-    _check_pair(c, shape)
-    return _relation_A(*_translates(c, shape), shape)
-
-
-def _relation_A(t1, t2, g, shape: Shape) -> bool:
-    """`relation_A` from the translates t1 = w1.gamma and t2 = w2.gamma."""
-    p = shape.p
-    lhs = sum(x > 0 for v in (t1, t2, g) for x in _compact_diffs(v, p))
-    rhs = 2 * sum(x != 0 for x in _compact_diffs(g, p)) + sum(
-        a > b for a in g[:p] for b in g[p:]
-    )
-    return lhs == rhs
-
-
 def _positive_sum(v):
     """f(v) = sum of <alpha, v> over positive roots pairing positively.
 
@@ -123,31 +96,12 @@ def _positive_sum(v):
     return sum(max(a - b, 0) for a, b in combinations(v, 2))
 
 
-def trace_condition(c: RessayreCandidate, shape: Shape) -> bool:
-    """Eq.-(15)-style trace identity between gamma and its translates."""
-    _check_pair(c, shape)
-    return _trace_condition(*_translates(c, shape), shape)
-
-
 def _trace_condition(t1, t2, g, shape: Shape) -> bool:
-    """`trace_condition` from the translates t1 = w1.gamma and t2 = w2.gamma."""
-    w0 = longest_weyl(shape)
-    return _positive_sum(g) == _positive_sum(w0.apply(t1, shape)) + _positive_sum(
-        w0.apply(t2, shape)
-    )
-
-
-def schubert_condition(c: RessayreCandidate, shape: Shape) -> int:
-    """Intersection number k of the certificate's Schubert problem.
-
-    k is the point coefficient of [X_gamma] . [X_{w1,gamma}] .
-    [X_{w2,gamma}] . Eul(q^{gamma>0}) on the partial flag variety of
-    gamma (schubert.intersection_number).
-    """
-    _check_pair(c, shape)
-    if not admissible(c.gamma, shape):
-        raise ValueError("schubert_condition requires an admissible gamma")
-    return schubert.intersection_number(c.gamma, _translates(c, shape)[:2], shape)
+    """Eq.-(15)-style trace identity f(gamma) = f(w0.t1) + f(w0.t2) between
+    gamma and its translates t1 = w1.gamma and t2 = w2.gamma, w0 reversing
+    each block."""
+    p = shape.p
+    return _positive_sum(g) == sum(_positive_sum(t[:p][::-1] + t[p:][::-1]) for t in (t1, t2))
 
 
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
@@ -158,23 +112,26 @@ def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
 
 
 def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
-    """All four predicates at once (UI helper); short-circuits nothing."""
+    """Every check of a candidate and the verdict: certified exactly when
+    gamma is admissible and k >= 1.  The other two checks follow from
+    these and are reported only.  k >= 1 implies the degree condition of
+    the Schubert problem, which is Relation (A).  With two values u > v
+    every nonzero pair difference is +-(u - v), so for admissible gamma
+    the trace sums are u - v times Relation (A)'s two pair counts, each
+    plus the same #{(a, b) : a <= p < b, gamma_a > gamma_b}.
+    """
     adm = admissible(c.gamma, shape)
     _check_pair(c, shape)
-    t = _translates(c, shape)
-    out = {
+    t1, t2, g = _translates(c, shape)
+    rel = schubert._degree_condition(g, (t1, t2), shape)
+    k = schubert.intersection_number(g, (t1, t2), shape) if adm and rel else 0
+    return {
         "admissible": adm,
-        "relation_A": _relation_A(*t, shape),
-        "trace_condition": _trace_condition(*t, shape),
-        "schubert_k": schubert.intersection_number(c.gamma, t[:2], shape) if adm else 0,
+        "relation_A": rel,
+        "trace_condition": _trace_condition(t1, t2, g, shape),
+        "schubert_k": k,
+        "certified": adm and k >= 1,
     }
-    out["certified"] = (
-        out["admissible"]
-        and out["relation_A"]
-        and out["trace_condition"]
-        and out["schubert_k"] >= 1
-    )
-    return out
 
 
 def trace_equality_normal(shape: Shape) -> Tuple[int, ...]:
@@ -232,12 +189,11 @@ def certify_normal(
 
     gamma is forced by the C-block, and the A- and B-blocks must be the
     translates w1.gamma and w2.gamma, so they are checked as block
-    permutations of gamma by sorting.  Every check reads w only through
-    w.gamma: the trace condition directly, and the Schubert problem
-    through the cells of the translates (schubert.cell_class_rep), whose
-    degree condition is Relation (A).  So the blocks decide for every
-    Weyl pair with these translates, and the lex-least pair (_witness) is
-    built only for a certificate that is returned.
+    permutations of gamma by sorting.  The verdict is check_candidate's,
+    admissibility and k >= 1, and k reads w only through the cells of
+    the translates (schubert.cell_class_rep).  So the blocks decide for
+    every Weyl pair with these translates, and the lex-least pair
+    (_witness) is built only for a certificate that is returned.
     """
     n = shape.rank
     normal = primitive(normal)
@@ -247,8 +203,6 @@ def certify_normal(
     na, nb = normal[:n], normal[n : 2 * n]
     sg = sorted_blocks(g, shape)
     if sorted_blocks(na, shape) != sg or sorted_blocks(nb, shape) != sg:
-        return None
-    if not _trace_condition(na, nb, g, shape):
         return None
     k = schubert.intersection_number(g, (na, nb), shape)
     if k < 1:

@@ -19,6 +19,8 @@ enumeration) come from the weights module, which defines them once.
 
 from __future__ import annotations
 
+from itertools import combinations
+from operator import gt, lt
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .weights import (Perm, Shape, all_perms, argsort, blocks, identity_perm, inversions,
@@ -285,6 +287,26 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
     return _expand(poly, flag_type_of(gamma, shape), shape)
 
 
+def _degree_condition(gamma: Sequence, translates: Sequence[Sequence], shape: Shape) -> bool:
+    """Relation (A), the degree condition of the Schubert problem, counted
+    over the pairs i < j inside a block:
+
+        #{i < j : gamma_i > gamma_j}
+            = sum over t of #{i < j : t_i < t_j} + #{(a, b) : a <= p < b, gamma_a > gamma_b}.
+
+    The right side is the codimensions of the translated cells
+    (cell_class_rep) plus the Euler rank, the left dim F_gamma less the
+    codimension of the cell of gamma.
+    """
+
+    def pairs(v, rel):
+        return sum(rel(a, b) for blk in blocks(v, shape) for a, b in combinations(blk, 2))
+
+    gp, gq = blocks(gamma, shape)
+    euler = sum(a > b for a in gp for b in gq)
+    return pairs(gamma, gt) == euler + sum(pairs(t, lt) for t in translates)
+
+
 def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: Shape) -> int:
     """Point coefficient of [X_gamma] . prod [X_{w,gamma}] . Eul(q^{gamma>0}) on F_gamma.
 
@@ -294,9 +316,9 @@ def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: 
     polynomials, S_u(x) S_v(y) for each cell class times the Euler
     polynomial, and its point coefficient is read off by divided
     differences (_coefficient).  A product whose degree is not dim F_gamma
-    has point coefficient 0; for the two translates of a Ressayre
-    candidate that degree condition is Relation (A).  ValueError for
-    gamma = 0 or a translate that does not permute each block of gamma.
+    has point coefficient 0, so Relation (A) (_degree_condition) is the
+    early exit.  ValueError for gamma = 0 or a translate that does not
+    permute each block of gamma.
     """
     if all(v == 0 for v in gamma):
         raise ValueError("gamma must be nonzero")
@@ -304,16 +326,12 @@ def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: 
     for t in translates:
         if sorted_blocks(t, shape) != (sp, sq):
             raise ValueError(f"translate {tuple(t)} does not permute the blocks of gamma")
-    reps = [tuple(map(cell_class_rep, blocks(t, shape))) for t in (gamma, *translates)]
-    top = (cell_class_rep(sp), cell_class_rep(sq))
-    degree = sum(inversions(u) + inversions(v) for u, v in reps)
-    degree += sum(a > b for a in sp for b in sq)
-    if degree != inversions(top[0]) + inversions(top[1]):
+    if not _degree_condition(gamma, translates, shape):
         return 0
     poly = _euler_polynomial(sp, sq, shape)
-    for rep in reps:
-        poly = _mul(poly, _polynomial_of({rep: 1}))
-    return _coefficient(poly, *top)
+    for t in (gamma, *translates):
+        poly = _mul(poly, _polynomial_of({tuple(map(cell_class_rep, blocks(t, shape))): 1}))
+    return _coefficient(poly, cell_class_rep(sp), cell_class_rep(sq))
 
 
 def clear_caches() -> None:

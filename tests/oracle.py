@@ -26,7 +26,9 @@ q-pair) at a time, uniting the products of their block sets over every
 Cauchy component, from tables built with `oracle_tensor_expand`, one
 product kappa (x) delta per Cauchy weight, directly on the q-blocks.
 The certificate oracle is the package's earlier search: it scans every
-Weyl pair matching a facet normal, where the package checks one.  The
+Weyl pair matching a facet normal, where the package checks one, and
+keeps the earlier four-way verdict (`oracle_certified`), where the
+package decides by admissibility and k >= 1.  The
 Schubert oracles are the package's earlier class algebra: classes are
 multiplied in the full-flag Schubert basis by Monk's rule, one Chern
 root at a time (`oracle_schubert_multiply`, the Euler class
@@ -755,11 +757,19 @@ def oracle_semigroup_points(shape, bound):
 # Facet certification by a scan of Weyl pairs
 
 
+def oracle_certified(res) -> bool:
+    """The earlier verdict on a `check_candidate` report: all four checks."""
+    return bool(
+        res["admissible"] and res["relation_A"] and res["trace_condition"] and res["schubert_k"] >= 1
+    )
+
+
 def oracle_certify_normal(normal, shape):
     """The package's earlier certificate search: every (w1, w2) with
     w1.gamma and w2.gamma equal to the A- and B-blocks, scanned in
-    lexicographic order through relation (A), the trace condition and the
-    Schubert number; the first pair with k >= 1 is the certificate."""
+    lexicographic order; the first pair that passes all four checks of
+    `check_candidate` (admissibility, relation (A), the trace condition
+    and k >= 1) is the certificate."""
     from holocone import ressayre
     from holocone.polyhedral import primitive
     from holocone.weights import all_weyl_elements
@@ -775,13 +785,9 @@ def oracle_certify_normal(normal, shape):
     for w1 in w1s:
         for w2 in w2s:
             cand = ressayre.RessayreCandidate(g, w1, w2)
-            if not ressayre.relation_A(cand, shape):
-                continue
-            if not ressayre.trace_condition(cand, shape):
-                continue
-            k = ressayre.schubert_condition(cand, shape)
-            if k >= 1:
-                return ressayre.FacetCertificate(cand, k, normal)
+            res = ressayre.check_candidate(cand, shape)
+            if oracle_certified(res):
+                return ressayre.FacetCertificate(cand, res["schubert_k"], normal)
     return None
 
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import warnings
@@ -208,6 +209,8 @@ BAD_POINTS = {
     "comment-line": POINTS_HEADER + "# a comment\n1,0,0,0,1,-1\n",
     "empty-field": POINTS_HEADER + "1,,0,0,1,-1\n",
     "entry-beyond-int64": POINTS_HEADER + f"{2**63},0,0,0,{2**63},0\n",
+    # np.loadtxt would crash the interpreter on this character
+    "non-ASCII": POINTS_HEADER + "\U000eec27\n",
     "missing-file": None,
 }
 CONE_COMMANDS = {
@@ -224,6 +227,10 @@ BAD_CONES = {
     "top-level-list": "[]",
     "zero-denominator": '{"version": 1, "ambient_dim": 6, "inequalities": [["1/0", "0", "0", "0", "0", "0"]]}',
     "no-representation": '{"version": 1, "ambient_dim": 6}',
+    # 6.0 == 6, but a dimension is an int
+    "float-ambient_dim-rays": '{"version": 1, "ambient_dim": 6.0, "rays": [["1", "0", "1", "0", "2", "0"]]}',
+    "float-ambient_dim-inequalities":
+        '{"version": 1, "ambient_dim": 6.0, "inequalities": [["0", "0", "0", "0", "1", "0"]]}',
 }
 BOUND_COMMANDS = {
     "enumerate": ["enumerate", "--p", "1", "--q", "1", "--out", "OUT"],
@@ -291,19 +298,33 @@ ZEROS_10_1 = ",".join(["0"] * 10) + ";0"  # the zero weight of U(10,1)
 def test_malformed_input_is_usage_error(tmp_path, capsys, file_text, argv):
     infile = tmp_path / "in.txt"
     if file_text is not None:
-        infile.write_text(file_text)
+        infile.write_text(file_text, encoding="utf-8")
     argv = [{"IN": str(infile), "OUT": str(tmp_path / "out")}.get(a, a) for a in argv]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-# A valid request per command; the property test replaces one option's text.
+# A valid request per command; the property test replaces one option's
+# text.  CONE is the box-2 cone of U(1,1), OUT a path in a fresh directory.
 FUZZ_REQUESTS = {
     "lr": (["lr", "--n", "2"], {"--lam": "1,0", "--mu": "1,0", "--nu": "1,1"}),
     "mult": (["mult", "--p", "1", "--q", "1"], {"--triple": "1;0|0;0|1;0"}),
     "ressayre": (["ressayre", "verify", "--p", "2", "--q", "2"],
                  {"--gamma": "1,0;0,0", "--w1": "21;12", "--w2": "12"}),
+    "member": (["member", "--p", "1", "--q", "1"], {"--lam": "1;0", "--mu": "0;0", "--nu": "1;0"}),
+    "cone-member": (["cone-member", "--p", "1", "--q", "1", "--in", "CONE"], {"--triple": "1;0|1;0|2;0"}),
+    "slice": (["slice", "--p", "1", "--q", "1", "--in", "CONE"], {"--lam": "2;0", "--mu": "1;-1"}),
+    "recession": (["recession", "--p", "1", "--q", "1", "--in", "CONE"], {"--lam": "2;0", "--mu": "1;-1"}),
+    "ressayre-search": (["ressayre", "search", "--in", "CONE", "--out", "OUT"], {"--p": "1", "--q": "1"}),
 }
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    cone = polyhedral.cone_from_points(semigroup.enumerate_semigroup_points(Shape(1, 1), 2))
+    polyhedral.save_cone(cone, d / "cone.json")
+    return {"CONE": str(d / "cone.json"), "OUT": str(d / "out.txt")}
 
 
 @pytest.mark.parametrize(
@@ -314,17 +335,73 @@ FUZZ_REQUESTS = {
 @settings(max_examples=60, deadline=None)
 @given(text=st.text(max_size=8))
 @example(text="--")
-def test_any_option_text_exits_0_1_or_2(command, option, text):
+def test_any_option_text_exits_0_1_or_2(fuzz_files, command, option, text):
     """Arbitrary short text in one option never escapes `cli.main`: the
     answer is 0 or 1, or 2 with one "error: " line, as the contract says."""
     head, opts = FUZZ_REQUESTS[command]
-    argv = head + [f"{o}={text if o == option else v}" for o, v in opts.items()]
+    head = [fuzz_files.get(a, a) for a in head]
+    assert_contract(head + [f"{o}={text if o == option else v}" for o, v in opts.items()])
+
+
+def assert_contract(argv) -> None:
+    """cli.main(argv) returns 0, 1 or 2 and raises nothing; on 2 it prints
+    exactly one line, "error: ...", to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
     if code == 2:
-        assert err.getvalue().startswith("error: ")
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# Short text that is often made of the pieces of a points row.
+ROW_TEXT = st.one_of(st.text(max_size=30), st.text(alphabet="0123456789-,/. \n", max_size=30))
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=ROW_TEXT)
+@example(body="1,0,0,0,1,-1\n" + f"{2**63 - 1},0,0,0,0,{-(2**63)}\n")
+@example(body="\U000eec27")
+def test_any_points_file_exits_0_1_or_2(tmp_path_factory, body):
+    d = tmp_path_factory.mktemp("points")
+    (d / "in.txt").write_text(POINTS_HEADER + body, encoding="utf-8")
+    assert_contract(["hull", "--in", str(d / "in.txt"), "--out", str(d / "out.json")])
+
+
+# A small JSON value: a scalar, or a list of lists of scalars, which is
+# what a row-valued key holds.
+JSON_SCALAR = st.one_of(
+    st.integers(-3, 6), st.floats(), st.text(max_size=3), st.none(), st.booleans(),
+    st.sampled_from(["0", "1", "-1", "2", "1/2"]),
+)
+JSON_VALUE = st.one_of(
+    JSON_SCALAR,
+    st.lists(st.lists(JSON_SCALAR, max_size=7), max_size=3),
+    st.lists(st.lists(st.sampled_from(["0", "1", "-1", "2"]), min_size=6, max_size=6), max_size=4),
+)
+CONE_ARGV = {
+    **{cmd: [cmd, "--p", "1", "--q", "1", *args] for cmd, args in CONE_COMMANDS.items()},
+    "ressayre-search": ["ressayre", "search", "--p", "1", "--q", "1", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("command", CONE_ARGV)
+@settings(max_examples=40, deadline=None)
+@given(
+    cone=st.fixed_dictionaries({
+        "version": st.one_of(st.just(1), JSON_VALUE),
+        "ambient_dim": st.one_of(st.just(6), JSON_VALUE),
+        **{key: JSON_VALUE for key in ("rays", "inequalities", "equalities", "lineality")},
+    })
+)
+@example(cone=json.loads(BAD_CONES["float-ambient_dim-rays"]))
+@example(cone=json.loads(BAD_CONES["float-ambient_dim-inequalities"]))
+def test_any_cone_file_exits_0_1_or_2(tmp_path_factory, command, cone):
+    d = tmp_path_factory.mktemp("cone")
+    (d / "cone.json").write_text(json.dumps(cone), encoding="utf-8")
+    files = {"OUT": str(d / "out.txt")}
+    assert_contract([files.get(a, a) for a in CONE_ARGV[command]] + ["--in", str(d / "cone.json")])
 
 
 @pytest.mark.parametrize("body", ["", "\n\n"], ids=["no-body", "blank-body"])
@@ -544,6 +621,11 @@ class TestEntryPoint:
                          id="enumerate-gamma"),
             # a hidden flag that nothing used; the library's corrupt= hook stays
             pytest.param(["verify22", "--bound", "1", "--inject-fault"], id="verify22-inject-fault"),
+            # each mode of ressayre reads its own options only
+            pytest.param([*RESSAYRE_VERIFY, "--gamma", "1,0;0,0", "--w1", "12", "--w2", "12",
+                          "--out", "OUT"], id="ressayre-verify-out"),
+            pytest.param(["ressayre", "search", "--p", "2", "--q", "2", "--in", "OUT", "--out", "OUT",
+                          "--gamma", "nonsense"], id="ressayre-search-gamma"),
         ],
     )
     def test_option_a_subcommand_does_not_read_exits_2(self, argv, capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Facet certification: the four conditions, search, and file format."""
+"""Facet certification: the checks of a candidate, search, and file format."""
 
 import random
 from fractions import Fraction
@@ -17,6 +17,10 @@ from holocone.weights import (Shape, WeylElement, all_weyl_elements, blocks, ide
 
 def cand(gamma, w1, w2):
     return ressayre.RessayreCandidate(gamma, w1, w2)
+
+
+def check(gamma, w1, w2, shape):
+    return ressayre.check_candidate(cand(gamma, w1, w2), shape)
 
 
 class TestAdmissible:
@@ -75,14 +79,14 @@ class TestRelationA:
     def test_central_true(self):
         s = Shape(2, 2)
         e = identity_weyl(s)
-        assert ressayre.relation_A(cand((1, 1, 1, 1), e, e), s)
+        assert check((1, 1, 1, 1), e, e, s)["relation_A"]
 
     def test_rank_one_explicit_count(self):
         s = Shape(1, 1)
         e = identity_weyl(s)
         # no compact roots; rhs counts the q-weight e1-e2 against gamma
-        assert not ressayre.relation_A(cand((1, -1), e, e), s)
-        assert ressayre.relation_A(cand((1, 2), e, e), s)
+        assert not check((1, -1), e, e, s)["relation_A"]
+        assert check((1, 2), e, e, s)["relation_A"]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -110,9 +114,7 @@ class TestTraceCondition:
     def test_central_always(self):
         s = Shape(2, 2)
         for w in all_weyl_elements(s)[:6]:
-            assert ressayre.trace_condition(
-                cand((2, 2, 2, 2), w, w), s
-            )
+            assert check((2, 2, 2, 2), w, w, s)["trace_condition"]
 
     def test_homogeneous_in_gamma(self):
         s = Shape(2, 2)
@@ -123,17 +125,16 @@ class TestTraceCondition:
             if all(v == 0 for v in g):
                 continue
             w1, w2 = rng.choice(ws), rng.choice(ws)
-            base = ressayre.trace_condition(cand(g, w1, w2), s)
+            base = check(g, w1, w2, s)["trace_condition"]
             for t in (2, 3, Fraction(1, 2)):
                 gt = tuple(t * v for v in g)
-                assert (
-                    ressayre.trace_condition(cand(gt, w1, w2), s) == base
-                )
+                assert check(gt, w1, w2, s)["trace_condition"] == base
 
 
 class TestClosedFormsAgainstRootLists:
-    """relation_A and the trace sums count index pairs; the oracle sums
-    over the explicit root vectors."""
+    """Relation (A) (schubert._degree_condition) and the trace sums count
+    index pairs; the oracle sums over the explicit root vectors.  The
+    private checks take gamma = 0 too, which check_candidate refuses."""
 
     @pytest.mark.parametrize(
         "shape, values, pairs_per_gamma",
@@ -156,13 +157,14 @@ class TestClosedFormsAgainstRootLists:
             f = oracle.oracle_positive_sum(g, shape)
             assert ressayre._positive_sum(g) == f
             for w1, w2 in pairs:
-                c = cand(g, w1, w2)
-                assert ressayre.relation_A(c, shape) == oracle.oracle_relation_A(g, w1, w2, shape)
+                t1, t2 = w1.apply(g, shape), w2.apply(g, shape)
+                got = sc._degree_condition(g, (t1, t2), shape)
+                assert got == oracle.oracle_relation_A(g, w1, w2, shape)
                 want = f == sum(
                     oracle.oracle_positive_sum(w0.compose(w).apply(g, shape), shape)
                     for w in (w1, w2)
                 )
-                assert ressayre.trace_condition(c, shape) == want
+                assert ressayre._trace_condition(t1, t2, g, shape) == want
 
 
 class TestScaleInvariance:
@@ -230,19 +232,63 @@ class TestSchubertCondition:
         # F_gamma a point and q^{gamma>0} empty: all classes are 1, k = 1.
         s = Shape(2, 2)
         e = identity_weyl(s)
-        assert ressayre.schubert_condition(cand((1, 1, 2, 2), e, e), s) == 1
+        assert check((1, 1, 2, 2), e, e, s)["schubert_k"] == 1
 
     def test_degenerate_euler_rejects(self):
         s = Shape(1, 1)
         e = identity_weyl(s)
         # gamma = (1; 0): point flag but one positive q-weight, Euler = 0.
-        assert ressayre.schubert_condition(cand((1, 0), e, e), s) == 0
+        assert check((1, 0), e, e, s)["schubert_k"] == 0
 
     def test_requires_admissible(self):
+        # A gamma of three values gets no Schubert number and no certificate.
         s = Shape(2, 2)
         e = identity_weyl(s)
-        with pytest.raises(ValueError):
-            ressayre.schubert_condition(cand((3, 1, 0, 0), e, e), s)
+        res = check((3, 1, 0, 0), e, e, s)
+        assert not res["admissible"] and res["schubert_k"] == 0 and not res["certified"]
+        assert ressayre.certify_normal(ressayre.inequality_of(cand((3, 1, 0, 0), e, e), s), s) is None
+
+
+class TestVerdict:
+    """certified is admissible and k >= 1.  Relation (A) and the trace
+    identity are reported beside it and follow from it."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_relation_A_is_the_trace_identity_for_two_values(self, data):
+        # With two values u > v every nonzero pair difference is +-(u - v).
+        shape = data.draw(st.sampled_from([Shape(2, 1), Shape(2, 2), Shape(3, 1), Shape(3, 2)]))
+        values = st.sampled_from([-2, -1, 0, 1, 2, Fraction(3, 2)])
+        a, b = data.draw(st.lists(values, min_size=2, max_size=2, unique=True))
+        mask = data.draw(st.lists(st.booleans(), min_size=shape.rank, max_size=shape.rank))
+        g = tuple(a if m else b for m in mask)
+        assume(any(g))
+        w1, w2 = (data.draw(st.sampled_from(all_weyl_elements(shape))) for _ in range(2))
+        res = check(g, w1, w2, shape)
+        assert res["admissible"]
+        assert res["relation_A"] == res["trace_condition"]
+
+    @pytest.mark.parametrize(
+        "shape, values", [(Shape(2, 2), (-1, 0, 1)), (Shape(2, 1), (-1, 0, 1, 2))], ids=str
+    )
+    def test_certified_is_the_four_way_rule(self, shape, values):
+        ws = all_weyl_elements(shape)
+        certified = 0
+        for g in product(values, repeat=shape.rank):
+            if any(g):
+                for w1, w2 in product(ws, repeat=2):
+                    res = check(g, w1, w2, shape)
+                    assert res["certified"] == oracle.oracle_certified(res), (g, w1, w2)
+                    certified += res["certified"]
+        assert certified
+
+    def test_relation_A_without_the_trace_identity(self):
+        # gamma of three values: the two reported checks differ.
+        s = Shape(2, 1)
+        e = identity_weyl(s)
+        res = check((2, 0, 1), e, e, s)
+        assert res["relation_A"] and not res["trace_condition"]
+        assert not res["admissible"] and not res["certified"]
 
 
 class TestInequalityOf:
@@ -279,9 +325,6 @@ MALFORMED_WEYL = [
     "predicate",
     [
         ressayre.check_candidate,
-        ressayre.relation_A,
-        ressayre.trace_condition,
-        ressayre.schubert_condition,
         ressayre.inequality_of,
     ],
     ids=lambda f: f.__name__,
@@ -536,6 +579,27 @@ def test_malformed_certificate_file_is_value_error(tmp_path, text):
     path.write_text(text)
     with pytest.raises(ValueError):
         ressayre.load_certificates(path)
+
+
+CERT_TOKENS = st.sampled_from(
+    ["facet", "CERTIFIED", "UNCERTIFIED", CERT_LINE.split()[1], "1,0", "gamma", "=", "k=0"]
+    + [f"{k}={v}" for k, v in CERT_FIELDS.items()]
+)
+CERT_LINES = st.one_of(
+    st.text(max_size=40),
+    st.lists(st.one_of(CERT_TOKENS, st.text(max_size=6)), max_size=8).map(" ".join),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(CERT_LINES, max_size=3))
+def test_any_certificate_line_is_read_or_value_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("certs") / "certs.txt"
+    path.write_text(CERT_HEADER + "\n".join(lines), encoding="utf-8")
+    try:
+        ressayre.load_certificates(path)
+    except ValueError:
+        pass
 
 
 def test_certificate_fixture_line_parses(tmp_path):
