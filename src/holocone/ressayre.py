@@ -238,8 +238,12 @@ def _fmt_weyl(w: WeylElement) -> str:
 
 
 def _parse_weyl(s: str, shape: Shape, name: str) -> WeylElement:
-    a, b = s.split("|")
-    w = WeylElement(*(tuple(map(parse_int, x.split(","))) for x in (a, b)))
+    """The Weyl element "wp|wq" (0-based images); ValueError naming `name`."""
+    try:
+        a, b = s.split("|")
+        w = WeylElement(*(tuple(map(parse_int, x.split(","))) for x in (a, b)))
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
     check_weyl(w, shape, name)
     return w
 

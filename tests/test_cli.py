@@ -237,6 +237,20 @@ BOUND_COMMANDS = {
     "verify22": ["verify22"],
 }
 RESSAYRE_VERIFY = ["ressayre", "verify", "--p", "2", "--q", "2"]
+# The text forms of a malformed Weyl element `ressayre verify` can be given
+# ("wp;wq" or a bare "wp", 1-based images) on U(2,2).
+MALFORMED_WEYL_OPTIONS = {
+    "repeated-index": "11;12",
+    "p-block-of-length-3": "123;12",
+    "p-block-of-length-1": "1;12",
+    "not-a-permutation-of-1..2": "23;12",
+    "non-integral-entries": "12;0.5,2",
+    "0-based": "01;12",
+    "bool-entry": "True,1;12",
+    "three-blocks": "12;12;12",
+    "fraction-entry": "1/2,2;12",
+    "repeated-index-in-q-block": "12;22",
+}
 ZEROS_10_1 = ",".join(["0"] * 10) + ";0"  # the zero weight of U(10,1)
 
 
@@ -522,6 +536,15 @@ class TestRessayreCommands:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("slot", ["--w1", "--w2"])
+    @pytest.mark.parametrize("text", MALFORMED_WEYL_OPTIONS.values(), ids=MALFORMED_WEYL_OPTIONS)
+    def test_malformed_weyl_option_is_usage_error(self, capsys, text, slot):
+        ws = {"--w1": "12", "--w2": "12", slot: text}
+        argv = [*RESSAYRE_VERIFY, "--gamma", "1,0;0,0", *(x for kv in ws.items() for x in kv)]
+        code = cli.main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestCache:

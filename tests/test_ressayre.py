@@ -608,3 +608,28 @@ def test_certificate_fixture_line_parses(tmp_path):
     [(normal, cert)] = ressayre.load_certificates(path)
     assert cert.normal == normal and cert.k == 1
     assert cert.candidate.w2 == ressayre.WeylElement((1, 0), (0, 1))
+
+
+# The text forms of MALFORMED_WEYL a certificate line can hold ("wp|wq",
+# 0-based images); each is refused in either Weyl field, naming it.
+MALFORMED_WEYL_FIELDS = {
+    "repeated-index": "0,0|0,1",
+    "p-block-of-length-3": "0,1,2|0,1",
+    "p-block-of-length-1": "0|0,1",
+    "not-a-permutation-of-range-2": "1,2|0,1",
+    "non-integral-entries": "0,1|0.5,1",
+    "not-a-pair": "0,1",
+    "bool-entry": "True,0|0,1",
+    "three-blocks": "0,1|0,1|0,1",
+    "fraction-entry": "1/2,0|0,1",
+    "repeated-index-in-q-block": "0,1|1,1",
+}
+
+
+@pytest.mark.parametrize("slot", ["w1", "w2"])
+@pytest.mark.parametrize("text", MALFORMED_WEYL_FIELDS.values(), ids=MALFORMED_WEYL_FIELDS)
+def test_malformed_weyl_field_is_value_error(tmp_path, text, slot):
+    path = tmp_path / "certs.txt"
+    path.write_text(CERT_HEADER + cert_line(**{slot: text}))
+    with pytest.raises(ValueError, match=rf"\b{slot}\b"):
+        ressayre.load_certificates(path)
