@@ -3,10 +3,12 @@
 Every elimination runs on Python ints.  One fraction-free Gauss-Jordan
 kernel (`_echelon`) serves ranks, null spaces, reduction modulo the
 equalities and canonical facets; the double description pass keeps
-every generator a primitive integer vector and inserts the deduplicated
-inequalities in one fixed order, by l1 norm and then lexicographically,
-whatever order the caller gives, so all outputs are exact and
-deterministic and the cost does not depend on the row order.  Fractions
+every generator a primitive integer vector, takes each opposite pair
+{a, -a} of inequalities as the equality a . x = 0, and inserts the other
+deduplicated inequalities in one fixed order, by l1 norm and then
+lexicographically, whatever order the caller gives.  Its output is fixed
+by the cone alone, however the cone is written, so all outputs are exact
+and deterministic and the cost does not depend on the row order.  Fractions
 are accepted only where input is coerced to integers: by `primitive`,
 in point sets, in cone files and as `Polyhedron` constants.
 
@@ -149,24 +151,50 @@ def rays_from_halfspaces(
     """Extreme rays and lineality basis of {x : A x >= 0, E x = 0}.
 
     Returns (rays, lineality) as sorted tuples of primitive int vectors.
-    Rays are extreme modulo the lineality space.  The inequalities are
-    made primitive, deduplicated and inserted in (l1 norm, lex) order, so
-    neither the order of the rows nor repeated rows change the result or
-    the work done.
+    Rays are extreme modulo the lineality space.  Every row must have
+    `dim` entries (or all one length, when `dim` is None); others raise
+    ValueError.  The inequalities are made primitive and deduplicated;
+    each opposite pair {a, -a} among them is the equality a . x = 0 and
+    joins E (as its lexicographically larger row), so it removes a
+    dimension before the first insertion instead of cutting the cone one
+    half-space at a time.  The rest are inserted in (l1 norm, lex) order.
+
+    The answer is fixed by the cone C alone, not by how it is written:
+    the order of the rows, repeats, and a pair given as two inequalities
+    or as one equality all give the same tuples.  Let L be the lineality
+    space of C and F its free columns, those with no pivot in the RREF of
+    the rows orthogonal to L; L maps one-to-one onto its F-coordinates.
+    The lineality returned is `null_space_basis`'s basis of L, n_f for f
+    in F (nonzero at f, 0 on the rest of F), and each ray is the primitive
+    representative of its class modulo L that is 0 on F, the only one.
+    Proof, by induction over the insertions, with L and F those of the
+    space left so far: the lineality list holds nonzero multiples of the
+    n_f in column order (at the start, by `null_space_basis`), and every
+    ray is 0 on F.  An inequality a not orthogonal to L pops the first
+    n_k with a . n_k != 0; a reduced by the rows orthogonal to L is zero
+    on their pivots and a . n_f at f, so its leading column is k, and the
+    new F is F minus k.  Each projected (a . n_k) n_f - (a . n_f) n_k
+    lies in the new L and is 0 on the new F but at f, so it is a multiple
+    of the new n_f; the projected rays and the promoted n_k are 0 on the
+    new F.  Any other insertion keeps L and combines rays positively.
     """
+    rows = [*inequalities, *equalities]
+    if dim is None:
+        if not rows:
+            raise ValueError("dimension undetermined")
+        dim = len(rows[0])
+    if any(len(r) != dim for r in rows):
+        raise ValueError(f"every row needs {dim} entries")
     # Scaling an inequality by a positive factor changes nothing, so work
     # with primitive integer normals; all ray arithmetic then stays in int.
-    ineqs = {primitive(a) for a in inequalities}
-    if dim is None:
-        if ineqs:
-            dim = len(next(iter(ineqs)))
-        elif equalities:
-            dim = len(equalities[0])
-        else:
-            raise ValueError("dimension undetermined")
+    ineqs = {primitive(a) for a in inequalities} - {(0,) * dim}
+    # {a . x >= 0, -a . x >= 0} is a . x = 0: one row per pair joins E.
+    pairs = {a for a in ineqs if tuple(-x for x in a) in ineqs}
+    lineality = null_space_basis(
+        [*equalities, *sorted(a for a in pairs if a > tuple(-x for x in a))], dim
+    )
     # Short normals first: the intermediate cones stay small this way.
-    ineqs = sorted((a for a in ineqs if any(a)), key=lambda a: (sum(map(abs, a)), a))
-    lineality = null_space_basis(equalities, dim)
+    ineqs = sorted(ineqs - pairs, key=lambda a: (sum(map(abs, a)), a))
     space_dim = len(lineality)  # dimension of {x : E x = 0}
     rays: List[IntVec] = []
     zerosets: List[int] = []  # per ray: bitmask of processed tight ineqs
@@ -686,7 +714,7 @@ def load_cone(path) -> RationalCone:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     version = obj.get("version") if isinstance(obj, dict) else None
-    if version != CONE_FILE_VERSION:
+    if type(version) is not int or version != CONE_FILE_VERSION:
         raise ValueError(f"unsupported cone file version: {version}")
     dim = obj["ambient_dim"]
     if type(dim) is not int or dim < 0:

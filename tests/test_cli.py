@@ -220,6 +220,9 @@ CONE_COMMANDS = {
 }
 BAD_CONES = {
     "version-2": '{"version": 2, "ambient_dim": 6}',
+    # true == 1 and 1.0 == 1, but a version is an int
+    "version-true": '{"version": true, "ambient_dim": 6, "inequalities": [["0", "0", "0", "0", "1", "0"]]}',
+    "version-float": '{"version": 1.0, "ambient_dim": 6, "inequalities": [["0", "0", "0", "0", "1", "0"]]}',
     "no-ambient_dim": '{"version": 1}',
     "not-JSON": "nope",
     "wrong-dimension": '{"version": 1, "ambient_dim": 3, "inequalities": [["1", "0", "0"]]}',

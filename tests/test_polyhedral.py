@@ -48,6 +48,16 @@ class TestDoubleDescription:
         assert lin == ()
         assert set(rays) == {(1, 0, -1), (0, 1, -1)}
 
+    def test_rows_of_the_wrong_length_raise(self):
+        # each of these was cut to the first row's length, or to dim, and
+        # gave an answer
+        with pytest.raises(ValueError):
+            ph.rays_from_halfspaces([(1, 0, 0)], (), 2)
+        with pytest.raises(ValueError):
+            ph.rays_from_halfspaces([(1, 0)], [(1, 1, 1)], 2)
+        with pytest.raises(ValueError):
+            ph.rays_from_halfspaces([(1, 0), (0, 1, 0)])
+
     def test_every_ray_satisfies_inputs(self):
         rng = random.Random(20)
         for _ in range(50):
@@ -661,18 +671,53 @@ class TestDoubleDescriptionAgainstOracle:
                 assert ph.rays_from_halfspaces(perm, eqs, dim) == got
             assert again.call_count == adj.call_count
 
-    def test_semigroup_seed_in_every_row_order(self):
-        # The 108 points of the pruned U(2,2) box-1 semigroup, as the
-        # inequalities of the dual cone: 19 facet normals, one equality.
-        seed = ph.additive_prune(semigroup.enumerate_semigroup_points(Shape(2, 2), 1))
-        want = oracle.oracle_rays_from_halfspaces(seed, (), 12)
-        assert (len(want[0]), len(want[1])) == (19, 1)
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_opposite_pairs_are_equalities(self, data):
+        dim = data.draw(st.integers(1, 5))
+        ineqs = data.draw(row_lists(dim, max_size=6))
+        pairs = data.draw(row_lists(dim, min_size=1, max_size=3))
+        eqs = data.draw(systems(dim)) if data.draw(st.booleans()) else []
+        # The first pair is compared with its equality; the others stay in
+        # the rows, with repeats and positive multiples of any row.
+        rows = ineqs + [r for a in pairs[1:] for r in (a, [-x for x in a])]
+        if rows:
+            rows += data.draw(st.lists(st.sampled_from(rows), max_size=3))
+            rows += [[2 * x for x in r] for r in data.draw(st.lists(st.sampled_from(rows), max_size=2))]
+        a = pairs[0]
+        with_pair = data.draw(st.permutations(rows + [a, [-x for x in a]]))
+        got = ph.rays_from_halfspaces(with_pair, eqs, dim)
+        want = oracle.oracle_rays_from_halfspaces(with_pair, eqs, dim)
+        if len(want[1]) <= 1:
+            assert got == want
+        else:
+            assert len(got[1]) == len(want[1]) == oracle.rank_rationals(got[1] + want[1])
+            assert _mod_lineality(got[0], got[1]) == _mod_lineality(want[0], want[1])
+        assert ph.rays_from_halfspaces(data.draw(st.permutations(rows)), [*eqs, a], dim) == got
+
+    def _seed_in_every_row_order(self, shape, facets, adjacent):
+        # The pruned box-1 semigroup as the inequalities of the dual cone,
+        # whose one equality is the trace identity.  The seed holds six
+        # opposite pairs (the cone contains the lines of the central
+        # characters), which the kernel takes as equalities; the adjacency
+        # tests count its work exactly.
+        seed = ph.additive_prune(semigroup.enumerate_semigroup_points(shape, 1))
+        want = oracle.oracle_rays_from_halfspaces(seed, (), 3 * shape.rank)
+        assert (len(want[0]), len(want[1])) == (facets, 1)
         shuffled = list(seed)
         random.Random(3).shuffle(shuffled)
         for rows in (seed, seed[::-1], shuffled, seed + seed[:40]):
             with mock.patch.object(ph, "_adjacent", wraps=ph._adjacent) as adj:
-                assert ph.rays_from_halfspaces(rows, (), 12) == want
-            assert adj.call_count == 1014
+                assert ph.rays_from_halfspaces(rows, (), 3 * shape.rank) == want
+            assert adj.call_count == adjacent
+
+    def test_semigroup_seed_in_every_row_order(self):
+        # the 108 points of U(2,2), the verify22 seed: 19 facet normals
+        self._seed_in_every_row_order(Shape(2, 2), 19, 53)
+
+    def test_cone31_seed_in_every_row_order(self):
+        # the seed the cone31 benchmark gives its U(3,1) box-2 hull
+        self._seed_in_every_row_order(Shape(3, 1), 23, 41)
 
 
 class TestSliceAndRecession:

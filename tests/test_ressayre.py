@@ -1,5 +1,6 @@
 """Facet certification: the checks of a candidate, search, and file format."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from holocone import reference22, ressayre, schubert as sc, semigroup
-from holocone.polyhedral import cone_from_points, dot, primitive
+from holocone.polyhedral import cone_from_points, dot, facets_of_points, primitive
 from holocone.weights import (Shape, WeylElement, all_weyl_elements, blocks, identity_weyl,
                               longest_weyl, pairing)
 
@@ -507,6 +508,29 @@ def test_certified_indicator_normal_counts(shape, counts):
     certs = [ressayre.certify_normal(nrm, shape) for nrm in indicator_normals(shape)]
     good = [c for c in certs if c is not None]
     assert (len(certs), len(good), sum(c.k == 1 for c in good)) == counts
+
+
+# The box-1 pipeline per shape: (points, facets, equalities, non-chamber
+# facets, certified ones, sha256 prefix of the sorted facets and equalities)
+BOX_ONE_TABLE = [
+    (Shape(3, 2), (10534, 47, 1, 38, 38, "4c9a7849249964ae")),
+    (Shape(3, 3), (41947, 115, 1, 103, 103, "e9dd5b4e80c9ba64")),
+    (Shape(4, 1), (4040, 64, 1, 55, 55, "c24d18ba509904fb")),
+    (Shape(4, 2), (28678, 128, 1, 116, 116, "65b605cdf963c8c1")),
+    (Shape(5, 1), (9000, 197, 1, 185, 185, "ba00e63c02b33bdf")),
+    (Shape(4, 3), (120442, 326, 1, 311, 311, "3a686d3aa8c4be39")),
+    (Shape(5, 2), (65387, 373, 1, 358, 345, "97e530c3f6824ad6")),
+]
+
+
+@pytest.mark.parametrize("shape, row", BOX_ONE_TABLE, ids=[str(s) for s, _ in BOX_ONE_TABLE])
+def test_box_one_table(shape, row):
+    points = semigroup.enumerate_semigroup_points(shape, 1)
+    ineqs, eqs = facets_of_points(points, 3 * shape.rank)
+    noncham = [n for n in ineqs if not ressayre.is_chamber_facet(n, shape)]
+    certified = sum(ressayre.certify_normal(n, shape) is not None for n in noncham)
+    sha = hashlib.sha256(repr((sorted(ineqs), sorted(eqs))).encode()).hexdigest()[:16]
+    assert (len(points), len(ineqs), len(eqs), len(noncham), certified, sha) == row
 
 
 class TestCertificateFiles:
