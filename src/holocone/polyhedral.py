@@ -23,14 +23,16 @@ ValueError).  `facets_of_points` seeds the dual cone with
 `additive_prune` of the rows in the unit box [-1, 1]^dim, unless the
 caller gives a seed, and then adds the worst violators of its facets
 until there are none.  The violators are found with one matrix product
-of all the constraints by each block of rows: in float64 where the
-bound max ||c||_1 * max |x| < 2**53 makes every partial sum an exactly
-representable integer, and otherwise (Fractions, larger bounds) in
-exact Python numbers.  `additive_prune` takes integer input one l1
-level at a time, with each row as one int64 code in balanced radix, so
-the difference of two rows is one subtraction of codes, looked up
-among the codes; object input, and rows too wide for int64 codes, take
-the exact loop, one point at a time.
+of all the constraints by each block of rows, in the narrowest exact
+type of three: the bound B = max ||c||_1 * max |x| caps every partial
+sum, so the product runs in float32 while B < 2**24, in float64 while
+B < 2**53 (every partial sum an exactly representable integer), and
+otherwise (Fractions, larger bounds) in exact Python numbers.
+`additive_prune` takes integer input one l1 level at a time, with each
+row as one int64 code in balanced radix, so the difference of two rows
+is one subtraction of codes, looked up among the codes; object input,
+and rows too wide for int64 codes, take the exact loop, one point at a
+time.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -376,28 +378,40 @@ def _point_matrix(points, dim: Optional[int] = None):
     return arr
 
 
-# Rows per block of the unit-box mask, and entries (constraints x rows)
-# per product of the violator scan: blocks of at most a few MB in place
-# of copies of the whole point matrix.
+# Rows per block of the unit-box mask, and 8-byte entries (constraints x
+# rows) per product of the violator scan: blocks of at most a few MB in
+# place of copies of the whole point matrix.  A float32 scan takes twice
+# the entries, in the same bytes.
 _SCAN_ROWS = 1 << 16
 
 
-def _scan_dtype(arr, constraints):
-    """float64 if it multiplies integer `arr` by `constraints` exactly, else object.
+def _exact_dtype(bound):
+    """The narrowest type that adds and multiplies integers exactly while
+    every entry and partial sum has magnitude at most `bound`: float32
+    below 2**24, float64 below 2**53, and otherwise object (Python ints).
 
-    With B = max ||c||_1 * max |x| < 2**53, every entry and every partial
-    sum of c . x is an integer of magnitude at most B, and float64 holds
-    each of those exactly; so the product is exact whatever the
-    summation order, blocking or FMA use of the BLAS.  (Zero constraints
-    make B = 0: their products are 0 however x rounds.)
+    Each float type holds every integer of magnitude below its bound, so
+    a product whose terms and partial sums all stay below it is exact
+    whatever the summation order, blocking or FMA use of the BLAS.
     """
     import numpy as np
 
+    if bound < 2**24:
+        return np.float32
+    return np.float64 if bound < 2**53 else object
+
+
+def _scan_dtype(arr, constraints):
+    """The type that multiplies `arr` by `constraints` exactly: for integer
+    `arr`, `_exact_dtype` of B = max ||c||_1 * max |x|, since every entry
+    and every partial sum of c . x is an integer of magnitude at most B;
+    object otherwise.  (Zero constraints make B = 0: their products are
+    0 however x rounds.)
+    """
     if arr.dtype.kind not in "iu":
         return object
     c_max = max(sum(map(abs, c)) for c in constraints)
-    bound = c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1)
-    return np.float64 if bound < 2**53 else object
+    return _exact_dtype(c_max * max(-int(arr.min(initial=0)), int(arr.max(initial=0)), 1))
 
 
 def _worst_violators(pts, normals, lins):
@@ -406,13 +420,15 @@ def _worst_violators(pts, normals, lins):
     Stacks the constraints into one k x dim matrix C, the equalities
     first and the normals negated, so that the rows of C @ x.T read
     |lin . x| (after abs) and -normal . x: the violations.  The points
-    go through in blocks of about `_SCAN_ROWS` / k rows, one matrix
-    product each: in float64 where `_scan_dtype` proves it exact, and
-    otherwise in exact Python numbers (object arrays: rational points,
-    integers beyond int64, or products that may reach 2**53).  Each
-    (k x rows) result is scanned along its rows, so each violated
-    constraint gets the first row of largest violation, and a later
-    block takes over only with a strictly larger one.
+    go through in blocks of about `_SCAN_ROWS` / k rows (twice that in
+    float32), one matrix product each: in float32 or float64 where
+    `_scan_dtype` proves it exact, and otherwise in exact Python numbers
+    (object arrays: rational points, integers beyond int64, or products
+    that may reach 2**53).  Each (k x rows) result is reduced along its
+    rows, and only the constraints whose maximum beats their running
+    depth take an argmax: so each violated constraint gets the first row
+    of largest violation, and a later block takes over only with a
+    strictly larger one.
     Returns [] iff every point satisfies normal . x >= 0 and lin . x == 0.
     """
     import numpy as np
@@ -426,15 +442,15 @@ def _worst_violators(pts, normals, lins):
     eqs = slice(0, len(lins))
     depth = np.zeros(len(c), dtype=dtype)
     where = np.full(len(c), -1)
-    rows = max(1, _SCAN_ROWS // len(c))
+    rows = max(1, _SCAN_ROWS * 8 // c.itemsize // len(c))
     for start in range(0, len(arr), rows):
         bad = c @ arr[start : start + rows].astype(dtype).T
         bad[eqs] = abs(bad[eqs])
-        i = bad.argmax(axis=1)
-        worst = bad[np.arange(len(c)), i]
+        worst = bad.max(axis=1)
         deeper = worst > depth
-        depth[deeper] = worst[deeper]
-        where[deeper] = start + i[deeper]
+        if deeper.any():
+            depth[deeper] = worst[deeper]
+            where[deeper] = start + bad[deeper].argmax(axis=1)
     return sorted({tuple(arr[i].tolist()) for i in where if i >= 0})
 
 

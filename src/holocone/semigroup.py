@@ -47,7 +47,7 @@ import operator
 from itertools import combinations_with_replacement
 from typing import Dict, List, Tuple
 
-from . import lr, symq
+from . import lr, polyhedral, symq
 from .weights import Shape
 
 Vector = Tuple[int, ...]
@@ -72,10 +72,11 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     per unordered pair of shift classes {a0, b0}, shifted by
     a_last + b_last.  S_s marks (n, delta) for each kappa of weight s and
     boxed n with c^n_{kappa,delta} != 0, each delta in a fixed slot of
-    its degree |n| - s.  Both are 0/1 float32 matrices, so every entry
-    of T_s @ S_s is a sum of nonnegative integers at most the inner
-    dimension < 2**24, held exactly, and nonzero exactly when one term
-    is.  No such delta has more parts than q or a part above
+    its degree |n| - s.  Both are 0/1 matrices, so every partial sum of
+    T_s @ S_s is an integer from 0 to the inner dimension; both take the
+    type `polyhedral._exact_dtype` gives for that dimension (float32
+    below 2**24), which holds those sums exactly, so an entry is nonzero
+    exactly when one term is.  No such delta has more parts than q or a part above
     n_1 - kappa_last <= 3 bound, so |n| - s <= 3 q bound = len(deltas) - 1:
     the box caps the degree, and no n beyond it is expanded.
     """
@@ -114,7 +115,8 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     for s, (pairs, hits, kappas) in groups.items():
         keys = list(kappas)
         ks = [tuple(x + last for x in k0) + (last,) * (length - len(k0)) for k0, last in keys]
-        S = np.zeros((len(ks), len(blocks) * width), dtype=np.float32)
+        dtype = polyhedral._exact_dtype(len(ks))
+        S = np.zeros((len(ks), len(blocks) * width), dtype=dtype)
         inside = (mat[None] >= np.array(ks)[:, None]).all(axis=2)
         for k, n in zip(*(x.tolist() for x in np.nonzero(inside))):
             if sums[n] - s <= top:
@@ -124,7 +126,7 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
                 n0 = tuple(x - last for x in blocks[n] if x != last)
                 for delta in lr._skew(n0, k0, q):
                     S[k, n * width + slot[delta]] = 1
-        T = np.zeros((len(pairs), len(ks)), dtype=np.float32)
+        T = np.zeros((len(pairs), len(ks)), dtype=dtype)
         T[tuple(np.array(hits).T)] = 1
         products.append(T @ S > 0)
         rows += pairs

@@ -9,9 +9,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from holocone import cli, lr, polyhedral, reference22, semigroup
+from holocone import cli, lr, polyhedral, reference22, semigroup, weights
 from holocone.weights import Shape
 
 
@@ -360,9 +360,46 @@ def test_any_option_text_exits_0_1_or_2(fuzz_files, command, option, text):
     assert_contract(head + [f"{o}={text if o == option else v}" for o, v in opts.items()])
 
 
-def assert_contract(argv) -> None:
+# The integer options of the commands that may run long: a request with
+# a small valid value for each, and the values each option accepts.
+LONG_RUN_REQUESTS = {
+    "enumerate": (["enumerate", "--out", "OUT"], {"--p": "2", "--q": "1", "--bound": "0"}),
+    "verify22": (["verify22"], {"--bound": "0"}),
+}
+IN_RANGE = {
+    ("enumerate", "--p"): lambda v: v >= 1,  # p >= q = 1
+    ("enumerate", "--q"): lambda v: 1 <= v <= 2,  # p = 2 >= q >= 1
+    ("enumerate", "--bound"): lambda v: 0 <= v <= semigroup.MAX_BOUND,
+    ("verify22", "--bound"): lambda v: 0 <= v <= semigroup.MAX_BOUND,
+}
+# Short text, often made of the pieces of a number.
+NUMBER_TEXT = st.one_of(st.text(max_size=8), st.text(alphabet="0123456789-+/. ", max_size=6))
+
+
+@pytest.mark.parametrize("command, option", list(IN_RANGE), ids=lambda v: v.lstrip("-"))
+@settings(max_examples=80, deadline=None)
+@given(text=NUMBER_TEXT)
+@example(text="-1")
+@example(text="128")
+@example(text="3/2")
+@example(text="\u0661")
+def test_any_long_run_option_text_exits_2(fuzz_files, command, option, text):
+    """Text that is not an integer in the option's range exits 2 with one
+    "error: " line before any work starts.  Valid integers are skipped:
+    a large p or box is a long run, not a defect."""
+    try:
+        valid = IN_RANGE[command, option](weights.parse_int(text))
+    except ValueError:
+        valid = False
+    assume(not valid)
+    head, opts = LONG_RUN_REQUESTS[command]
+    head = [fuzz_files.get(a, a) for a in head]
+    assert assert_contract(head + [f"{o}={text if o == option else v}" for o, v in opts.items()]) == 2
+
+
+def assert_contract(argv) -> int:
     """cli.main(argv) returns 0, 1 or 2 and raises nothing; on 2 it prints
-    exactly one line, "error: ...", to stderr."""
+    exactly one line, "error: ...", to stderr.  Returns the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -370,6 +407,7 @@ def assert_contract(argv) -> None:
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code
 
 
 # Short text that is often made of the pieces of a points row.
@@ -483,11 +521,14 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     pts, cone = tmp_path / "pts.txt", tmp_path / "ref.json"
     cli.save_points(semigroup.enumerate_semigroup_points(Shape(1, 1), 1), Shape(1, 1), 1, pts)
     polyhedral.save_cone(reference22.reference_cone(), cone)
-    out = tmp_path / "missing" / "out"
-    files = {"PTS": str(pts), "CONE": str(cone), "OUT": str(out)}
-    assert cli.main([files.get(a, a) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot write") and str(out) in err
+    # an out path under a missing parent, and one that is a directory
+    (tmp_path / "dir").mkdir()
+    for out in (tmp_path / "missing" / "out", tmp_path / "dir"):
+        files = {"PTS": str(pts), "CONE": str(cone), "OUT": str(out)}
+        assert cli.main([files.get(a, a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and str(out) in err
+    assert not any((tmp_path / "dir").iterdir())
 
 
 class TestRessayreCommands:

@@ -281,12 +281,16 @@ class TestWorstViolatorBlocks:
 
 
 class TestWorstViolatorOracle:
-    """The float64 product scan against the earlier per-constraint scan."""
+    """The float32, float64 and exact product scans against the earlier
+    per-constraint scan."""
 
     KINDS = ("int8", "int16", "int32", "int64", "tuples", "fractions")
     # Entries reaching each dtype's range: int64 rows and wide constraints
     # push max ||c||_1 * max |x| past 2**53 onto the exact path.
     LIMIT = {"int8": 2**7 - 1, "int16": 2**15 - 1, "int32": 2**31 - 1, "int64": 2**62}
+    # Entries and coefficients around the float32 bound 2**24, so that
+    # max ||c||_1 * max |x| falls on either side of it.
+    NEAR_2_24 = [-(2**23), 2**23, -(2**24 - 1), 2**24 - 1, -(2**24), 2**24]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -294,9 +298,12 @@ class TestWorstViolatorOracle:
         kind = data.draw(st.sampled_from(self.KINDS), label="kind")
         dim = data.draw(st.integers(1, 4), label="dim")
         limit = self.LIMIT.get(kind, 3)
-        entry = st.one_of(st.integers(-3, 3), st.sampled_from([-limit, limit - 1, limit]))
+        near = [x for x in self.NEAR_2_24 if limit >= 2**24 or kind == "tuples"]
+        entry = st.one_of(st.integers(-3, 3), st.sampled_from([-limit, limit - 1, limit, *near]))
         rows = data.draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=30))
-        coef = st.one_of(st.integers(-3, 3), st.sampled_from([-(2**40), 2**40]))
+        coef = st.one_of(
+            st.integers(-3, 3), st.sampled_from([-(2**40), 2**40, *self.NEAR_2_24])
+        )
         vec = st.lists(coef, min_size=dim, max_size=dim).filter(any)
         normals = data.draw(st.lists(vec, max_size=4).map(lambda vs: list(map(tuple, vs))))
         lins = data.draw(st.lists(vec, max_size=2).map(lambda vs: list(map(tuple, vs))))
@@ -318,8 +325,73 @@ class TestWorstViolatorOracle:
                 assert ph._worst_violators(pts, normals, lins) == want
 
 
+    @pytest.mark.parametrize(
+        "scale, dtype", [(2**20, np.float32), (2**40, np.float64), (2**60, object)], ids=str
+    )
+    def test_each_tier_matches_oracle(self, scale, dtype):
+        # Rows and constraints drawn so that max ||c||_1 * max |x| lands in
+        # one tier, with repeated rows for ties.
+        rng = np.random.default_rng(scale.bit_length())
+        pts = rng.integers(-3, 4, size=(400, 4)) * (scale // 16)
+        pts = np.concatenate([pts, pts[::3]])
+        normals = [tuple(int(v) for v in rng.integers(-2, 3, size=4)) for _ in range(5)]
+        normals = [n for n in normals if any(n)]
+        lins = [(1, -1, 0, 0)]
+        assert ph._scan_dtype(pts, [*lins, *normals]) is dtype
+        want = oracle.oracle_worst_violators(pts, normals, lins)
+        assert want
+        for scan_rows in (1, 7, ph._SCAN_ROWS):
+            with mock.patch.object(ph, "_SCAN_ROWS", scan_rows):
+                assert ph._worst_violators(pts, normals, lins) == want
+
+
 class TestScanGuard:
-    """float64 is taken exactly while max ||c||_1 * max |x| < 2**53."""
+    """float32 is taken exactly while max ||c||_1 * max |x| < 2**24, and
+    float64 while it is below 2**53."""
+
+    def test_exact_dtype_thresholds(self):
+        assert ph._exact_dtype(0) is np.float32
+        assert ph._exact_dtype(2**24 - 1) is np.float32
+        assert ph._exact_dtype(2**24) is np.float64
+        assert ph._exact_dtype(2**53 - 1) is np.float64
+        assert ph._exact_dtype(2**53) is object
+
+    def test_float32_at_the_boundary(self):
+        def dtype(rows, constraints):
+            return ph._scan_dtype(np.array(rows, dtype=np.int64), constraints)
+
+        assert dtype([(2**24 - 1,)], [(1,)]) is np.float32
+        assert dtype([(-(2**24) + 1, 0)], [(1, 0)]) is np.float32
+        assert dtype([(2**24,)], [(1,)]) is np.float64
+        assert dtype([(-(2**24),)], [(1,)]) is np.float64
+        # ||(1, -1)||_1 = 2, not 0: 2**23 * 2 reaches the bound
+        assert dtype([(2**23 - 1, 0)], [(1, -1)]) is np.float32
+        assert dtype([(2**23, 0)], [(1, -1)]) is np.float64
+        assert dtype([(1, 0)], [(2**23, -(2**23))]) is np.float64
+        # int8 rows of the semigroups: the bound is read off the data
+        small = np.array([(-2, 1, 0)], dtype=np.int8)
+        assert ph._scan_dtype(small, [(2**22 - 1, 2**22, 0)]) is np.float32
+        assert ph._scan_dtype(small, [(2**22, 2**22, 0)]) is np.float64
+
+    def test_exact_worst_row_beyond_float32(self):
+        # -(2**24 + 1) rounds to -2**24 in float32, tying the two rows; the
+        # float64 scan must pick the second, one deeper.
+        pts = np.array([(-(2**24), 0), (-(2**24) - 1, 0)], dtype=np.int64)
+        assert np.float32(pts[1, 0]) == np.float32(pts[0, 0])
+        assert ph._scan_dtype(pts, [(1, 0)]) is np.float64
+        assert ph._worst_violators(pts, [(1, 0)], []) == [(-(2**24) - 1, 0)]
+        # an equality violated both ways: |lin . x| is the depth
+        assert ph._worst_violators(-pts, [], [(1, 0)]) == [(2**24 + 1, 0)]
+        assert ph._worst_violators(pts, [], [(1, 0)]) == [(-(2**24) - 1, 0)]
+
+    def test_float32_path_just_below_the_bound(self):
+        pts = np.array([(-(2**24) + 2, 1), (-(2**24) + 1, 1), (5, 1)], dtype=np.int64)
+        assert ph._scan_dtype(pts, [(1, 0)]) is np.float32
+        assert ph._worst_violators(pts, [(1, 0)], []) == [(-(2**24) + 1, 1)]
+        assert ph._worst_violators(pts, [], [(1, 0)]) == [(-(2**24) + 1, 1)]
+        # the equality (1, 0) has depth 1 on every row: the first row is kept
+        got = ph._worst_violators(pts[:, ::-1].copy(), [(0, 1)], [(1, 0)])
+        assert got == [(1, -(2**24) + 1), (1, -(2**24) + 2)]
 
     def test_dtype_at_the_boundary(self):
         def dtype(rows, constraints):

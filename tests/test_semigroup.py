@@ -1,5 +1,6 @@
 """Box-bounded enumeration of the integral Horn semigroup."""
 
+import hashlib
 import random
 from itertools import product
 from unittest import mock
@@ -9,7 +10,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from holocone import lr, semigroup, symq
+from holocone import lr, polyhedral, semigroup, symq
 from holocone.weights import Shape
 
 
@@ -117,6 +118,29 @@ class TestGeneralities:
         # multiplicities; U(3,1) box 2 is the benchmark's cone31 set.
         assert len(semigroup.enumerate_semigroup_points(Shape(3, 1), 2)) == 149730
         assert len(semigroup.enumerate_semigroup_points(Shape(3, 3), 1)) == 41947
+
+
+# sha256 prefixes of the enumerated int8 matrices, byte for byte: the
+# hull's violator scan reports the first row of largest violation, so
+# the row order is pinned along with the rows.
+ENUMERATION_BYTES = [
+    (Shape(3, 1), 1, "b4c978b535924515"),
+    (Shape(3, 1), 2, "9decdb8426cffe3b"),
+    (Shape(2, 2), 1, "525b7731d277114f"),
+    (Shape(2, 2), 2, "4c17e52634355661"),
+    (Shape(3, 3), 1, "dddbb1d9ad0e41c8"),
+    (Shape(2, 1), 3, "48927a021d61a232"),
+]
+
+
+@pytest.mark.parametrize(
+    "shape, bound, digest",
+    ENUMERATION_BYTES,
+    ids=[f"U{s.p}{s.q}-b{b}" for s, b, _ in ENUMERATION_BYTES],
+)
+def test_enumeration_bytes_pinned(shape, bound, digest):
+    pts = semigroup.enumerate_semigroup_points(shape, bound)
+    assert hashlib.sha256(pts.tobytes()).hexdigest()[:16] == digest
 
 
 class TestPackedPoints:
@@ -272,6 +296,19 @@ class TestBlockTables:
             (dual(a), dual(b)): {delta: {dual(m) for m in ms} for delta, ms in per_delta.items()}
             for (a, b), per_delta in q_table.items()
         } == want_q
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object], ids=str)
+def test_block_tables_in_every_exact_type(monkeypatch, dtype):
+    # The products T_s @ S_s take their type from the scan's exactness
+    # rule on the inner dimension: float32 below 2**24, wider beyond.
+    # Each wider type gives the same tables.
+    shape, bound = Shape(3, 1), 1
+    want = block_table(3, shape, bound), block_table(1, shape, bound)
+    dims = []
+    monkeypatch.setattr(polyhedral, "_exact_dtype", lambda n: dims.append(n) or dtype)
+    assert (block_table(3, shape, bound), block_table(1, shape, bound)) == want
+    assert dims and all(0 < n < 2**24 for n in dims)
 
 
 def test_block_table_expands_each_unordered_pair_once(monkeypatch):
