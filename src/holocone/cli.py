@@ -53,7 +53,10 @@ def _parse_block_weight(text: str, shape: Shape):
 
 
 def _parse_triple(args, shape: Shape):
+    """(lam, mu, nu) from --triple or from all of --lam/--mu/--nu, not both."""
     if args.triple is not None:
+        if (args.lam, args.mu, args.nu) != (None, None, None):
+            raise UsageError("give --triple or --lam/--mu/--nu, not both")
         parts = args.triple.split("|")
         if len(parts) != 3:
             raise UsageError("--triple needs LAM|MU|NU")
@@ -110,7 +113,7 @@ def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
     """A cone file over triples of `shape`; any defect is a UsageError."""
     try:
         cone = polyhedral.load_cone(path)
-    except (OSError, ValueError, KeyError, TypeError) as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"unreadable cone file {path}: {e!r}") from None
     if cone.ambient_dim != 3 * shape.rank:
         raise UsageError(f"cone file {path} does not live on triples of {shape}")

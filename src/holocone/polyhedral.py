@@ -28,11 +28,10 @@ type of three: the bound B = max ||c||_1 * max |x| caps every partial
 sum, so the product runs in float32 while B < 2**24, in float64 while
 B < 2**53 (every partial sum an exactly representable integer), and
 otherwise (Fractions, larger bounds) in exact Python numbers.
-`additive_prune` takes integer input one l1 level at a time, with each
-row as one int64 code in balanced radix, so the difference of two rows
-is one subtraction of codes, looked up among the codes; object input,
-and rows too wide for int64 codes, take the exact loop, one point at a
-time.
+`additive_prune` takes the rows one l1 level at a time, each row one
+code in balanced radix (an int64 where it fits, else a Python int), so
+the difference of two rows is one subtraction of codes, looked up among
+the codes.
 
 Slices {x : N x + c >= 0, E x + f = 0} of one cone share their normal
 part (N, E), so each (N, E) gets one memoised table of two double
@@ -473,40 +472,41 @@ def additive_prune(points) -> List[IntVec]:
     the parts); on semigroup samples it shrinks the set by orders of
     magnitude.  Strict l1 descent on both parts keeps the recursion
     well-founded, so the kept points generate the same cone.  Zero rows
-    and duplicates are dropped; the result is sorted.
+    and duplicates are dropped; the result is sorted.  Rational rows are
+    first scaled by one common denominator, which keeps every split and
+    the order of the norms; the rows come back as given.
 
     x is reduced only by kept points g of smaller norm than x, so points
-    of one l1 level never affect each other.  Integer input is therefore
+    of one l1 level never affect each other.  The rows are therefore
     pruned one level at a time, each row of a level against a block of
-    kept rows per step (`_PRUNE_STEP`).  Each row is one int64 code in
-    balanced radix R = 2 span + 1, its entries the digits, most
-    significant first.  Every row and every difference of two rows lies
-    in [-span, span]^dim, where the code is one-to-one and sorts as the
-    rows do; so code(x - g) = code(x) - code(g) exactly, and a lookup of
-    that difference among the codes (`searchsorted`) finds h = x - g
-    whenever it is a row.  Object input (Fractions, ints beyond int64)
-    and rows with R^dim >= 2**63, whose codes do not fit, take the exact
-    loop.
+    kept rows per step (`_PRUNE_STEP`).  Each row is one code in balanced
+    radix R = 2 span + 1, its entries the digits, most significant first:
+    an int64 while R^dim < 2**63, and an exact Python int beyond.  Every
+    row and every difference of two rows lies in [-span, span]^dim, where
+    the code is one-to-one and sorts as the rows do; so code(x - g) =
+    code(x) - code(g) exactly, and a lookup of that difference among the
+    codes (`searchsorted`) finds h = x - g whenever it is a row.
     """
     import numpy as np
 
-    arr = _point_matrix(points)
+    arr = rows = _point_matrix(points)
     dim = arr.shape[1]
+    if arr.dtype == object:
+        rows = arr * lcm(*(x.denominator for x in arr.flat)) // 1  # Python ints
     # Every entry, and every difference of two rows, lies in [-span, span].
-    span = int(arr.max(initial=0)) - int(arr.min(initial=0))
-    if arr.dtype.kind not in "iu" or (2 * span + 1) ** dim >= 2**63:
-        return _prune_loop(arr.tolist())
-    if arr.dtype == np.uint64:
-        arr = arr.view(np.int64)  # entries within span < 2**63 keep their value
-    # Codes and norms column by column, by Horner's rule: no int64 copy of
-    # the whole matrix.  Norms fit: dim * span < R^dim by Bernoulli's
-    # inequality.
-    codes = np.zeros(len(arr), dtype=np.int64)
-    norm = np.zeros(len(arr), dtype=np.int64)
-    for col in arr.T:
-        codes *= 2 * span + 1
+    span = int(rows.max(initial=0)) - int(rows.min(initial=0))
+    radix = 2 * span + 1
+    dtype = np.int64 if radix**dim < 2**63 else object
+    # Codes and norms column by column, by Horner's rule: no copy of the
+    # whole matrix.  Norms fit wherever codes do: dim * span < R^dim by
+    # Bernoulli's inequality; uint64 entries, at most span, keep their value.
+    codes = np.zeros(len(rows), dtype=dtype)
+    norm = np.zeros(len(rows), dtype=dtype)
+    for col in rows.T:
+        col = col.astype(dtype, copy=False)
+        codes *= radix
         codes += col
-        norm += np.abs(col, dtype=np.int64)
+        norm += abs(col)
     codes, first = np.unique(codes, return_index=True)
     nonzero = codes != 0  # the code of the zero row
     codes, first = codes[nonzero], first[nonzero]
@@ -532,24 +532,6 @@ def additive_prune(points) -> List[IntVec]:
             survivors.append(x)
         kept = np.concatenate(survivors)
     return list(map(tuple, arr[first[np.sort(kept)]].tolist()))
-
-
-def _prune_loop(rows) -> List[IntVec]:
-    """`additive_prune` of rows of exact numbers, one point at a time."""
-    # l1 norms, computed once; the zero point (norm 0) is left out.
-    norm = {x: n for x in map(tuple, rows) if (n := sum(map(abs, x)))}
-    kept: List[IntVec] = []  # in increasing norm
-    for x, nx in sorted(norm.items(), key=lambda item: (item[1], item[0])):
-        reducible = False
-        for g in kept:
-            if norm[g] >= nx:
-                break
-            if norm.get(tuple(a - b for a, b in zip(x, g)), nx) < nx:
-                reducible = True
-                break
-        if not reducible:
-            kept.append(x)
-    return sorted(kept)
 
 
 def facets_of_points(points: Sequence[Sequence], dim: int, seed=None):
@@ -727,22 +709,26 @@ def save_cone(cone: RationalCone, path) -> None:
 
 
 def load_cone(path) -> RationalCone:
+    """The cone of a file written by `save_cone`; ValueError (naming the
+    field) for any malformed field, OSError if it cannot be read."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     version = obj.get("version") if isinstance(obj, dict) else None
     if type(version) is not int or version != CONE_FILE_VERSION:
         raise ValueError(f"unsupported cone file version: {version}")
-    dim = obj["ambient_dim"]
+    dim = obj.get("ambient_dim")
     if type(dim) is not int or dim < 0:
         raise ValueError(f"ambient_dim must be an integer >= 0, got {dim!r}")
     kwargs = {}
     for name in ("rays", "inequalities", "equalities", "lineality"):
         if name in obj:
-            kwargs[name] = tuple(
-                tuple(parse_number(x) for x in v) for v in obj[name]
-            )
-            if any(len(v) != dim for v in kwargs[name]):
-                raise ValueError(f"every row of {name} needs {dim} entries")
+            rows = obj[name]
+            if type(rows) is not list or any(
+                type(v) is not list or len(v) != dim or any(type(x) is not str for x in v)
+                for v in rows
+            ):
+                raise ValueError(f"{name} must be a list of rows of {dim} number strings")
+            kwargs[name] = tuple(tuple(map(parse_number, v)) for v in rows)
     if "rays" not in kwargs and "inequalities" not in kwargs:
         raise ValueError("cone file has neither rays nor inequalities")
     return RationalCone(dim, **kwargs)

@@ -96,15 +96,13 @@ def parse_int(s):
 def parse_weight(text: str):
     """Parse "2,1;0,-1" into (coords, Shape(2, 2)).
 
-    Entries may be rationals like "3/2"; integer entries stay ints.
+    Entries may be rationals like "3/2"; integer entries stay ints.  An
+    empty entry or block, as in "1,,0;0" or ";0", raises ValueError.
     """
-    parts = text.strip().split(";")
+    parts = text.split(";")
     if len(parts) != 2:
         raise ValueError(f"expected one ';' separating blocks: {text!r}")
-    pb = tuple(parse_number(s) for s in parts[0].split(",") if s.strip() != "")
-    qb = tuple(parse_number(s) for s in parts[1].split(",") if s.strip() != "")
-    if not pb or not qb:
-        raise ValueError(f"empty block in weight {text!r}")
+    pb, qb = (tuple(map(parse_number, part.split(","))) for part in parts)
     return pb + qb, Shape(len(pb), len(qb))
 
 

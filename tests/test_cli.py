@@ -234,6 +234,9 @@ BAD_CONES = {
     "float-ambient_dim-rays": '{"version": 1, "ambient_dim": 6.0, "rays": [["1", "0", "1", "0", "2", "0"]]}',
     "float-ambient_dim-inequalities":
         '{"version": 1, "ambient_dim": 6.0, "inequalities": [["0", "0", "0", "0", "1", "0"]]}',
+    # entries are number strings, rows are lists
+    "number-entries": '{"version": 1, "ambient_dim": 6, "inequalities": [[0, 0, 0, 0, 1, 0]]}',
+    "row-not-a-list": '{"version": 1, "ambient_dim": 6, "inequalities": [7]}',
 }
 BOUND_COMMANDS = {
     "enumerate": ["enumerate", "--p", "1", "--q", "1", "--out", "OUT"],
@@ -255,6 +258,22 @@ MALFORMED_WEYL_OPTIONS = {
     "repeated-index-in-q-block": "12;22",
 }
 ZEROS_10_1 = ",".join(["0"] * 10) + ";0"  # the zero weight of U(10,1)
+# Weights of U(2,2) with an empty entry, and a request per command that
+# reads a weight, its slot W; IN is a valid cone file over U(2,2) triples.
+EMPTY_ENTRY_WEIGHTS = {"empty-entry": "1,,0;0,-1", "trailing-comma": "1,0,;0,-1"}
+U22_CONE = json.dumps({"version": 1, "ambient_dim": 12, "inequalities": [["0"] * 12]})
+EMPTY_ENTRY_REQUESTS = {
+    "mult": (None, ["mult", "--p", "2", "--q", "2", "--triple", "W|1,0;0,-1|2,1;-1,-2"]),
+    "member": (None, ["member", "--p", "2", "--q", "2", "--lam", "W", "--mu", "1,0;0,-1",
+                      "--nu", "2,1;-1,-2"]),
+    "cone-member": (U22_CONE, ["cone-member", "--p", "2", "--q", "2", "--in", "IN",
+                               "--triple", "1,0;0,-1|W|2,1;-1,-2"]),
+    "slice": (U22_CONE, ["slice", "--p", "2", "--q", "2", "--in", "IN", "--lam", "W",
+                         "--mu", "1,0;0,-1"]),
+    "recession": (U22_CONE, ["recession", "--p", "2", "--q", "2", "--in", "IN", "--lam", "1,0;0,-1",
+                             "--mu", "W", "--out", "OUT"]),
+    "ressayre-verify": (None, [*RESSAYRE_VERIFY, "--gamma", "W", "--w1", "12", "--w2", "12"]),
+}
 
 
 @pytest.mark.parametrize(
@@ -274,6 +293,11 @@ ZEROS_10_1 = ",".join(["0"] * 10) + ";0"  # the zero weight of U(10,1)
             pytest.param(None, [*args, "--bound", bound], id=f"{cmd}-bound{bound}")
             for cmd, args in BOUND_COMMANDS.items()
             for bound in ("-1", "200")
+        ),
+        *(
+            pytest.param(text, [a.replace("W", weight) for a in argv], id=f"{cmd}-{why}")
+            for cmd, (text, argv) in EMPTY_ENTRY_REQUESTS.items()
+            for why, weight in EMPTY_ENTRY_WEIGHTS.items()
         ),
         pytest.param(None, [*RESSAYRE_VERIFY, "--gamma", "1,0;0,0", "--w1", "2x;12", "--w2", "12"],
                      id="ressayre-w1-2x"),
@@ -342,6 +366,24 @@ def fuzz_files(tmp_path_factory):
     cone = polyhedral.cone_from_points(semigroup.enumerate_semigroup_points(Shape(1, 1), 2))
     polyhedral.save_cone(cone, d / "cone.json")
     return {"CONE": str(d / "cone.json"), "OUT": str(d / "out.txt")}
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        ["mult", "--p", "1", "--q", "1"],
+        ["member", "--p", "1", "--q", "1"],
+        ["cone-member", "--p", "1", "--q", "1", "--in", "CONE"],
+    ],
+    ids=lambda head: head[0],
+)
+def test_triple_and_separate_weights_exit_2(fuzz_files, head):
+    """--triple with any of --lam/--mu/--nu is refused, not one of them
+    silently preferred."""
+    argv = [fuzz_files.get(a, a) for a in head] + ["--triple", "1;0|1;0|2;0"]
+    assert assert_contract(argv) == 0
+    assert assert_contract(argv + ["--lam", "9;9"]) == 2
+    assert assert_contract(argv + ["--lam", "1;0", "--mu", "1;0", "--nu", "2;0"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Exact cone geometry: double description, hulls, slices, recession."""
 
+import hashlib
 import random
 from fractions import Fraction
 from unittest import mock
@@ -484,16 +485,21 @@ class TestAdditivePrune:
         want = oracle.oracle_additive_prune(rows)
         assert ph.additive_prune(rows) == want
         assert ph.additive_prune(np.array(rows, dtype=np.int8).reshape(-1, dim)) == want
-        # Fraction rows take the exact loop; scaling by 1/3 keeps the order
-        # of the norms and every split x = g + h.
+        # Scaling by 1/3 keeps the order of the norms and every split x = g + h.
         thirds = [tuple(Fraction(x, 3) for x in r) for r in rows]
         assert ph.additive_prune(thirds) == [tuple(Fraction(x, 3) for x in k) for k in want]
+        # Halves and thirds in one set, 2R/6 and 3R/6: only the common
+        # denominator 6 clears both.
+        both = [[k * x for x in r] for r in rows for k in (2, 3)]
+        sixths = [tuple(Fraction(x, 6) for x in r) for r in both]
+        want = [tuple(Fraction(x, 6) for x in k) for k in oracle.oracle_additive_prune(both)]
+        assert ph.additive_prune(sixths) == want
 
     # (dtype, lo, hi): rows with entries lo and hi span hi - lo together
     # with 0.  Rows are coded in int64 while (2 span + 1)^dim < 2**63: for
     # dim 1, 2 and 3 up to spans 2**62 - 1, 1,518,500,249 and 2**20 - 1;
-    # wider spans take the exact loop.  So the spans up to 2**16 are
-    # coded at every dim, 2**21 at dim 1 and 2, and the three widest
+    # wider spans are coded in Python ints.  So the spans up to 2**16 are
+    # int64-coded at every dim, 2**21 at dim 1 and 2, and the three widest
     # never; the cases keep every dtype and sign pattern.
     SPANS = [
         (np.int8, -128, 127),
@@ -532,7 +538,7 @@ class TestAdditivePrune:
     @settings(max_examples=200, deadline=None)
     def test_code_width_boundary_matches_oracle(self, data):
         """Spans at the widest that codes in int64 and one past it: the
-        first is pruned on codes, the second by the exact loop."""
+        first is pruned on int64 codes, the second on Python-int codes."""
         dim = data.draw(st.sampled_from(sorted(self.WIDEST)))
         span = self.WIDEST[dim] + data.draw(st.integers(0, 1))
         lo = -data.draw(st.sampled_from([0, 1, span // 2, span - 1, span]))
@@ -544,12 +550,18 @@ class TestAdditivePrune:
         rows += [[a + b for a, b in zip(x, y)] for x in big for y in small]
         rows = data.draw(st.permutations([r for r in rows if all(lo <= v <= hi for v in r)]))
         want = oracle.oracle_additive_prune(rows)
-        with mock.patch.object(ph, "_prune_loop", wraps=ph._prune_loop) as loop:
-            assert ph.additive_prune(rows) == want
-        assert loop.called == ((2 * span + 1) ** dim >= 2**63)
+        inputs = [rows]
         if hi < 2**63:
             dtype = np.int64 if lo >= -(2**63) else object
-            assert ph.additive_prune(np.array(rows, dtype=dtype).reshape(-1, dim)) == want
+            inputs.append(np.array(rows, dtype=dtype).reshape(-1, dim))
+        for points in inputs:
+            with mock.patch("numpy.unique", wraps=np.unique) as unique:
+                assert ph.additive_prune(points) == want
+            (codes,), _ = unique.call_args
+            if (2 * span + 1) ** dim < 2**63:
+                assert codes.dtype == np.int64
+            else:
+                assert codes.dtype == object and {type(c) for c in codes} == {int}
 
     def test_difference_beyond_the_rows_is_not_aliased(self):
         # Span 2: the difference (-1, 2) of (-1, 1) and (0, -1) has an
@@ -573,6 +585,16 @@ class TestAdditivePrune:
         got = ph.additive_prune(pts)
         assert len(got) == kept
         assert got == oracle.oracle_additive_prune(pts)
+
+    def test_u91_unit_seed_pinned(self):
+        # The seed `facets_of_points` builds for U(9,1): dim 30, radix 5,
+        # and 5**30 >= 2**63, so it is pruned on Python-int codes.
+        pts = semigroup.enumerate_semigroup_points(Shape(9, 1), 1)
+        box = pts[((pts >= -1) & (pts <= 1)).all(axis=1)]
+        kept = ph.additive_prune(box)
+        assert (len(box), len(kept)) == (91_813, 3_627)
+        digest = hashlib.sha256(np.array(kept, dtype=np.int8).tobytes()).hexdigest()
+        assert digest[:16] == "d231fd626c7d3a81"
 
     def test_edge_sets_and_semigroups_match_oracle(self):
         empty = np.zeros((0, 3), dtype=np.int8)
@@ -966,6 +988,21 @@ class TestConeFiles:
     def test_file_without_a_representation(self, tmp_path):
         path = tmp_path / "bare.json"
         path.write_text('{"version": 1, "ambient_dim": 2, "equalities": [["1", "0"]]}')
+        with pytest.raises(ValueError):
+            ph.load_cone(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 1, "inequalities": [["1", "0"]]}',
+            '{"version": 1, "ambient_dim": 2, "inequalities": [[1, 0]]}',
+            '{"version": 1, "ambient_dim": 2, "inequalities": [7]}',
+        ],
+        ids=["no-ambient_dim", "number-entries", "row-not-a-list"],
+    )
+    def test_malformed_fields_raise_value_error(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
         with pytest.raises(ValueError):
             ph.load_cone(path)
 

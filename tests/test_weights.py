@@ -156,6 +156,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_weight("1,2,3")
 
+    @pytest.mark.parametrize("text", ["1,,0;0,-1", "1,0,;0,-1", "1,0;,0", ";0", "1;", "1; "])
+    def test_rejects_empty_entries(self, text):
+        with pytest.raises(ValueError):
+            parse_weight(text)
+
     def test_number_forms(self):
         assert parse_number("3") == 3 and type(parse_number("3")) is int
         assert parse_number(" -3/2") == Fraction(-3, 2)
