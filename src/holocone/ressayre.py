@@ -6,8 +6,9 @@ elements (w1, w2).  It is a facet certificate when gamma is admissible
 intersection number k is >= 1.  Two more exact checks are reported
 beside these, and both follow from them: a dimension count ("Relation
 (A)", the degree condition of the Schubert problem) and a trace
-identity relating gamma to its Weyl translates.  A certificate yields
-the linear inequality
+identity relating gamma to its Weyl translates; the first counts the
+positive pair differences of schubert._pair_differences on each side,
+the second sums them.  A certificate yields the linear inequality
 
     <A, w1.gamma> + <B, w2.gamma> - <C, w0.gamma> >= 0
 
@@ -24,7 +25,6 @@ and the certificate reader take one rule for a valid Weyl element,
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import schubert
@@ -45,11 +45,6 @@ class FacetCertificate(NamedTuple):
     candidate: RessayreCandidate
     k: int
     normal: Tuple[int, ...]
-
-
-def _check_gamma(gamma) -> None:
-    if all(v == 0 for v in gamma):
-        raise ValueError("gamma must be nonzero")
 
 
 def _check_pair(c: RessayreCandidate, shape: Shape) -> None:
@@ -82,26 +77,9 @@ def admissible(gamma: Sequence, shape: Shape) -> bool:
     condition n - k == n - 2 holds exactly when k == 2.  The rank-based
     definition is kept as the oracle in the test suite.
     """
-    _check_gamma(gamma)
+    schubert.check_gamma(gamma)
     check_length(gamma, shape)
     return len(set(gamma)) <= 2
-
-
-def _positive_sum(v):
-    """f(v) = sum of <alpha, v> over positive roots pairing positively.
-
-    The positive roots of u(p,q) are exactly the e_i - e_j with i < j, so
-    f(v) = sum over i < j of max(v_i - v_j, 0).
-    """
-    return sum(max(a - b, 0) for a, b in combinations(v, 2))
-
-
-def _trace_condition(t1, t2, g, shape: Shape) -> bool:
-    """Eq.-(15)-style trace identity f(gamma) = f(w0.t1) + f(w0.t2) between
-    gamma and its translates t1 = w1.gamma and t2 = w2.gamma, w0 reversing
-    each block."""
-    p = shape.p
-    return _positive_sum(g) == sum(_positive_sum(t[:p][::-1] + t[p:][::-1]) for t in (t1, t2))
 
 
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
@@ -114,21 +92,20 @@ def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
 def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
     """Every check of a candidate and the verdict: certified exactly when
     gamma is admissible and k >= 1.  The other two checks follow from
-    these and are reported only.  k >= 1 implies the degree condition of
-    the Schubert problem, which is Relation (A).  With two values u > v
-    every nonzero pair difference is +-(u - v), so for admissible gamma
-    the trace sums are u - v times Relation (A)'s two pair counts, each
-    plus the same #{(a, b) : a <= p < b, gamma_a > gamma_b}.
+    these, are reported only, and read one list of pair differences
+    (schubert._pair_differences).  k >= 1 implies Relation (A), and with
+    two values u > v every positive difference is u - v.
     """
     adm = admissible(c.gamma, shape)
     _check_pair(c, shape)
     t1, t2, g = _translates(c, shape)
-    rel = schubert._degree_condition(g, (t1, t2), shape)
+    lhs, rhs = schubert._pair_differences(g, (t1, t2), shape)
+    rel = schubert._degree_condition(lhs, rhs)
     k = schubert.intersection_number(g, (t1, t2), shape) if adm and rel else 0
     return {
         "admissible": adm,
         "relation_A": rel,
-        "trace_condition": _trace_condition(t1, t2, g, shape),
+        "trace_condition": sum(d for d in lhs if d > 0) == sum(d for d in rhs if d > 0),
         "schubert_k": k,
         "certified": adm and k >= 1,
     }

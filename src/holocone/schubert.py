@@ -9,8 +9,9 @@ multiplied as a polynomial, and the coefficient of S_u(x) S_v(y) in a
 polynomial is its constant term after partial has been applied down a
 descent chain of u and then of v (partial kills the ideal), which is how
 products are expanded back into the basis and how intersection numbers
-are read off.  The cells of a facet candidate are read off the
-translates t = w.gamma alone (cell_class_rep), never off w itself.
+are read off, at the cell dual to that of gamma.  The cells of a facet
+candidate are read off the translates t = w.gamma alone
+(cell_class_rep), never off w itself.
 
 Permutations are tuples in one-line notation with w[i] the image of
 position i; they and their primitives (composition, inverse, length,
@@ -20,7 +21,6 @@ enumeration) come from the weights module, which defines them once.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import gt, lt
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .weights import (Perm, Shape, all_perms, argsort, blocks, identity_perm, inversions,
@@ -228,14 +228,19 @@ def _composition_of(sorted_vals: Sequence) -> Tuple[int, ...]:
     return tuple(comp)
 
 
+def check_gamma(gamma: Sequence) -> None:
+    """ValueError unless gamma is nonzero: gamma = 0 has no flag variety."""
+    if all(v == 0 for v in gamma):
+        raise ValueError("gamma must be nonzero")
+
+
 def flag_type_of(gamma: Sequence, shape: Shape) -> FlagType:
     """Multiplicity compositions of gamma's distinct values, per block.
 
     Parts follow increasing eigenvalue order, matching the base flag of
     the parabolic attached to gamma.
     """
-    if all(v == 0 for v in gamma):
-        raise ValueError("gamma must be nonzero")
+    check_gamma(gamma)
     gp, gq = blocks(gamma, shape)
     return FlagType(_composition_of(sorted(gp)), _composition_of(sorted(gq)))
 
@@ -287,9 +292,29 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
     return _expand(poly, flag_type_of(gamma, shape), shape)
 
 
-def _degree_condition(gamma: Sequence, translates: Sequence[Sequence], shape: Shape) -> bool:
-    """Relation (A), the degree condition of the Schubert problem, counted
-    over the pairs i < j inside a block:
+def _pair_differences(gamma: Sequence, translates: Sequence[Sequence], shape: Shape):
+    """(lhs, rhs) for Relation (A) (_degree_condition) and the trace identity.
+
+    lhs holds gamma_i - gamma_j over the pairs i < j inside a block; rhs
+    holds gamma_a - gamma_b over a <= p < b, then t_j - t_i over the pairs
+    i < j inside a block of each translate t.  For two translates the
+    trace identity f(gamma) = f(w0.t1) + f(w0.t2), for f(v) the sum of
+    max(v_i - v_j, 0) over i < j and w0 reversing each block, says that the
+    positive entries of lhs and rhs have equal sums: each t permutes the
+    blocks of gamma, so the cross-block part of f(w0.t) is that of f(gamma)
+    and cancels once.
+    """
+    gp, gq = blocks(gamma, shape)
+    lhs = [a - b for blk in (gp, gq) for a, b in combinations(blk, 2)]
+    rhs = [a - b for a in gp for b in gq]
+    for t in translates:
+        rhs += [b - a for blk in blocks(t, shape) for a, b in combinations(blk, 2)]
+    return lhs, rhs
+
+
+def _degree_condition(lhs: Sequence, rhs: Sequence) -> bool:
+    """Relation (A), the degree condition of the Schubert problem: the lists
+    of _pair_differences have equally many positive entries, that is
 
         #{i < j : gamma_i > gamma_j}
             = sum over t of #{i < j : t_i < t_j} + #{(a, b) : a <= p < b, gamma_a > gamma_b}.
@@ -298,40 +323,33 @@ def _degree_condition(gamma: Sequence, translates: Sequence[Sequence], shape: Sh
     (cell_class_rep) plus the Euler rank, the left dim F_gamma less the
     codimension of the cell of gamma.
     """
-
-    def pairs(v, rel):
-        return sum(rel(a, b) for blk in blocks(v, shape) for a, b in combinations(blk, 2))
-
-    gp, gq = blocks(gamma, shape)
-    euler = sum(a > b for a in gp for b in gq)
-    return pairs(gamma, gt) == euler + sum(pairs(t, lt) for t in translates)
+    return sum(d > 0 for d in lhs) == sum(d > 0 for d in rhs)
 
 
 def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: Shape) -> int:
-    """Point coefficient of [X_gamma] . prod [X_{w,gamma}] . Eul(q^{gamma>0}) on F_gamma.
+    """Point coefficient of [X_gamma] . prod [X_{w.gamma}] . Eul(q^{gamma>0}) on F_gamma.
 
-    translates holds t = w.gamma for each translated cell; the cells of
-    gamma and of each t are read off by cell_class_rep, and the point
-    class is the cell of sorted gamma.  The product is taken on
-    polynomials, S_u(x) S_v(y) for each cell class times the Euler
-    polynomial, and its point coefficient is read off by divided
-    differences (_coefficient).  A product whose degree is not dim F_gamma
-    has point coefficient 0, so Relation (A) (_degree_condition) is the
-    early exit.  ValueError for gamma = 0 or a translate that does not
+    translates holds t = w.gamma for each translated cell, whose class is
+    read off by cell_class_rep.  By Poincare duality on F_gamma, the point
+    coefficient of [X_gamma] . P is the coefficient of P at the dual class,
+    the cell of w0.gamma (each block reversed).  So only the Euler
+    polynomial and the translates' classes are multiplied, as polynomials,
+    and that coefficient is read off by divided differences (_coefficient).
+    A product whose degree is not dim F_gamma gives 0, so Relation (A) is
+    the early exit.  ValueError for gamma = 0 or a translate that does not
     permute each block of gamma.
     """
-    if all(v == 0 for v in gamma):
-        raise ValueError("gamma must be nonzero")
+    check_gamma(gamma)
     sp, sq = sorted_blocks(gamma, shape)
     for t in translates:
         if sorted_blocks(t, shape) != (sp, sq):
             raise ValueError(f"translate {tuple(t)} does not permute the blocks of gamma")
-    if not _degree_condition(gamma, translates, shape):
+    if not _degree_condition(*_pair_differences(gamma, translates, shape)):
         return 0
     poly = _euler_polynomial(sp, sq, shape)
-    for t in (gamma, *translates):
+    for t in translates:
         poly = _mul(poly, _polynomial_of({tuple(map(cell_class_rep, blocks(t, shape))): 1}))
-    return _coefficient(poly, cell_class_rep(sp), cell_class_rep(sq))
+    return _coefficient(poly, *(cell_class_rep(blk[::-1]) for blk in blocks(gamma, shape)))
 
 
 def clear_caches() -> None:

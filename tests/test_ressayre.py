@@ -133,9 +133,10 @@ class TestTraceCondition:
 
 
 class TestClosedFormsAgainstRootLists:
-    """Relation (A) (schubert._degree_condition) and the trace sums count
-    index pairs; the oracle sums over the explicit root vectors.  The
-    private checks take gamma = 0 too, which check_candidate refuses."""
+    """Relation (A) (schubert._degree_condition) and the trace sums read
+    one list of pair differences (schubert._pair_differences); the oracle
+    sums over the explicit root vectors.  The private checks take
+    gamma = 0 too, which check_candidate refuses."""
 
     @pytest.mark.parametrize(
         "shape, values, pairs_per_gamma",
@@ -156,16 +157,16 @@ class TestClosedFormsAgainstRootLists:
             else:
                 pairs = [(rng.choice(ws), rng.choice(ws)) for _ in range(pairs_per_gamma)]
             f = oracle.oracle_positive_sum(g, shape)
-            assert ressayre._positive_sum(g) == f
             for w1, w2 in pairs:
                 t1, t2 = w1.apply(g, shape), w2.apply(g, shape)
-                got = sc._degree_condition(g, (t1, t2), shape)
+                lhs, rhs = sc._pair_differences(g, (t1, t2), shape)
+                got = sc._degree_condition(lhs, rhs)
                 assert got == oracle.oracle_relation_A(g, w1, w2, shape)
                 want = f == sum(
                     oracle.oracle_positive_sum(w0.compose(w).apply(g, shape), shape)
                     for w in (w1, w2)
                 )
-                assert ressayre._trace_condition(t1, t2, g, shape) == want
+                assert (sum(d for d in lhs if d > 0) == sum(d for d in rhs if d > 0)) == want
 
 
 class TestScaleInvariance:

@@ -3,6 +3,7 @@ differences, duality, Euler classes, and the Schubert numbers of facet
 candidates, checked against the Monk-rule oracle."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -432,6 +433,24 @@ class TestAgainstMonkOracle:
                         assert k == oracle.oracle_schubert_condition(c, shape), c
                         nonzero += k != 0
         assert nonzero
+
+    @pytest.mark.parametrize("shape", [Shape(2, 2), Shape(3, 1), Shape(3, 2)], ids=str)
+    def test_intersection_number_three_values(self, shape):
+        # gamma with three values is not admissible, so check_candidate never
+        # asks for its k; the public intersection_number must still match.
+        rng = random.Random(39)
+        ws = all_weyl_elements(shape)
+        values = (-1, 0, Fraction(1, 2), 2)
+        gammas = [g for g in product(values, repeat=shape.rank) if len(set(g)) == 3]
+        nonzero = fractional = 0
+        for _ in range(600):
+            g = rng.choice(gammas)
+            c = ressayre.RessayreCandidate(g, rng.choice(ws), rng.choice(ws))
+            k = sc.intersection_number(g, (c.w1.apply(g, shape), c.w2.apply(g, shape)), shape)
+            assert k == oracle.oracle_schubert_condition(c, shape), c
+            nonzero += k != 0
+            fractional += k != 0 and Fraction(1, 2) in g
+        assert fractional and nonzero > fractional
 
     def test_schubert_condition_sample_u33(self):
         shape = Shape(3, 3)
