@@ -20,6 +20,11 @@ pair with those translates is the witness a certificate records.
 `check_candidate` is the one verdict on a candidate; it, `inequality_of`
 and the certificate reader take one rule for a valid Weyl element,
 `weights.check_weyl`.
+
+The public functions check their input once and raise ValueError on a
+malformed one.  The private ones trust their caller: `_witness` and
+schubert's kernel `_schubert_number` take the blocks of gamma and its
+translates, split once, and check nothing.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
 from .weights import (Shape, WeylElement, argsort, blocks, check_length, check_weyl,
-                      parse_int, permute, sorted_blocks, star_involution)
+                      parse_int, permute, star_involution, translate_blocks)
 
 CERT_FILE_VERSION = 1
 
@@ -51,12 +56,6 @@ def _check_pair(c: RessayreCandidate, shape: Shape) -> None:
     """ValueError, naming the slot, unless w1 and w2 pass `weights.check_weyl`."""
     check_weyl(c.w1, shape, "w1")
     check_weyl(c.w2, shape, "w2")
-
-
-def _translates(c: RessayreCandidate, shape: Shape):
-    """(w1.gamma, w2.gamma, gamma), the blocks every predicate reads."""
-    g = c.gamma
-    return c.w1.apply(g, shape), c.w2.apply(g, shape), g
 
 
 def admissible(gamma: Sequence, shape: Shape) -> bool:
@@ -85,8 +84,8 @@ def admissible(gamma: Sequence, shape: Shape) -> bool:
 def inequality_of(c: RessayreCandidate, shape: Shape) -> Tuple[int, ...]:
     """Primitive normal of <A,w1.g> + <B,w2.g> - <C,w0.g> >= 0 on triples."""
     _check_pair(c, shape)
-    t1, t2, g = _translates(c, shape)
-    return primitive(t1 + t2 + star_involution(g, shape))
+    g = c.gamma
+    return primitive(c.w1.apply(g, shape) + c.w2.apply(g, shape) + star_involution(g, shape))
 
 
 def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
@@ -98,10 +97,11 @@ def check_candidate(c: RessayreCandidate, shape: Shape) -> dict:
     """
     adm = admissible(c.gamma, shape)
     _check_pair(c, shape)
-    t1, t2, g = _translates(c, shape)
-    lhs, rhs = schubert._pair_differences(g, (t1, t2), shape)
+    gp, gq = gb = blocks(c.gamma, shape)
+    tbs = tuple((permute(w.wp, gp), permute(w.wq, gq)) for w in (c.w1, c.w2))
+    lhs, rhs = schubert._pair_differences(gb, tbs)
     rel = schubert._degree_condition(lhs, rhs)
-    k = schubert.intersection_number(g, (t1, t2), shape) if adm and rel else 0
+    k = schubert._schubert_number(gb, tbs, shape) if adm and rel else 0
     return {
         "admissible": adm,
         "relation_A": rel,
@@ -159,51 +159,46 @@ def _gamma_from_normal(normal: Sequence, shape: Shape):
     return star_involution(normal[2 * n :], shape)
 
 
-def certify_normal(
-    normal: Sequence, shape: Shape
-) -> Optional[FacetCertificate]:
+def certify_normal(normal: Sequence, shape: Shape) -> Optional[FacetCertificate]:
     """The certificate matching the facet normal exactly, or None.
 
     gamma is forced by the C-block, and the A- and B-blocks must be the
     translates w1.gamma and w2.gamma, so they are checked as block
-    permutations of gamma by sorting.  The verdict is check_candidate's,
-    admissibility and k >= 1, and k reads w only through the cells of
-    the translates (schubert.cell_class_rep).  So the blocks decide for
-    every Weyl pair with these translates, and the lex-least pair
-    (_witness) is built only for a certificate that is returned.
+    permutations of gamma (weights.translate_blocks).  The verdict is
+    check_candidate's, admissibility and k >= 1, and k reads w only
+    through the cells of the translates (schubert.cell_class_rep).  So
+    the blocks decide for every Weyl pair with these translates, and the
+    lex-least pair (_witness) is built only for a certificate that is
+    returned.
     """
     n = shape.rank
     normal = primitive(normal)
     g = _gamma_from_normal(normal, shape)
     if all(v == 0 for v in g) or not admissible(g, shape):
         return None
-    na, nb = normal[:n], normal[n : 2 * n]
-    sg = sorted_blocks(g, shape)
-    if sorted_blocks(na, shape) != sg or sorted_blocks(nb, shape) != sg:
+    split = translate_blocks(g, (normal[:n], normal[n : 2 * n]), shape)
+    if split is None:
         return None
-    k = schubert.intersection_number(g, (na, nb), shape)
+    gb, tbs = split
+    k = schubert._schubert_number(gb, tbs, shape)
     if k < 1:
         return None
-    cand = RessayreCandidate(g, _witness(g, na, shape), _witness(g, nb, shape))
+    cand = RessayreCandidate(g, *(_witness(gb, tb) for tb in tbs))
     return FacetCertificate(cand, k, normal)
 
 
-def _witness(g, t, shape: Shape) -> WeylElement:
-    """The lex-least w with w.g == t, for t a block permutation of g: per
-    block, the k-th entry of g in stable sorted order goes to the slot of
-    the k-th entry of t."""
-    pairs = zip(blocks(g, shape), blocks(t, shape))
-    return WeylElement(*(permute(argsort(a), argsort(b)) for a, b in pairs))
+def _witness(gb, tb) -> WeylElement:
+    """The lex-least w with w.g == t, for the blocks tb of t a block
+    permutation of the blocks gb of g: per block, the k-th entry of g in
+    stable sorted order goes to the slot of the k-th entry of t."""
+    return WeylElement(*(permute(argsort(a), argsort(b)) for a, b in zip(gb, tb)))
 
 
 def search_certificates(
     shape: Shape, facet_normals: Sequence[Sequence]
 ) -> List[Tuple[Tuple[int, ...], Optional[FacetCertificate]]]:
     """Certificate (or None) for each facet normal, in input order."""
-    out = []
-    for nrm in facet_normals:
-        out.append((tuple(primitive(nrm)), certify_normal(nrm, shape)))
-    return out
+    return [(tuple(primitive(nrm)), certify_normal(nrm, shape)) for nrm in facet_normals]
 
 
 # ---------------------------------------------------------------------------
@@ -240,25 +235,20 @@ def save_certificates(results, shape: Shape, path) -> None:
             head = "facet " + ",".join(map(str, normal))
             if cert is None:
                 fh.write(head + " UNCERTIFIED\n")
-            else:
-                fh.write(
-                    head
-                    + " CERTIFIED gamma={} w1={} w2={} k={}\n".format(
-                        ",".join(map(str, cert.candidate.gamma)),
-                        _fmt_weyl(cert.candidate.w1),
-                        _fmt_weyl(cert.candidate.w2),
-                        cert.k,
-                    )
-                )
+                continue
+            c = cert.candidate
+            fields = ",".join(map(str, c.gamma)), _fmt_weyl(c.w1), _fmt_weyl(c.w2), cert.k
+            fh.write(head + " CERTIFIED gamma={} w1={} w2={} k={}\n".format(*fields))
 
 
 def load_certificates(path):
     """Parse a certificate file back into (normal, certificate-or-None).
 
     Every line is checked against the header's shape: a normal of 3(p+q)
-    and a gamma of p+q integers, Weyl fields that are Weyl elements of the
-    shape and k >= 1 on a CERTIFIED line.  Raises ValueError for any
-    malformed header or line.
+    integers and nothing after UNCERTIFIED, or on a CERTIFIED line the
+    fields gamma, w1, w2 and k, each once: a nonzero gamma of p+q
+    integers, Weyl elements of the shape and k >= 1.  Raises ValueError
+    for any malformed header or line.
     """
     out = []
     with open(path, encoding="utf-8") as fh:
@@ -286,9 +276,16 @@ def _parse_certificate(parts: List[str], shape: Shape):
         raise ValueError("expected 'facet NORMAL CERTIFIED|UNCERTIFIED ...'")
     normal = _ints(parts[1], 3 * shape.rank, "normal")
     if parts[2] == "UNCERTIFIED":
+        if parts[3:]:
+            raise ValueError(f"unexpected field {parts[3]!r} after UNCERTIFIED")
         return normal, None
-    fields = dict(p.split("=", 1) for p in parts[3:])
+    fields = {}
+    for key, value in (p.split("=", 1) for p in parts[3:]):
+        if key in fields or key not in ("gamma", "w1", "w2", "k"):
+            raise ValueError(f"repeated or unknown field {key!r}")
+        fields[key] = value
     gamma = _ints(fields["gamma"], shape.rank, "gamma")
+    schubert.check_gamma(gamma)
     cand = RessayreCandidate(gamma, *(_parse_weyl(fields[w], shape, w) for w in ("w1", "w2")))
     k = parse_int(fields["k"])
     if k < 1:

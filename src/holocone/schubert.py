@@ -16,6 +16,12 @@ candidate are read off the translates t = w.gamma alone
 Permutations are tuples in one-line notation with w[i] the image of
 position i; they and their primitives (composition, inverse, length,
 enumeration) come from the weights module, which defines them once.
+
+The public functions validate their input and raise ValueError on a
+malformed one.  The private functions trust their caller and check
+nothing: `_schubert_number` and `_pair_differences` take the blocks of
+gamma and its translates as `weights.translate_blocks` splits and checks
+them, once, so `ressayre`, which validates a candidate once, calls them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from itertools import combinations
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .weights import (Perm, Shape, all_perms, argsort, blocks, identity_perm, inversions,
-                      longest_perm, sorted_blocks)
+                      longest_perm, translate_blocks)
 
 Poly = Dict[Tuple[int, ...], int]  # exponent vector -> coefficient
 
@@ -44,13 +50,6 @@ _schubert_poly_cache: Dict[Tuple[int, Perm], Poly] = {}
 def _divided_difference(i: int, f: Poly) -> Poly:
     """partial_i f = (f - s_i f) / (x_i - x_{i+1}), exact on monomials."""
     out: Poly = {}
-
-    def add(exp, c):
-        if c:
-            out[exp] = out.get(exp, 0) + c
-            if not out[exp]:
-                del out[exp]
-
     for exp, c in f.items():
         a, b = exp[i], exp[i + 1]
         if a == b:
@@ -60,8 +59,9 @@ def _divided_difference(i: int, f: Poly) -> Poly:
         for k in range(lo, hi):
             e = list(exp)
             e[i], e[i + 1] = k, hi + lo - 1 - k
-            add(tuple(e), sign * c)
-    return out
+            e = tuple(e)
+            out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
 
 
 def schubert_polynomial(w: Perm) -> Poly:
@@ -288,12 +288,13 @@ def euler_class_q_positive(gamma: Sequence, shape: Shape) -> CohomologyElement:
     of each block; the product over the positive-pairing weights is
     expanded into the Schubert basis of F_gamma.
     """
-    poly = _euler_polynomial(*sorted_blocks(gamma, shape), shape)
+    poly = _euler_polynomial(*map(sorted, blocks(gamma, shape)), shape)
     return _expand(poly, flag_type_of(gamma, shape), shape)
 
 
-def _pair_differences(gamma: Sequence, translates: Sequence[Sequence], shape: Shape):
-    """(lhs, rhs) for Relation (A) (_degree_condition) and the trace identity.
+def _pair_differences(gb, tbs):
+    """(lhs, rhs) for Relation (A) (_degree_condition) and the trace identity,
+    from the blocks gb of gamma and tbs of its translates.
 
     lhs holds gamma_i - gamma_j over the pairs i < j inside a block; rhs
     holds gamma_a - gamma_b over a <= p < b, then t_j - t_i over the pairs
@@ -304,11 +305,11 @@ def _pair_differences(gamma: Sequence, translates: Sequence[Sequence], shape: Sh
     blocks of gamma, so the cross-block part of f(w0.t) is that of f(gamma)
     and cancels once.
     """
-    gp, gq = blocks(gamma, shape)
-    lhs = [a - b for blk in (gp, gq) for a, b in combinations(blk, 2)]
+    gp, gq = gb
+    lhs = [a - b for blk in gb for a, b in combinations(blk, 2)]
     rhs = [a - b for a in gp for b in gq]
-    for t in translates:
-        rhs += [b - a for blk in blocks(t, shape) for a, b in combinations(blk, 2)]
+    for tb in tbs:
+        rhs += [b - a for blk in tb for a, b in combinations(blk, 2)]
     return lhs, rhs
 
 
@@ -336,20 +337,26 @@ def intersection_number(gamma: Sequence, translates: Sequence[Sequence], shape: 
     polynomial and the translates' classes are multiplied, as polynomials,
     and that coefficient is read off by divided differences (_coefficient).
     A product whose degree is not dim F_gamma gives 0, so Relation (A) is
-    the early exit.  ValueError for gamma = 0 or a translate that does not
-    permute each block of gamma.
+    the early exit.  ValueError for gamma = 0, an input of the wrong length
+    or a translate that does not permute each block of gamma.
     """
     check_gamma(gamma)
-    sp, sq = sorted_blocks(gamma, shape)
-    for t in translates:
-        if sorted_blocks(t, shape) != (sp, sq):
-            raise ValueError(f"translate {tuple(t)} does not permute the blocks of gamma")
-    if not _degree_condition(*_pair_differences(gamma, translates, shape)):
+    split = translate_blocks(gamma, translates, shape)
+    if split is None:
+        bad = next(t for t in translates if translate_blocks(gamma, (t,), shape) is None)
+        raise ValueError(f"translate {tuple(bad)} does not permute the blocks of gamma")
+    return _schubert_number(*split, shape)
+
+
+def _schubert_number(gb, tbs, shape: Shape) -> int:
+    """intersection_number on the blocks gb of gamma and tbs of its
+    translates, as `weights.translate_blocks` splits and checks them."""
+    if not _degree_condition(*_pair_differences(gb, tbs)):
         return 0
-    poly = _euler_polynomial(sp, sq, shape)
-    for t in translates:
-        poly = _mul(poly, _polynomial_of({tuple(map(cell_class_rep, blocks(t, shape))): 1}))
-    return _coefficient(poly, *(cell_class_rep(blk[::-1]) for blk in blocks(gamma, shape)))
+    poly = _euler_polynomial(*map(sorted, gb), shape)
+    for tb in tbs:
+        poly = _mul(poly, _polynomial_of({tuple(map(cell_class_rep, tb)): 1}))
+    return _coefficient(poly, *(cell_class_rep(blk[::-1]) for blk in gb))
 
 
 def clear_caches() -> None:

@@ -19,7 +19,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import List, NamedTuple, Sequence, Tuple
 
 Coord = Fraction  # or int; both occur
@@ -57,10 +57,14 @@ def blocks(x: Sequence, shape: Shape):
     return tuple(x[: shape.p]), tuple(x[shape.p :])
 
 
-def sorted_blocks(x: Sequence, shape: Shape):
-    """Each block of x sorted upward; equal for x and y exactly when y
-    permutes each block of x, that is, when y is a Weyl translate of x."""
-    return tuple(sorted(b) for b in blocks(x, shape))
+def translate_blocks(gamma: Sequence, translates: Sequence[Sequence], shape: Shape):
+    """(blocks of gamma, blocks of each translate), each split once, or None
+    unless every translate permutes each block of gamma (equal sorted
+    blocks), that is, unless each is a Weyl translate of gamma."""
+    gb = blocks(gamma, shape)
+    tbs = tuple(blocks(t, shape) for t in translates)
+    sg = [sorted(b) for b in gb]
+    return (gb, tbs) if all([sorted(b) for b in tb] == sg for tb in tbs) else None
 
 
 _NUMBER = re.compile(r"\s*[-+]?([0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)\s*")
@@ -113,15 +117,11 @@ def format_weight(x: Sequence, shape: Shape) -> str:
 
 def is_dominant(x: Sequence, shape: Shape) -> bool:
     """Both blocks weakly decreasing."""
-    pb, qb = blocks(x, shape)
-    return all(a >= b for a, b in zip(pb, pb[1:])) and all(
-        a >= b for a, b in zip(qb, qb[1:])
-    )
+    return all(a >= b for blk in blocks(x, shape) for a, b in zip(blk, blk[1:]))
 
 
 def in_holomorphic_chamber(x: Sequence, shape: Shape) -> bool:
     """Dominant with a strict gap x_p > x_{p+1} between the blocks."""
-    check_length(x, shape)
     return is_dominant(x, shape) and x[shape.p - 1] > x[shape.p]
 
 
@@ -186,12 +186,7 @@ def longest_perm(n: int) -> Perm:
 
 
 def inversions(w: Perm) -> int:
-    return sum(
-        1
-        for i in range(len(w))
-        for j in range(i + 1, len(w))
-        if w[i] > w[j]
-    )
+    return sum(a > b for a, b in combinations(w, 2))
 
 
 def compose(a: Perm, b: Perm) -> Perm:

@@ -159,7 +159,7 @@ class TestClosedFormsAgainstRootLists:
             f = oracle.oracle_positive_sum(g, shape)
             for w1, w2 in pairs:
                 t1, t2 = w1.apply(g, shape), w2.apply(g, shape)
-                lhs, rhs = sc._pair_differences(g, (t1, t2), shape)
+                lhs, rhs = sc._pair_differences(blocks(g, shape), (blocks(t1, shape), blocks(t2, shape)))
                 got = sc._degree_condition(lhs, rhs)
                 assert got == oracle.oracle_relation_A(g, w1, w2, shape)
                 want = f == sum(
@@ -339,6 +339,27 @@ def test_malformed_weyl_element_is_value_error(predicate, bad, slot):
         predicate(cand((1, 0, 0, 0), ws["w1"], ws["w2"]), s)
 
 
+SHORT = (1, 0, 0)  # one entry short of a U(2,2) weight
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, e: sc.intersection_number(SHORT, (SHORT, (0, 1, 0)), s),
+        lambda s, e: ressayre.check_candidate(cand(SHORT, e, e), s),
+        lambda s, e: ressayre.inequality_of(cand(SHORT, e, e), s),
+        lambda s, e: ressayre.certify_normal((0, -1, 0, 0, 0, -1, 0, 0, 0, 1, 0), s),
+    ],
+    ids=["intersection_number", "check_candidate", "inequality_of", "certify_normal"],
+)
+def test_input_of_the_wrong_length_is_value_error(call):
+    # Each public certification entry checks lengths at the boundary;
+    # the private kernel behind it checks nothing.
+    s = Shape(2, 2)
+    with pytest.raises(ValueError):
+        call(s, identity_weyl(s))
+
+
 class TestCertifyNormals:
     def test_rank_one_facet_certificate(self):
         s = Shape(1, 1)
@@ -492,15 +513,18 @@ class TestOnePairPerNormal:
             assert ressayre.certify_normal(nrm, shape) == oracle.oracle_certify_normal(nrm, shape)
 
 
-# (indicator normals, certified, certified with k = 1) per shape
+# (indicator normals, certified, certified with k = 1, sha256 prefix of
+# the repr of the certificates in indicator_normals order) per shape
 CERTIFIED_COUNTS = [
-    (Shape(2, 1), (18, 5, 5)),
-    (Shape(2, 2), (98, 13, 13)),
-    (Shape(3, 1), (110, 17, 17)),
-    (Shape(3, 2), (558, 38, 38)),
-    (Shape(4, 1), (690, 55, 55)),
-    (Shape(3, 3), (3134, 103, 103)),
-    (Shape(4, 2), (3458, 117, 116)),
+    (Shape(2, 1), (18, 5, 5, "75209592ddd43ae7")),
+    (Shape(2, 2), (98, 13, 13, "7517016b2b26ba62")),
+    (Shape(3, 1), (110, 17, 17, "42b8e03e4aa2c3e8")),
+    (Shape(3, 2), (558, 38, 38, "1c9249a548c8d4ca")),
+    (Shape(4, 1), (690, 55, 55, "377ca0d784c2c7d6")),
+    (Shape(3, 3), (3134, 103, 103, "7b3aa18c02eb7b6d")),
+    (Shape(4, 2), (3458, 117, 116, "164582d1bc438f74")),
+    (Shape(4, 3), (19374, 314, 311, "747fe11a7608bed9")),
+    (Shape(5, 2), (22518, 384, 375, "7bc727ae8134b6e9")),
 ]
 
 
@@ -508,7 +532,8 @@ CERTIFIED_COUNTS = [
 def test_certified_indicator_normal_counts(shape, counts):
     certs = [ressayre.certify_normal(nrm, shape) for nrm in indicator_normals(shape)]
     good = [c for c in certs if c is not None]
-    assert (len(certs), len(good), sum(c.k == 1 for c in good)) == counts
+    sha = hashlib.sha256(repr(good).encode()).hexdigest()[:16]
+    assert (len(certs), len(good), sum(c.k == 1 for c in good), sha) == counts
 
 
 # The box-1 pipeline per shape: (points, facets, equalities, non-chamber
@@ -568,6 +593,16 @@ def cert_line(**changes):
     ) + "\n"
 
 
+# Lines that save_certificates never writes, each refused naming its field:
+# id -> (line, field).
+NEVER_WRITTEN = {
+    "gamma-zero": (cert_line(gamma="0,0,0,0"), "gamma"),
+    "repeated-k": (cert_line().replace(" k=1", " k=1 k=2"), "'k'"),
+    "unknown-field": (cert_line(junk="3"), "'junk'"),
+    "field-after-UNCERTIFIED": (CERT_LINE.replace("CERTIFIED", "UNCERTIFIED") + " k=1\n", "'k=1'"),
+}
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -597,12 +632,21 @@ def cert_line(**changes):
         pytest.param(CERT_HEADER + cert_line(k="0"), id="k-0"),
         pytest.param(CERT_HEADER + cert_line(gamma="0,-1"), id="gamma-of-the-wrong-length"),
         pytest.param(CERT_HEADER + "facet 1_0" + ",0" * 11 + " UNCERTIFIED\n", id="normal-underscore"),
+        *(pytest.param(CERT_HEADER + line, id=key) for key, (line, _) in NEVER_WRITTEN.items()),
     ],
 )
 def test_malformed_certificate_file_is_value_error(tmp_path, text):
     path = tmp_path / "certs.txt"
     path.write_text(text)
     with pytest.raises(ValueError):
+        ressayre.load_certificates(path)
+
+
+@pytest.mark.parametrize("line, field", NEVER_WRITTEN.values(), ids=NEVER_WRITTEN)
+def test_never_written_line_error_names_its_field(tmp_path, line, field):
+    path = tmp_path / "certs.txt"
+    path.write_text(CERT_HEADER + line)
+    with pytest.raises(ValueError, match=field):
         ressayre.load_certificates(path)
 
 
