@@ -19,10 +19,11 @@ import argparse
 import itertools
 import sys
 import warnings
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from . import lr, polyhedral, ressayre, semigroup, symq, verify
-from .weights import Shape, WeylElement, identity_perm, parse_int, parse_weight
+from .weights import (Shape, WeylElement, check_weyl, integral, parse_fields, parse_int,
+                      parse_ints, parse_weight)
 
 POINTS_FILE_VERSION = 1
 _WRITE_ROWS = 1 << 16  # rows of a points file per write or per read
@@ -36,20 +37,11 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_gl_weight(text: str) -> Tuple[int, ...]:
-    try:
-        return tuple(map(parse_int, text.split(",")))
-    except ValueError as e:
-        raise UsageError(f"bad weight {text!r}: {e}") from None
-
-
 def _parse_block_weight(text: str, shape: Shape):
     w, s = parse_weight(text)
     if s != shape:
         raise UsageError(f"weight {text!r} has shape {s}, expected {shape}")
-    if any(int(v) != v for v in w):
-        raise UsageError(f"integral weight required: {text!r}")
-    return tuple(int(v) for v in w)
+    return integral(w)
 
 
 def _parse_triple(args, shape: Shape):
@@ -63,30 +55,25 @@ def _parse_triple(args, shape: Shape):
         return tuple(_parse_block_weight(p, shape) for p in parts)
     if args.lam is None or args.mu is None or args.nu is None:
         raise UsageError("need --triple or all of --lam/--mu/--nu")
-    return (
-        _parse_block_weight(args.lam, shape),
-        _parse_block_weight(args.mu, shape),
-        _parse_block_weight(args.nu, shape),
-    )
+    return tuple(_parse_block_weight(w, shape) for w in (args.lam, args.mu, args.nu))
 
 
-def _parse_perm(text: str, size: int) -> Tuple[int, ...]:
-    """One-line permutation: "21" or "2,1" (1-based images)."""
-    text = text.strip()
+def _weyl_of(args, option: str, shape: Shape) -> WeylElement:
+    """The Weyl element of an option such as "21;12" or "2,1;1,2": 1-based
+    images per block, comma-separated or one digit each; a bare "21"
+    leaves the q-block fixed.  `weights.check_weyl` decides."""
+    text = getattr(args, option)
+    wp, semicolon, wq = text.partition(";")
+    if not semicolon:
+        wq = ",".join(str(i + 1) for i in range(shape.q))
     try:
-        vals = [parse_int(x) for x in (text.split(",") if "," in text else text)]
+        images = (parse_ints(b if "," in b else ",".join(b.strip()), n, option)
+                  for b, n in zip((wp, wq), shape))
+        w = WeylElement(*(tuple(v - 1 for v in b) for b in images))
+        check_weyl(w, shape, option)
     except ValueError:
-        vals = None
-    if vals is None or sorted(vals) != list(range(1, size + 1)):
-        raise UsageError(f"{text!r} is not a permutation of 1..{size}")
-    return tuple(v - 1 for v in vals)
-
-
-def _parse_weyl(text: str, shape: Shape) -> WeylElement:
-    """Block permutation pair "21;12"; a bare "21" leaves the q-block fixed."""
-    a, semicolon, b = text.partition(";")
-    wq = _parse_perm(b, shape.q) if semicolon else identity_perm(shape.q)
-    return WeylElement(_parse_perm(a, shape.p), wq)
+        raise UsageError(f"--{option} {text!r} is not a 1-based Weyl element of {shape}") from None
+    return w
 
 
 def _int_of(args, option: str) -> int:
@@ -169,8 +156,8 @@ def load_points(path):
             header = fh.readline().split()
             if header[:2] != ["holocone-points", str(POINTS_FILE_VERSION)]:
                 raise ValueError("not a holocone-points file of this version")
-            fields = dict(kv.split("=") for kv in header[2:])
-            shape = Shape(parse_int(fields["p"]), parse_int(fields["q"])).validate()
+            p, q, _ = map(parse_int, parse_fields(header[2:], ("p", "q", "bound")))
+            shape = Shape(p, q).validate()
             blocks = []
             while lines := list(itertools.islice(fh, _WRITE_ROWS)):
                 # np.loadtxt's integer parser crashes the interpreter on some
@@ -190,7 +177,7 @@ def load_points(path):
                 blocks.append(block)
         if not blocks:
             raise ValueError(f"need rows of {3 * shape.rank} entries")
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"unreadable points file {path}: {e!r}") from None
     return np.concatenate(blocks), shape
 
@@ -200,15 +187,10 @@ def load_points(path):
 
 
 def cmd_lr(args) -> int:
-    if args.n is None:
-        raise UsageError("need --n")
-    if args.lam is None or args.mu is None or args.nu is None:
-        raise UsageError("need --lam, --mu and --nu")
+    if None in (args.n, args.lam, args.mu, args.nu):
+        raise UsageError("need --n, --lam, --mu and --nu")
     n = _int_of(args, "n")
-    lam, mu, nu = (_parse_gl_weight(w) for w in (args.lam, args.mu, args.nu))
-    for w in (lam, mu, nu):
-        if len(w) != n:
-            raise UsageError(f"weight {w} does not have length {n}")
+    lam, mu, nu = (parse_ints(getattr(args, w), n, "--" + w) for w in ("lam", "mu", "nu"))
     print(lr.lr_coefficient(lam, mu, nu))
     return 0
 
@@ -305,9 +287,8 @@ def cmd_ressayre_verify(args) -> int:
     gamma, gshape = parse_weight(args.gamma)
     if gshape != shape:
         raise UsageError(f"gamma has shape {gshape}, expected {shape}")
-    cand = ressayre.RessayreCandidate(
-        gamma, _parse_weyl(args.w1, shape), _parse_weyl(args.w2, shape)
-    )
+    w1, w2 = (_weyl_of(args, w, shape) for w in ("w1", "w2"))
+    cand = ressayre.RessayreCandidate(gamma, w1, w2)
     res = ressayre.check_candidate(cand, shape)
     for key in ("admissible", "relation_A", "trace_condition"):
         print(f"{key}: {'pass' if res[key] else 'FAIL'}")

@@ -38,11 +38,11 @@ and product is read off `_skew`.
   `symq.s_fold_multiplicity` decomposes its pairs with it.
 
 The public functions (`lr_coefficient`, `tensor_expand`,
-`triple_multiplicity`) validate their input and raise ValueError on
-weights of unequal length or that are not weakly decreasing.  The private
-functions trust their caller: they take tuples already validated and
-check nothing, so code that has validated its weights once calls them in
-its inner loops.
+`triple_multiplicity`, `weyl_dim`) raise ValueError on weights of unequal
+length, not weakly decreasing or not integral (`weights.integral`: 3.0 reads
+as 3, 1.5 is refused).  The private functions trust their caller: they
+take tuples already validated and check nothing, so code that has
+validated its weights once calls them in its inner loops.
 
 Two memos, both keyed on partitions, so a key does not depend on how a
 weight happened to be shifted: `_skew_cache` holds the skew expansions,
@@ -60,6 +60,7 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from . import polyhedral
+from .weights import integral
 
 GLWeight = Tuple[int, ...]
 
@@ -71,14 +72,14 @@ def is_weakly_decreasing(w) -> bool:
     return all(a >= b for a, b in zip(w, w[1:]))
 
 
-def _check(lam: GLWeight, *others: GLWeight) -> None:
-    if not is_weakly_decreasing(lam):
-        raise ValueError(f"not weakly decreasing: {lam}")
-    for o in others:
-        if len(o) != len(lam):
+def _check(*weights) -> List[GLWeight]:
+    """The weights as int tuples, once they pass every check."""
+    for w in weights:
+        if len(w) != len(weights[0]):
             raise ValueError("mismatched lengths")
-        if not is_weakly_decreasing(o):
-            raise ValueError(f"not weakly decreasing: {o}")
+        if not is_weakly_decreasing(w):
+            raise ValueError(f"not weakly decreasing: {w}")
+    return [integral(w) for w in weights]
 
 
 def shift(lam: GLWeight, a: int) -> GLWeight:
@@ -101,9 +102,9 @@ def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
 
 def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     """c^nu_{lam,mu} for U(n) weights of equal length n."""
-    _check(lam, mu, nu)
-    lam, mu, s = _canonical(tuple(lam), tuple(mu))
-    nu = shift(tuple(nu), -s)
+    lam, mu, nu = _check(lam, mu, nu)
+    lam, mu, s = _canonical(lam, mu)
+    nu = shift(nu, -s)
     if sum(nu) != sum(lam) + sum(mu) or (nu and nu[-1] < 0):
         return 0
     return lr_count_tableaux(lam, mu, nu)
@@ -122,8 +123,7 @@ def _canonical(lam: GLWeight, mu: GLWeight):
 
 def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
     """Full decomposition of V_lam (x) V_mu for U(n), n = len(lam)."""
-    _check(lam, mu)
-    return _tensor(tuple(lam), tuple(mu))
+    return _tensor(*_check(lam, mu))
 
 
 def _tensor(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
@@ -152,10 +152,9 @@ def triple_multiplicity(
     Read off `_triple_expand` once delta and nu are shifted so that delta
     ends in 0.
     """
-    _check(lam, mu, delta, nu)
-    delta = tuple(delta)
+    lam, mu, delta, nu = _check(lam, mu, delta, nu)
     s = delta[-1] if delta else 0
-    t = _triple_expand(tuple(lam), tuple(mu), shift(tuple(nu), -s), len(nu))
+    t = _triple_expand(lam, mu, shift(nu, -s), len(nu))
     return t.get(_strip_zeros(shift(delta, -s)), 0)
 
 
@@ -279,7 +278,7 @@ def _triple_expand(lam: GLWeight, mu: GLWeight, nu: GLWeight, maxlen: int) -> Di
 
 def weyl_dim(lam: GLWeight) -> int:
     """dim V^{U(n)}_lam = prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
-    _check(lam)
+    (lam,) = _check(lam)
     n = len(lam)
     d = Fraction(1)
     for i in range(n):

@@ -285,17 +285,9 @@ class RationalCone:
             return self
         if self.rays is None:
             raise ValueError("cone has neither representation")
-        gens = list(self.rays) + list(self.lineality or ())
-        gens += [tuple(-x for x in l) for l in (self.lineality or ())]
-        # no generators: the zero cone, the hull of the origin
-        ineqs, eqs = facets_of_points(gens or [(0,) * self.ambient_dim], self.ambient_dim)
-        return RationalCone(
-            self.ambient_dim,
-            rays=self.rays,
-            inequalities=ineqs,
-            equalities=eqs,
-            lineality=self.lineality,
-        )
+        # the facets and equalities of the cone: the rays and lineality of its dual
+        ineqs, eqs = rays_from_halfspaces(self.rays, self.lineality or (), self.ambient_dim)
+        return RationalCone(self.ambient_dim, self.rays, ineqs, eqs, self.lineality)
 
     def with_v_rep(self) -> "RationalCone":
         if self.rays is not None:

@@ -35,7 +35,8 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 from . import schubert
 from .polyhedral import primitive, reduce_mod_lineality
 from .weights import (Shape, WeylElement, argsort, blocks, check_length, check_weyl,
-                      parse_int, permute, star_involution, translate_blocks)
+                      parse_fields, parse_int, parse_ints, permute, star_involution,
+                      translate_blocks)
 
 CERT_FILE_VERSION = 1
 
@@ -211,21 +212,10 @@ def _fmt_weyl(w: WeylElement) -> str:
 
 def _parse_weyl(s: str, shape: Shape, name: str) -> WeylElement:
     """The Weyl element "wp|wq" (0-based images); ValueError naming `name`."""
-    try:
-        a, b = s.split("|")
-        w = WeylElement(*(tuple(map(parse_int, x.split(","))) for x in (a, b)))
-    except ValueError as e:
-        raise ValueError(f"{name}: {e}") from None
+    wp, _, wq = s.partition("|")
+    w = WeylElement(parse_ints(wp, shape.p, name), parse_ints(wq, shape.q, name))
     check_weyl(w, shape, name)
     return w
-
-
-def _ints(s: str, length: int, name: str) -> Tuple[int, ...]:
-    """The `length` comma-separated integers (`weights.parse_int`) of s."""
-    v = tuple(map(parse_int, s.split(",")))
-    if len(v) != length:
-        raise ValueError(f"{name} needs {length} entries, got {len(v)}")
-    return v
 
 
 def save_certificates(results, shape: Shape, path) -> None:
@@ -256,16 +246,15 @@ def load_certificates(path):
         if header[:2] != ["holocone-certificates", str(CERT_FILE_VERSION)]:
             raise ValueError("unrecognized certificate file")
         try:
-            fields = dict(kv.split("=", 1) for kv in header[2:])
-            shape = Shape(parse_int(fields["p"]), parse_int(fields["q"])).validate()
-        except (KeyError, ValueError) as e:
+            shape = Shape(*map(parse_int, parse_fields(header[2:], ("p", "q")))).validate()
+        except ValueError as e:
             raise ValueError(f"line 1: malformed certificate header: {e!r}") from None
         for lineno, line in enumerate(fh, 2):
             parts = line.split()
             if parts:
                 try:
                     out.append(_parse_certificate(parts, shape))
-                except (IndexError, KeyError, ValueError) as e:
+                except (IndexError, ValueError) as e:
                     raise ValueError(f"line {lineno}: malformed certificate: {e!r}") from None
     return out
 
@@ -274,20 +263,15 @@ def _parse_certificate(parts: List[str], shape: Shape):
     """(normal, certificate-or-None) from the fields of one facet line."""
     if parts[0] != "facet" or parts[2] not in ("CERTIFIED", "UNCERTIFIED"):
         raise ValueError("expected 'facet NORMAL CERTIFIED|UNCERTIFIED ...'")
-    normal = _ints(parts[1], 3 * shape.rank, "normal")
+    normal = parse_ints(parts[1], 3 * shape.rank, "normal")
     if parts[2] == "UNCERTIFIED":
-        if parts[3:]:
-            raise ValueError(f"unexpected field {parts[3]!r} after UNCERTIFIED")
+        parse_fields(parts[3:], ())
         return normal, None
-    fields = {}
-    for key, value in (p.split("=", 1) for p in parts[3:]):
-        if key in fields or key not in ("gamma", "w1", "w2", "k"):
-            raise ValueError(f"repeated or unknown field {key!r}")
-        fields[key] = value
-    gamma = _ints(fields["gamma"], shape.rank, "gamma")
+    gamma, w1, w2, k = parse_fields(parts[3:], ("gamma", "w1", "w2", "k"))
+    gamma = parse_ints(gamma, shape.rank, "gamma")
     schubert.check_gamma(gamma)
-    cand = RessayreCandidate(gamma, *(_parse_weyl(fields[w], shape, w) for w in ("w1", "w2")))
-    k = parse_int(fields["k"])
+    cand = RessayreCandidate(gamma, _parse_weyl(w1, shape, "w1"), _parse_weyl(w2, shape, "w2"))
+    k = parse_int(k)
     if k < 1:
         raise ValueError(f"a certified facet needs k >= 1, got {k}")
     return normal, FacetCertificate(cand, k, normal)

@@ -25,7 +25,7 @@ from operator import ge, neg
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import lr
-from .weights import Shape, check_length
+from .weights import Shape, check_length, integral
 
 Vector = Tuple[int, ...]
 
@@ -70,9 +70,7 @@ def _split_dominant(x: Sequence[int], shape: Shape):
     a, b = x[:p], x[p:]
     if not (all(map(ge, a, a[1:])) and all(map(ge, b, b[1:]))):
         raise ValueError(f"weight not dominant: {x}")
-    ints = tuple(map(int, x))
-    if ints != tuple(x):
-        raise ValueError("integral weight required")
+    ints = integral(x)
     return ints[:p], ints[p:]
 
 

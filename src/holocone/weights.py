@@ -10,7 +10,9 @@ normalization of the invariant bilinear form never matters.
 This module is the one home of permutations (one-line tuples, w[i] the
 image of slot i) and of the Weyl elements of W = S_p x S_q built from
 them; `check_weyl` is the one rule for what counts as a Weyl element of a
-shape, and `parse_number` / `parse_int` the one grammar for numbers in text.
+shape and `integral` for an integral weight.  `parse_number`, `parse_int`,
+`parse_ints` (integer lists) and `parse_fields` (the "name=text" fields of
+a file line, each once) are the one grammar for text.
 """
 
 from __future__ import annotations
@@ -97,6 +99,37 @@ def parse_int(s):
     return v
 
 
+def parse_ints(text: str, length: int, name: str) -> Tuple[int, ...]:
+    """The `length` comma-separated integers (`parse_int`) of text, such as
+    "2,-1,0"; ValueError naming `name` for any other text."""
+    try:
+        v = tuple(map(parse_int, text.split(",")))
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from None
+    if len(v) != length:
+        raise ValueError(f"{name} needs {length} entries, got {len(v)}")
+    return v
+
+
+def parse_fields(tokens: Sequence[str], names: Sequence[str]) -> Tuple[str, ...]:
+    """The text of each field in `names`, in that order, from "name=text"
+    tokens that give each name exactly once and nothing else; ValueError
+    naming a token without "=" or an unknown, repeated or missing name."""
+    texts = {}
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        if not eq:
+            raise ValueError(f"field {token!r} is not name=value")
+        if name not in names or name in texts:
+            why = "repeated" if name in texts else "unknown"
+            raise ValueError(f"{why} field {name!r} in {token!r}")
+        texts[name] = text
+    for name in names:
+        if name not in texts:
+            raise ValueError(f"missing field {name!r}")
+    return tuple(texts[name] for name in names)
+
+
 def parse_weight(text: str):
     """Parse "2,1;0,-1" into (coords, Shape(2, 2)).
 
@@ -113,6 +146,18 @@ def parse_weight(text: str):
 def format_weight(x: Sequence, shape: Shape) -> str:
     pb, qb = blocks(x, shape)
     return ",".join(map(str, pb)) + ";" + ",".join(map(str, qb))
+
+
+def integral(x: Sequence) -> Tuple[int, ...]:
+    """x as a tuple of ints; ValueError unless each entry is integral (3.0,
+    not 1.5 or inf)."""
+    try:
+        ints = tuple(map(int, x))
+    except OverflowError:  # int(inf)
+        ints = None
+    if ints != tuple(x):
+        raise ValueError(f"integral weight required, got {','.join(map(str, x))}")
+    return ints
 
 
 def is_dominant(x: Sequence, shape: Shape) -> bool:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from holocone import cli, lr, polyhedral, reference22, semigroup, weights
+from holocone import cli, lr, polyhedral, reference22, ressayre, semigroup, weights
 from holocone.weights import Shape
 
 
@@ -212,6 +212,11 @@ BAD_POINTS = {
     # np.loadtxt would crash the interpreter on this character
     "non-ASCII": POINTS_HEADER + "\U000eec27\n",
     "missing-file": None,
+    # enumerate --out writes p, q and bound, each once, and nothing else
+    "repeated-p": POINTS_HEADER.replace("\n", " p=1\n") + "1,0,0,0,1,-1\n",
+    "unknown-field": POINTS_HEADER.replace("\n", " junk=3\n") + "1,0,0,0,1,-1\n",
+    "missing-bound": POINTS_HEADER.replace(" bound=1", "") + "1,0,0,0,1,-1\n",
+    "bound-x": POINTS_HEADER.replace("bound=1", "bound=x") + "1,0,0,0,1,-1\n",
 }
 CONE_COMMANDS = {
     "cone-member": ["--triple", "1;0|1;0|2;0"],
@@ -464,6 +469,45 @@ def test_any_points_file_exits_0_1_or_2(tmp_path_factory, body):
     d = tmp_path_factory.mktemp("points")
     (d / "in.txt").write_text(POINTS_HEADER + body, encoding="utf-8")
     assert_contract(["hull", "--in", str(d / "in.txt"), "--out", str(d / "out.json")])
+
+
+@pytest.mark.parametrize("text", BAD_POINTS.values(), ids=BAD_POINTS)
+def test_bad_points_file_is_one_error_line(tmp_path, capsys, text):
+    infile = tmp_path / "in.txt"
+    if text is not None:
+        infile.write_text(text, encoding="utf-8")
+    assert cli.main(["hull", "--in", str(infile), "--out", str(tmp_path / "out")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: unreadable points file"), lines
+
+
+# Header fields of both file formats: the valid ones of U(1,1), a repeat
+# with another value, an unknown key, bare tokens and malformed values.
+HEADER_FIELDS = st.lists(
+    st.sampled_from(["p=1", "q=1", "bound=1", "p=2", "junk=3", "p", "=", "q=x", "bound=1/2"]),
+    max_size=5,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=HEADER_FIELDS)
+@example(fields=["p=1", "q=1", "bound=1", "p=1"])
+@example(fields=["q=1", "bound=1", "p=1"])
+@example(fields=["q=1", "p=1"])
+def test_any_header_gives_its_shape_or_is_refused(tmp_path_factory, fields):
+    # Each reader loads exactly the headers made of its own fields, each
+    # once; the body fits U(1,1) only, so a shape read wrong is refused too.
+    d = tmp_path_factory.mktemp("headers")
+    points, certs = d / "points.txt", d / "certs.txt"
+    points.write_text(f"holocone-points 1 {' '.join(fields)}\n1,0,0,0,1,-1\n")
+    certs.write_text(f"holocone-certificates 1 {' '.join(fields)}\nfacet 1,0,0,0,1,-1 UNCERTIFIED\n")
+    for path, load, own in ((points, cli.load_points, ["bound=1", "p=1", "q=1"]),
+                            (certs, ressayre.load_certificates, ["p=1", "q=1"])):
+        try:
+            loaded = load(path)
+        except ValueError:
+            loaded = None
+        assert (loaded is not None) == (sorted(fields) == own), (path.name, fields)
 
 
 # A small JSON value: a scalar, or a list of lists of scalars, which is

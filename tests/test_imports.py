@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private name a module defines is referred to somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every private name a module defines is referred to somewhere in the
+package, and only `weights` splits "name=text" fields."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,28 @@ def test_detects_a_dead_private_name():
 def test_no_dead_private_names():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def key_value_splits(source: str):
+    """Lines of the calls `.split("=")` and `.partition("=")` in source,
+    whatever else they are passed."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        and n.func.attr in ("split", "partition") and n.args
+        and isinstance(n.args[0], ast.Constant) and n.args[0].value == "="
+    ]
+
+
+def test_detects_a_key_value_split():
+    src = 'a = "p=1".split("=", 1)\nb = s.partition("=")\nc = s.split(",")\nd = s.partition(";")\n'
+    assert key_value_splits(src) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "weights.py"), ids=lambda p: p.name
+)
+def test_only_weights_reads_key_value_fields(path):
+    # weights.parse_fields is the one reader of "name=text" fields
+    assert key_value_splits(path.read_text(encoding="utf-8")) == []

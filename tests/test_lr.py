@@ -6,6 +6,7 @@ import io
 import pkgutil
 import random
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -57,6 +58,28 @@ class TestExamples:
     def test_non_dominant_rejected(self):
         with pytest.raises(ValueError):
             lr.lr_coefficient((0, 1), (1, 0), (1, 1))
+
+    @pytest.mark.parametrize(
+        "fn, weights",
+        [
+            (lr.lr_coefficient, ((1.5, 0), (1, 0), (2.5, 0))),
+            (lr.lr_coefficient, ((Fraction(3, 2), 0), (1, 0), (Fraction(5, 2), 0))),
+            (lr.triple_multiplicity, ((1.5, 0), (1, 0), (0, 0), (2.5, 0))),
+            (lr.tensor_expand, ((Fraction(1, 2), 0), (1, 0))),
+            (lr.weyl_dim, ((Fraction(1, 2), 0),)),
+            (lr.lr_coefficient, ((float("inf"), 0), (0, 0), (float("inf"), 0))),
+        ],
+        ids=["lr-1.5", "lr-3/2", "triple-1.5", "tensor-1/2", "weyl_dim-1/2", "lr-inf"],
+    )
+    def test_non_integral_rejected(self, fn, weights):
+        with pytest.raises(ValueError, match="integral"):
+            fn(*weights)
+
+    def test_integral_entries_of_any_type_read_as_ints(self):
+        assert lr.lr_coefficient((1.0, 0), (Fraction(1), 0), (2, 0)) == 1
+        assert lr.triple_multiplicity((1.0, 0), (1, 0), (0, 0), (2, 0)) == 1
+        assert lr.tensor_expand((1.0, 0), (Fraction(1), 0)) == {(2, 0): 1, (1, 1): 1}
+        assert lr.weyl_dim((2.0, 0)) == 3
 
 
 class TestOracleEquivalence:

@@ -618,6 +618,21 @@ class TestConeMembership:
         assert ph.cone_member(cone, (0, 0, 0))
         assert not ph.cone_member(cone, (1, 0, -1))
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_h_rep_is_the_hull_of_the_generators(self, data):
+        # with_h_rep runs the double description on the generators; the
+        # point-cloud hull of the same generators gives the same tuples,
+        # for rational entries and entries beyond int64 too.
+        dim = data.draw(st.integers(1, 4))
+        entries = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3),
+                            st.sampled_from([2**70, -(2**64) - 1]))
+        vectors = st.lists(st.tuples(*[entries] * dim), max_size=4)
+        rays, lin = data.draw(vectors), data.draw(vectors.map(lambda v: v[:1]))
+        h = ph.RationalCone(dim, rays=tuple(rays), lineality=tuple(lin)).with_h_rep()
+        gens = rays + lin + [tuple(-x for x in l) for l in lin]
+        assert (h.inequalities, h.equalities) == ph.facets_of_points(gens or [(0,) * dim], dim)
+
     def test_rays_are_members(self):
         pts = [(1, 2, 0), (0, 1, 1), (1, 0, 0)]
         cone = ph.cone_from_points(pts)

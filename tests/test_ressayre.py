@@ -650,6 +650,23 @@ def test_never_written_line_error_names_its_field(tmp_path, line, field):
         ressayre.load_certificates(path)
 
 
+# Headers that save_certificates never writes, each refused naming its
+# field: id -> (header, field).
+NEVER_WRITTEN_HEADERS = {
+    "repeated-p": ("holocone-certificates 1 p=3 q=2 p=2\n", "'p'"),
+    "unknown-field": ("holocone-certificates 1 p=2 q=2 junk=3\n", "'junk'"),
+    "missing-q": ("holocone-certificates 1 p=2\n", "'q'"),
+}
+
+
+@pytest.mark.parametrize("header, field", NEVER_WRITTEN_HEADERS.values(), ids=NEVER_WRITTEN_HEADERS)
+def test_never_written_header_error_names_its_field(tmp_path, header, field):
+    path = tmp_path / "certs.txt"
+    path.write_text(header + cert_line())
+    with pytest.raises(ValueError, match=field):
+        ressayre.load_certificates(path)
+
+
 CERT_TOKENS = st.sampled_from(
     ["facet", "CERTIFIED", "UNCERTIFIED", CERT_LINE.split()[1], "1,0", "gamma", "=", "k=0"]
     + [f"{k}={v}" for k, v in CERT_FIELDS.items()]

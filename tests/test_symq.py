@@ -254,10 +254,12 @@ class TestHolomorphicMultiplicity:
             ((0, 1, 0, 0, 0), "weight length 5 != p\\+q = 4"),
             ((Fraction(1, 2), 1, 0, 0), "weight not dominant"),
             ((1, 0, Fraction(1, 2), 1), "weight not dominant"),
+            ((float("inf"), 0, 0, 0), "integral weight required"),
         ],
         ids=[
             "not-dominant", "not-integral", "wrong-length",
             "too-long-not-dominant", "not-dominant-not-integral-p", "not-dominant-not-integral-q",
+            "infinite",
         ],
     )
     def test_rejects_each_bad_weight(self, bad, message):
