@@ -2,10 +2,9 @@
 
 Exit-code contract: 0 success/true, 1 false/mismatch, 2 usage or parse
 error.  Every refused input takes one path to exit code 2: the library
-and the parsers below raise ValueError (`UsageError` is a subclass, used
-where the CLI itself refuses), and `main` alone catches it, prints
-"error: ..." to stderr and returns 2.  All outputs are deterministic; any
-timing or progress chatter goes to stderr.
+and the parsers below raise ValueError, and `main` alone catches it,
+prints "error: ..." to stderr and returns 2.  All outputs are
+deterministic; any timing or progress chatter goes to stderr.
 
 A points file (`enumerate --out`, `hull --in`) is a versioned header
 line and then one comma-separated row of integers per line, in ASCII;
@@ -33,14 +32,10 @@ _WRITE_ROWS = 1 << 16  # rows of a points file per write or per read
 # Argument parsing helpers
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _parse_block_weight(text: str, shape: Shape):
     w, s = parse_weight(text)
     if s != shape:
-        raise UsageError(f"weight {text!r} has shape {s}, expected {shape}")
+        raise ValueError(f"weight {text!r} has shape {s}, expected {shape}")
     return integral(w)
 
 
@@ -48,13 +43,13 @@ def _parse_triple(args, shape: Shape):
     """(lam, mu, nu) from --triple or from all of --lam/--mu/--nu, not both."""
     if args.triple is not None:
         if (args.lam, args.mu, args.nu) != (None, None, None):
-            raise UsageError("give --triple or --lam/--mu/--nu, not both")
+            raise ValueError("give --triple or --lam/--mu/--nu, not both")
         parts = args.triple.split("|")
         if len(parts) != 3:
-            raise UsageError("--triple needs LAM|MU|NU")
+            raise ValueError("--triple needs LAM|MU|NU")
         return tuple(_parse_block_weight(p, shape) for p in parts)
     if args.lam is None or args.mu is None or args.nu is None:
-        raise UsageError("need --triple or all of --lam/--mu/--nu")
+        raise ValueError("need --triple or all of --lam/--mu/--nu")
     return tuple(_parse_block_weight(w, shape) for w in (args.lam, args.mu, args.nu))
 
 
@@ -72,7 +67,7 @@ def _weyl_of(args, option: str, shape: Shape) -> WeylElement:
         w = WeylElement(*(tuple(v - 1 for v in b) for b in images))
         check_weyl(w, shape, option)
     except ValueError:
-        raise UsageError(f"--{option} {text!r} is not a 1-based Weyl element of {shape}") from None
+        raise ValueError(f"--{option} {text!r} is not a 1-based Weyl element of {shape}") from None
     return w
 
 
@@ -80,40 +75,40 @@ def _int_of(args, option: str) -> int:
     try:
         return parse_int(getattr(args, option))
     except ValueError as e:
-        raise UsageError(f"--{option}: {e}") from None
+        raise ValueError(f"--{option}: {e}") from None
 
 
 def _shape_of(args) -> Shape:
     if args.p is None or args.q is None:
-        raise UsageError("need --p and --q")
+        raise ValueError("need --p and --q")
     return Shape(_int_of(args, "p"), _int_of(args, "q")).validate()
 
 
 def _bound_of(args) -> int:
-    bound = _int_of(args, "bound")
-    if not 0 <= bound <= semigroup.MAX_BOUND:
-        raise UsageError(f"--bound must be in 0..{semigroup.MAX_BOUND}")
-    return bound
+    try:
+        return semigroup.check_bound(parse_int(args.bound))
+    except ValueError as e:
+        raise ValueError(f"--bound: {e}") from None
 
 
 def _load_cone(path, shape: Shape) -> polyhedral.RationalCone:
-    """A cone file over triples of `shape`; any defect is a UsageError."""
+    """A cone file over triples of `shape`; any defect is a ValueError."""
     try:
         cone = polyhedral.load_cone(path)
     except (OSError, ValueError) as e:
-        raise UsageError(f"unreadable cone file {path}: {e!r}") from None
+        raise ValueError(f"unreadable cone file {path}: {e!r}") from None
     if cone.ambient_dim != 3 * shape.rank:
-        raise UsageError(f"cone file {path} does not live on triples of {shape}")
+        raise ValueError(f"cone file {path} does not live on triples of {shape}")
     return cone
 
 
 def _save(save, *args) -> None:
     """save(*args), whose last argument is the output path; a path that
-    cannot be written (say, in a missing directory) is a UsageError."""
+    cannot be written (say, in a missing directory) is a ValueError."""
     try:
         save(*args)
     except OSError as e:
-        raise UsageError(f"cannot write {args[-1]}: {e.strerror or e!r}") from None
+        raise ValueError(f"cannot write {args[-1]}: {e.strerror or e!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +138,7 @@ def save_points(points, shape: Shape, bound: int, path) -> None:
 
 
 def load_points(path):
-    """(points, shape) from a points file; any defect is a UsageError.
+    """(points, shape) from a points file; any defect is a ValueError.
 
     The body is read `_WRITE_ROWS` lines at a time, each block by
     `np.loadtxt` into int64 and narrowed to int8 when every entry fits, so
@@ -156,8 +151,9 @@ def load_points(path):
             header = fh.readline().split()
             if header[:2] != ["holocone-points", str(POINTS_FILE_VERSION)]:
                 raise ValueError("not a holocone-points file of this version")
-            p, q, _ = map(parse_int, parse_fields(header[2:], ("p", "q", "bound")))
+            p, q, bound = map(parse_int, parse_fields(header[2:], ("p", "q", "bound")))
             shape = Shape(p, q).validate()
+            semigroup.check_bound(bound)
             blocks = []
             while lines := list(itertools.islice(fh, _WRITE_ROWS)):
                 # np.loadtxt's integer parser crashes the interpreter on some
@@ -178,7 +174,7 @@ def load_points(path):
         if not blocks:
             raise ValueError(f"need rows of {3 * shape.rank} entries")
     except (OSError, ValueError) as e:
-        raise UsageError(f"unreadable points file {path}: {e!r}") from None
+        raise ValueError(f"unreadable points file {path}: {e!r}") from None
     return np.concatenate(blocks), shape
 
 
@@ -188,7 +184,7 @@ def load_points(path):
 
 def cmd_lr(args) -> int:
     if None in (args.n, args.lam, args.mu, args.nu):
-        raise UsageError("need --n, --lam, --mu and --nu")
+        raise ValueError("need --n, --lam, --mu and --nu")
     n = _int_of(args, "n")
     lam, mu, nu = (parse_ints(getattr(args, w), n, "--" + w) for w in ("lam", "mu", "nu"))
     print(lr.lr_coefficient(lam, mu, nu))
@@ -213,7 +209,7 @@ def cmd_member(args) -> int:
 def cmd_enumerate(args) -> int:
     shape = _shape_of(args)
     if args.out is None:
-        raise UsageError("need --out")
+        raise ValueError("need --out")
     bound = _bound_of(args)
     points = semigroup.enumerate_semigroup_points(shape, bound)
     _save(save_points, points, shape, bound, args.out)
@@ -223,7 +219,7 @@ def cmd_enumerate(args) -> int:
 
 def cmd_hull(args) -> int:
     if args.infile is None or args.out is None:
-        raise UsageError("need --in and --out")
+        raise ValueError("need --in and --out")
     pts, shape = load_points(args.infile)
     cone = polyhedral.cone_from_points(pts)
     _save(polyhedral.save_cone, cone, args.out)
@@ -236,7 +232,7 @@ def cmd_hull(args) -> int:
 
 def cmd_cone_member(args) -> int:
     if args.infile is None:
-        raise UsageError("need --in")
+        raise ValueError("need --in")
     shape = _shape_of(args)
     cone = _load_cone(args.infile, shape)
     lam, mu, nu = _parse_triple(args, shape)
@@ -247,13 +243,13 @@ def cmd_cone_member(args) -> int:
 
 def _sliced(args):
     if args.infile is None:
-        raise UsageError("need --in")
+        raise ValueError("need --in")
     shape = _shape_of(args)
     cone = _load_cone(args.infile, shape)
     a = _parse_block_weight(args.lam, shape) if args.lam else None
     b = _parse_block_weight(args.mu, shape) if args.mu else None
     if a is None or b is None:
-        raise UsageError("need --lam (the fixed A) and --mu (the fixed B)")
+        raise ValueError("need --lam (the fixed A) and --mu (the fixed B)")
     return polyhedral.slice_at(cone, a, b), shape
 
 
@@ -269,7 +265,7 @@ def cmd_slice(args) -> int:
 def cmd_recession(args) -> int:
     poly, _ = _sliced(args)
     if poly.is_empty():
-        raise UsageError("the slice is empty: no C completes --lam and --mu in the cone")
+        raise ValueError("the slice is empty: no C completes --lam and --mu in the cone")
     rec = polyhedral.recession_cone(poly)
     for l in rec.lineality or ():
         print("line " + ",".join(map(str, l)))
@@ -283,10 +279,10 @@ def cmd_recession(args) -> int:
 def cmd_ressayre_verify(args) -> int:
     shape = _shape_of(args)
     if args.gamma is None or args.w1 is None or args.w2 is None:
-        raise UsageError("verify needs --gamma, --w1, --w2")
+        raise ValueError("verify needs --gamma, --w1, --w2")
     gamma, gshape = parse_weight(args.gamma)
     if gshape != shape:
-        raise UsageError(f"gamma has shape {gshape}, expected {shape}")
+        raise ValueError(f"gamma has shape {gshape}, expected {shape}")
     w1, w2 = (_weyl_of(args, w, shape) for w in ("w1", "w2"))
     cand = ressayre.RessayreCandidate(gamma, w1, w2)
     res = ressayre.check_candidate(cand, shape)
@@ -306,7 +302,7 @@ def cmd_ressayre_verify(args) -> int:
 def cmd_ressayre_search(args) -> int:
     shape = _shape_of(args)
     if args.infile is None or args.out is None:
-        raise UsageError("search needs --in and --out")
+        raise ValueError("search needs --in and --out")
     cone = _load_cone(args.infile, shape).with_h_rep()
     results = ressayre.search_certificates(shape, cone.inequalities)
     _save(ressayre.save_certificates, results, shape, args.out)
@@ -378,10 +374,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         # argparse reads "--opt=--" as an empty list of values
         if [] in vars(args).values():
-            raise UsageError("'--' is not an option value")
+            raise ValueError("'--' is not an option value")
         return args.fn(args)
-    except ValueError as e:  # UsageError included: every refusal exits 2
-        print(f"error: {e}", file=sys.stderr)
+    except ValueError as e:  # every refusal exits 2, on one line even if a path breaks it
+        print("error: " + " ".join(str(e).splitlines()), file=sys.stderr)
         return 2
 
 

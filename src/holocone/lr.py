@@ -60,16 +60,12 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from . import polyhedral
-from .weights import integral
+from .weights import integral, is_weakly_decreasing
 
 GLWeight = Tuple[int, ...]
 
 _skew_cache: Dict[Tuple[GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
 _triple_cache: Dict[Tuple[GLWeight, GLWeight, GLWeight, int], Dict[GLWeight, int]] = {}
-
-
-def is_weakly_decreasing(w) -> bool:
-    return all(a >= b for a, b in zip(w, w[1:]))
 
 
 def _check(*weights) -> List[GLWeight]:

@@ -21,9 +21,6 @@ from __future__ import annotations
 from typing import Tuple
 
 from .polyhedral import RationalCone
-from .weights import Shape
-
-SHAPE = Shape(2, 2)
 
 # a1+..+a4+b1+..+b4 = c1+..+c4
 TRACE_EQUALITY: Tuple[int, ...] = (1, 1, 1, 1, 1, 1, 1, 1, -1, -1, -1, -1)

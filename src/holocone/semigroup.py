@@ -53,7 +53,20 @@ from .weights import Shape
 Vector = Tuple[int, ...]
 Triple = Tuple[Vector, Vector, Vector]
 
-MAX_BOUND = 127  # the largest box bound an int8 point matrix holds
+MAX_BOUND = 127  # the largest box bound an int8 point matrix holds; see check_bound
+
+
+def check_bound(bound) -> int:
+    """bound as an int (`operator.index`, so True reads as 1); ValueError
+    unless it is an integer in 0..MAX_BOUND.  The one range check of a
+    box bound: the enumeration, `--bound` and a points header use it."""
+    try:
+        bound = operator.index(bound)
+    except TypeError:
+        raise ValueError(f"box bound must be an integer, got {bound!r}") from None
+    if not 0 <= bound <= MAX_BOUND:
+        raise ValueError(f"box bound must be in 0..{MAX_BOUND}, got {bound}")
+    return bound
 
 
 def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
@@ -195,14 +208,7 @@ def enumerate_semigroup_points(shape: Shape, bound: int):
     import numpy as np
 
     shape.validate()
-    try:
-        bound = operator.index(bound)
-    except TypeError:
-        raise ValueError(f"bound must be an integer, got {bound!r}") from None
-    if bound < 0:
-        raise ValueError("bound must be >= 0")
-    if bound > MAX_BOUND:
-        raise ValueError("bound too large for the packed representation")
+    bound = check_bound(bound)
     p, q, r = shape.p, shape.q, shape.rank
     # d = |nu'|-|lam'|-|mu'| <= p*bound + 2*p*bound, and symmetrically
     # d = |lam''|+|mu''|-|nu''| <= 2*q*bound + q*bound; q <= p wins.

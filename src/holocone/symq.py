@@ -21,11 +21,11 @@ each block, then integrality.
 
 from __future__ import annotations
 
-from operator import ge, neg
+from operator import neg
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import lr
-from .weights import Shape, check_length, integral
+from .weights import Shape, check_length, integral, is_weakly_decreasing
 
 Vector = Tuple[int, ...]
 
@@ -67,8 +67,7 @@ def _split_dominant(x: Sequence[int], shape: Shape):
     """
     check_length(x, shape)
     p = shape.p
-    a, b = x[:p], x[p:]
-    if not (all(map(ge, a, a[1:])) and all(map(ge, b, b[1:]))):
+    if not (is_weakly_decreasing(x[:p]) and is_weakly_decreasing(x[p:])):
         raise ValueError(f"weight not dominant: {x}")
     ints = integral(x)
     return ints[:p], ints[p:]
@@ -149,10 +148,6 @@ def s_fold_multiplicity(
         return 0
 
     def rec(parts: List[Tuple[Vector, Vector]], budget: int) -> int:
-        if len(parts) == 1:
-            kp, kq = parts[0]
-            # no Sym factor left: exact match required
-            return 1 if budget == 0 and (kp, kq) == (np_, nq) else 0
         if len(parts) == 2:
             # final contraction must consume the whole remaining budget
             dec = _pair_decomposition(parts[0], parts[1], budget, shape)

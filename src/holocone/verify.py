@@ -14,7 +14,7 @@ import time
 from typing import Callable, Optional, TextIO
 
 from . import reference22, ressayre, semigroup
-from .polyhedral import facets_of_points, primitive_signed, reduce_mod_lineality
+from .polyhedral import facets_of_points, reduce_mod_lineality
 from .weights import Shape
 
 
@@ -52,13 +52,12 @@ def verify22(
     emit(f"hull: {len(ineqs)} facets, {len(eqs)} equalities")
 
     ok = True
-    ref_eq = primitive_signed(reference22.TRACE_EQUALITY)
-    got_eqs = tuple(sorted(primitive_signed(e) for e in eqs))
-    if got_eqs == (ref_eq,):
+    # facets_of_points gives equalities in the table's form: primitive, sorted, first entry > 0
+    if eqs == (reference22.TRACE_EQUALITY,):
         emit("equality matched: |A| + |B| = |C|")
     else:
         ok = False
-        emit(f"EQUALITY MISMATCH: computed {got_eqs}")
+        emit(f"EQUALITY MISMATCH: computed {eqs}")
 
     mod = (reference22.TRACE_EQUALITY,)
     got = {reduce_mod_lineality(n, mod) for n in ineqs}

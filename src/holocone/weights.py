@@ -10,9 +10,10 @@ normalization of the invariant bilinear form never matters.
 This module is the one home of permutations (one-line tuples, w[i] the
 image of slot i) and of the Weyl elements of W = S_p x S_q built from
 them; `check_weyl` is the one rule for what counts as a Weyl element of a
-shape and `integral` for an integral weight.  `parse_number`, `parse_int`,
-`parse_ints` (integer lists) and `parse_fields` (the "name=text" fields of
-a file line, each once) are the one grammar for text.
+shape, `integral` for an integral weight and `is_weakly_decreasing` for a
+dominant block.  `parse_number`, `parse_int`, `parse_ints` (integer
+lists) and `parse_fields` (the "name=text" fields of a file line, each
+once) are the one grammar for text.
 """
 
 from __future__ import annotations
@@ -160,9 +161,14 @@ def integral(x: Sequence) -> Tuple[int, ...]:
     return ints
 
 
+def is_weakly_decreasing(w: Sequence) -> bool:
+    """Whether each entry of w is at least the next: a dominant block."""
+    return all(map(operator.ge, w, w[1:]))
+
+
 def is_dominant(x: Sequence, shape: Shape) -> bool:
     """Both blocks weakly decreasing."""
-    return all(a >= b for blk in blocks(x, shape) for a, b in zip(blk, blk[1:]))
+    return all(map(is_weakly_decreasing, blocks(x, shape)))
 
 
 def in_holomorphic_chamber(x: Sequence, shape: Shape) -> bool:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -217,6 +218,9 @@ BAD_POINTS = {
     "unknown-field": POINTS_HEADER.replace("\n", " junk=3\n") + "1,0,0,0,1,-1\n",
     "missing-bound": POINTS_HEADER.replace(" bound=1", "") + "1,0,0,0,1,-1\n",
     "bound-x": POINTS_HEADER.replace("bound=1", "bound=x") + "1,0,0,0,1,-1\n",
+    # a box bound is in 0..MAX_BOUND in a header as in enumerate --bound
+    "negative-bound": POINTS_HEADER.replace("bound=1", "bound=-1") + "1,0,0,0,1,-1\n",
+    "bound-128": POINTS_HEADER.replace("bound=1", "bound=128") + "1,0,0,0,1,-1\n",
 }
 CONE_COMMANDS = {
     "cone-member": ["--triple", "1;0|1;0|2;0"],
@@ -442,6 +446,60 @@ def test_any_long_run_option_text_exits_2(fuzz_files, command, option, text):
     head, opts = LONG_RUN_REQUESTS[command]
     head = [fuzz_files.get(a, a) for a in head]
     assert assert_contract(head + [f"{o}={text if o == option else v}" for o, v in opts.items()]) == 2
+
+
+def fuzz_request(command, *extra):
+    """The valid request of FUZZ_REQUESTS for command, then `extra`."""
+    head, opts = FUZZ_REQUESTS[command]
+    return head + [f"{o}={v}" for o, v in opts.items()] + list(extra)
+
+
+# A valid request per command with a path option, and the path options
+# the property test replaces; POINTS is a points file of U(1,1).
+PATH_REQUESTS = {
+    "enumerate": (["enumerate", "--p", "2", "--q", "1", "--bound", "0", "--out", "OUT"], ["--out"]),
+    "hull": (["hull", "--in", "POINTS", "--out", "OUT"], ["--in", "--out"]),
+    "cone-member": (fuzz_request("cone-member"), ["--in"]),
+    "slice": (fuzz_request("slice"), ["--in"]),
+    "recession": (fuzz_request("recession", "--out", "OUT"), ["--in", "--out"]),
+    "ressayre-search": (fuzz_request("ressayre-search"), ["--in", "--out"]),
+}
+
+
+@pytest.fixture(scope="module")
+def path_fuzz(fuzz_files, tmp_path_factory):
+    """fuzz_files with POINTS, and an empty directory to run in."""
+    points = tmp_path_factory.mktemp("points") / "points.txt"
+    points.write_text(POINTS_HEADER + "1,0,0,0,1,-1\n", encoding="utf-8")
+    return {**fuzz_files, "POINTS": str(points)}, tmp_path_factory.mktemp("cwd")
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(c, o) for c, (_, paths) in PATH_REQUESTS.items() for o in paths],
+    ids=lambda v: v.lstrip("-"),
+)
+@settings(max_examples=40, deadline=None)
+@given(text=st.text(st.characters(blacklist_characters="/\\"), max_size=8))
+@example(text="\0")
+@example(text="a\nb")
+@example(text="")
+@example(text=".")
+@example(text="--")
+def test_any_path_text_exits_0_1_or_2(path_fuzz, command, option, text):
+    """Arbitrary short text in one path option never escapes `cli.main`.
+    With no separator in it, the text names an entry of the working
+    directory, a fresh temporary one, so every write stays inside it."""
+    files, cwd = path_fuzz
+    argv = [files.get(a, a) for a in PATH_REQUESTS[command][0]]
+    at = argv.index(option)
+    argv[at : at + 2] = [f"{option}={text}"]
+    old = os.getcwd()
+    os.chdir(cwd)
+    try:
+        assert_contract(argv)
+    finally:
+        os.chdir(old)
 
 
 def assert_contract(argv) -> int:

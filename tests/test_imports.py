@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private name a module defines is referred to somewhere in the
-package, and only `weights` splits "name=text" fields."""
+package, only `weights` splits "name=text" fields or compares each entry
+of a sequence with the next, and only `semigroup` compares with
+`MAX_BOUND`."""
 
 import ast
 from pathlib import Path
@@ -113,3 +115,56 @@ def test_detects_a_key_value_split():
 def test_only_weights_reads_key_value_fields(path):
     # weights.parse_fields is the one reader of "name=text" fields
     assert key_value_splits(path.read_text(encoding="utf-8")) == []
+
+
+def adjacent_scans(source: str):
+    """Lines of the calls zip(x, x[1:]) and map(f, x, x[1:]) in source, x
+    one expression: a walk over each entry of x and the next."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+        and len(n.args) == {"zip": 2, "map": 3}.get(n.func.id)
+        and ast.unparse(n.args[-1]) == ast.unparse(n.args[-2]) + "[1:]"
+    ]
+
+
+def test_detects_an_adjacent_scan():
+    src = ("a = zip(w, w[1:])\nb = all(map(ge, x.y, x.y[1:]))\nc = zip(kappa, nu[1:])\n"
+           "d = map(ge, w, w[2:])\ne = zip(w, w[1:], v)\nf = map(w, w[1:])\n")
+    assert adjacent_scans(src) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "weights.py"), ids=lambda p: p.name
+)
+def test_only_weights_scans_adjacent_entries(path):
+    # weights.is_weakly_decreasing is the one rule for a dominant block
+    assert adjacent_scans(path.read_text(encoding="utf-8")) == []
+
+
+def max_bound_comparisons(source: str):
+    """Lines of the comparisons in source with `MAX_BOUND` or `m.MAX_BOUND`
+    on either side."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Compare)
+        and any(isinstance(v, ast.Name) and v.id == "MAX_BOUND"
+                or isinstance(v, ast.Attribute) and v.attr == "MAX_BOUND"
+                for v in (n.left, *n.comparators))
+    ]
+
+
+def test_detects_a_max_bound_comparison():
+    src = ("a = b > MAX_BOUND\nc = 0 <= b <= semigroup.MAX_BOUND\n"
+           "d = MAX_BOUND + 1\ne = f(semigroup.MAX_BOUND)\n")
+    assert max_bound_comparisons(src) == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "semigroup.py"), ids=lambda p: p.name
+)
+def test_only_semigroup_checks_the_box_bound(path):
+    # semigroup.check_bound is the one range check of a box bound
+    assert max_bound_comparisons(path.read_text(encoding="utf-8")) == []

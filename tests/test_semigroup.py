@@ -49,6 +49,15 @@ class TestGeneralities:
         with pytest.raises(ValueError):
             semigroup.enumerate_semigroup(Shape(1, 1), -1)
 
+    def test_check_bound(self):
+        # called directly: a box-127 enumeration is a long run
+        for bound in (0, 127, np.int16(1)):
+            assert semigroup.check_bound(bound) == bound
+        assert type(semigroup.check_bound(np.int16(1))) is int
+        for bound in (-1, 128, 1.5, "1"):
+            with pytest.raises(ValueError):
+                semigroup.check_bound(bound)
+
     @pytest.mark.parametrize(
         "shape", [Shape(1, 2), Shape(0, 1), Shape(2, 0)], ids=lambda s: f"U{s.p}{s.q}"
     )
