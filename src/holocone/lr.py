@@ -55,8 +55,8 @@ never written to disk, and the module is not thread-safe.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 from typing import Dict, List, Tuple
 
 from . import polyhedral
@@ -275,13 +275,8 @@ def _triple_expand(lam: GLWeight, mu: GLWeight, nu: GLWeight, maxlen: int) -> Di
 def weyl_dim(lam: GLWeight) -> int:
     """dim V^{U(n)}_lam = prod_{i<j} (lam_i - lam_j + j - i)/(j - i)."""
     (lam,) = _check(lam)
-    n = len(lam)
-    d = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert d.denominator == 1
-    return int(d)
+    pairs = list(combinations(range(len(lam)), 2))
+    return prod(lam[i] - lam[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
 
 
 def partitions(total: int, max_parts: int):

@@ -66,19 +66,13 @@ def dot(a: Sequence, b: Sequence):
 def primitive(v: Sequence) -> IntVec:
     """Scale to coprime integers; direction (sign) is preserved."""
     if all(type(x) is int for x in v):
-        ints = list(v)
+        ints = v
     else:
         fr = [Fraction(x) for x in v]
-        den = 1
-        for x in fr:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in fr))
         ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
 def primitive_signed(v: Sequence) -> IntVec:

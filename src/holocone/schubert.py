@@ -18,16 +18,18 @@ position i; they and their primitives (composition, inverse, length,
 enumeration) come from the weights module, which defines them once.
 
 The public functions validate their input and raise ValueError on a
-malformed one.  The private functions trust their caller and check
-nothing: `_schubert_number` and `_pair_differences` take the blocks of
-gamma and its translates as `weights.translate_blocks` splits and checks
-them, once, so `ressayre`, which validates a candidate once, calls them.
+malformed one: a flag type must split p and q into positive parts, and
+so must a composition given to `min_coset_rep` split len(w).  The
+private functions trust their caller and check nothing:
+`_schubert_number` and `_pair_differences` take the blocks of gamma and
+its translates as `weights.translate_blocks` splits and checks them,
+once, so `ressayre`, which validates a candidate once, calls them.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from itertools import accumulate, combinations, groupby
+from typing import Dict, NamedTuple, Sequence, Tuple
 
 from .weights import (Perm, Shape, all_perms, argsort, blocks, identity_perm, inversions,
                       longest_perm, translate_blocks)
@@ -99,23 +101,20 @@ class FlagType(NamedTuple):
 CohomologyElement = Dict[Tuple[Perm, Perm], int]
 
 
-def _comp_blocks(comp: Sequence[int]):
-    out = []
-    start = 0
-    for c in comp:
-        out.append(range(start, start + c))
-        start += c
-    return out
+def _check_composition(comp: Sequence[int], n: int) -> None:
+    """ValueError unless comp splits n into positive parts."""
+    if sum(comp) != n or not all(c > 0 for c in comp):
+        raise ValueError(f"composition {tuple(comp)} does not split {n} into positive parts")
 
 
 def min_coset_rep(w: Perm, comp: Sequence[int]) -> Perm:
-    """Minimal-length representative of w W_P (values sorted per block)."""
-    out = list(w)
-    for blk in _comp_blocks(comp):
-        vals = sorted(out[i] for i in blk)
-        for i, v in zip(blk, vals):
-            out[i] = v
-    return tuple(out)
+    """Minimal-length representative of w W_P (values sorted per block).
+
+    ValueError unless comp splits len(w) into positive parts.
+    """
+    _check_composition(comp, len(w))
+    ends = tuple(accumulate(comp))
+    return tuple(v for a, b in zip((0,) + ends, ends) for v in sorted(w[a:b]))
 
 
 def is_min_coset_rep(w: Perm, comp: Sequence[int]) -> bool:
@@ -187,6 +186,8 @@ def schubert_multiply(
     a: CohomologyElement, b: CohomologyElement, f: FlagType, shape: Shape
 ) -> CohomologyElement:
     """Cup product on F_f, in the minimal-coset-representative basis."""
+    _check_composition(f.comp_p, shape.p)
+    _check_composition(f.comp_q, shape.q)
     for cls in (a, b):
         for wp, wq in cls:
             if not is_min_coset_rep(wp, f.comp_p) or not is_min_coset_rep(
@@ -216,18 +217,6 @@ def point_coefficient(a: CohomologyElement, f: FlagType, shape: Shape) -> int:
 # Flag types and cycle classes attached to a rational weight gamma
 
 
-def _composition_of(sorted_vals: Sequence) -> Tuple[int, ...]:
-    comp: List[int] = []
-    prev = object()
-    for v in sorted_vals:
-        if v == prev:
-            comp[-1] += 1
-        else:
-            comp.append(1)
-            prev = v
-    return tuple(comp)
-
-
 def check_gamma(gamma: Sequence) -> None:
     """ValueError unless gamma is nonzero: gamma = 0 has no flag variety."""
     if all(v == 0 for v in gamma):
@@ -241,8 +230,8 @@ def flag_type_of(gamma: Sequence, shape: Shape) -> FlagType:
     the parabolic attached to gamma.
     """
     check_gamma(gamma)
-    gp, gq = blocks(gamma, shape)
-    return FlagType(_composition_of(sorted(gp)), _composition_of(sorted(gq)))
+    return FlagType(*(tuple(len(list(run)) for _, run in groupby(sorted(b)))
+                      for b in blocks(gamma, shape)))
 
 
 def cell_class_rep(t_block: Sequence) -> Perm:

@@ -47,8 +47,6 @@ def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
     """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    if degree == 0:
-        return [CauchyComponent((), (0,) * shape.p, (0,) * shape.q, 0)]
     return sorted(
         CauchyComponent(
             tuple(delta),

@@ -31,8 +31,11 @@ def verify22(
 
     `corrupt`, when given, may transform the enumerated point array
     before the hull step; it exists so tests can prove that a wrong
-    multiplicity anywhere upstream flips the exit code to 1.
+    multiplicity anywhere upstream flips the exit code to 1.  A bound
+    outside 0..semigroup.MAX_BOUND raises ValueError before anything is
+    written.
     """
+    semigroup.check_bound(bound)
     shape = Shape(2, 2)
 
     def emit(line: str) -> None:
@@ -51,22 +54,18 @@ def verify22(
     _log(f"hull in {time.perf_counter()-t0:.1f}s")
     emit(f"hull: {len(ineqs)} facets, {len(eqs)} equalities")
 
-    ok = True
+    mod = (reference22.TRACE_EQUALITY,)
     # facets_of_points gives equalities in the table's form: primitive, sorted, first entry > 0
-    if eqs == (reference22.TRACE_EQUALITY,):
+    if eqs == mod:
         emit("equality matched: |A| + |B| = |C|")
     else:
-        ok = False
         emit(f"EQUALITY MISMATCH: computed {eqs}")
 
-    mod = (reference22.TRACE_EQUALITY,)
     got = {reduce_mod_lineality(n, mod) for n in ineqs}
     ref = set(reference22.reference_cone().canonical_facets()[1])
     for extra in sorted(got - ref):
-        ok = False
         emit(f"UNEXPECTED FACET (canonical): {extra}")
     for missing in sorted(ref - got):
-        ok = False
         emit(f"MISSING FACET (canonical): {missing}")
     if got == ref:
         emit(
@@ -76,14 +75,11 @@ def verify22(
 
     noncham = [n for n in ineqs if not ressayre.is_chamber_facet(n, shape)]
     emit(f"chamber facets: {len(ineqs) - len(noncham)} (no certificate required)")
-    certified = 0
-    for nrm in sorted(noncham):
-        cert = ressayre.certify_normal(nrm, shape)
+    certs = [(nrm, ressayre.certify_normal(nrm, shape)) for nrm in sorted(noncham)]
+    for nrm, cert in certs:
         if cert is None:
-            ok = False
             emit(f"UNCERTIFIED facet {nrm}")
             continue
-        certified += 1
         c = cert.candidate
         emit(
             "certified facet {} gamma={} w1={}|{} w2={}|{} k={}".format(
@@ -96,8 +92,10 @@ def verify22(
                 cert.k,
             )
         )
+    certified = sum(cert is not None for _, cert in certs)
     emit(f"certified {certified}/{len(noncham)} non-chamber facets")
 
+    ok = eqs == mod and got == ref and certified == len(noncham)
     emit("RESULT: " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

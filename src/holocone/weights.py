@@ -23,6 +23,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import ceil
 from typing import List, NamedTuple, Sequence, Tuple
 
 Coord = Fraction  # or int; both occur
@@ -202,8 +203,7 @@ def rho_scaling_factor(x: Sequence, shape: Shape) -> int:
     if not in_holomorphic_chamber(x, shape):
         raise ValueError("x must lie in the holomorphic chamber")
     gap = Fraction(x[shape.p - 1] - x[shape.p])
-    n = Fraction(shape.rank) / gap
-    return max(1, -int(-n // 1))  # ceiling
+    return max(1, ceil(shape.rank / gap))
 
 
 def star_involution(x: Sequence, shape: Shape) -> Vector:

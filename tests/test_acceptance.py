@@ -104,6 +104,13 @@ class TestCriterion1FacetReproduction:
     def test_verify22_box3_report_pinned(self, verify22_run):
         assert report_sha(verify22_run[1]) == REPORT_SHA[3]
 
+    @pytest.mark.parametrize("bound", [-1, 128, 1.5])
+    def test_verify22_refuses_a_bad_bound_before_writing(self, bound):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="box bound"):
+            verify.verify22(bound=bound, out=buf)
+        assert buf.getvalue() == ""
+
     def test_verify22_output_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
         assert verify.verify22(bound=1, out=a) == verify.verify22(

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private name a module defines is referred to somewhere in the
 package, only `weights` splits "name=text" fields or compares each entry
-of a sequence with the next, and only `semigroup` compares with
-`MAX_BOUND`."""
+of a sequence with the next, only `semigroup` compares with
+`MAX_BOUND`, and only `weights` and `polyhedral` import `Fraction`."""
 
 import ast
 from pathlib import Path
@@ -168,3 +168,32 @@ def test_detects_a_max_bound_comparison():
 def test_only_semigroup_checks_the_box_bound(path):
     # semigroup.check_bound is the one range check of a box bound
     assert max_bound_comparisons(path.read_text(encoding="utf-8")) == []
+
+
+def fraction_imports(source: str):
+    """Lines of the imports in source of the module `fractions`, of a
+    name from it, or of a name `Fraction` from anywhere."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.ImportFrom)
+        and (n.module == "fractions" or any(a.name == "Fraction" for a in n.names))
+        or isinstance(n, ast.Import) and any(a.name == "fractions" for a in n.names)
+    ]
+
+
+def test_detects_a_fraction_import():
+    src = ("from fractions import Fraction\nimport fractions as fr\nimport os, fractions\n"
+           "from math import gcd\nfrom .weights import Fraction\nx = Fraction(1, 2)\n")
+    assert fraction_imports(src) == [1, 2, 3, 5]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in SRC.glob("*.py") if p.name not in ("weights.py", "polyhedral.py")),
+    ids=lambda p: p.name,
+)
+def test_only_weights_and_polyhedral_import_fraction(path):
+    # weights parses rational coordinates and polyhedral coerces them to
+    # integers; every other module computes in ints
+    assert fraction_imports(path.read_text(encoding="utf-8")) == []

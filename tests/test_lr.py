@@ -3,6 +3,7 @@
 import contextlib
 import importlib
 import io
+import itertools
 import pkgutil
 import random
 import tracemalloc
@@ -50,6 +51,17 @@ class TestExamples:
         assert lr.weyl_dim((0, 0, 0)) == 1
         assert lr.weyl_dim((1, 0)) == 2
         assert lr.weyl_dim((1, 1, 0)) == 3
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weyl_dim_matches_fraction_product(self, n):
+        # Every dominant weight of length n with entries in [-3, 3].
+        for lam in itertools.product(range(3, -4, -1), repeat=n):
+            if list(lam) != sorted(lam, reverse=True):
+                continue
+            want = Fraction(1)
+            for i, j in itertools.combinations(range(n), 2):
+                want *= Fraction(lam[i] - lam[j] + j - i, j - i)
+            assert lr.weyl_dim(lam) == want
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from holocone import lr, polyhedral as ph, semigroup
@@ -21,6 +21,17 @@ class TestPrimitives:
 
     def test_primitive_fractions(self):
         assert ph.primitive((Fraction(1, 2), Fraction(1, 3))) == (3, 2)
+
+    @given(st.one_of(
+        st.lists(st.integers(-10**20, 10**20), max_size=6),
+        st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)), max_size=6),
+    ))
+    @example([])
+    @example([0, 0, 0])
+    @example([Fraction(0), 0])
+    @settings(max_examples=300, deadline=None)
+    def test_primitive_matches_oracle(self, v):
+        assert ph.primitive(v) == oracle.primitive(v)
 
     def test_primitive_signed(self):
         assert ph.primitive_signed((-2, 4)) == (1, -2)

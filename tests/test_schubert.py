@@ -4,7 +4,7 @@ candidates, checked against the Monk-rule oracle."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -61,6 +61,27 @@ class TestPermutationHelpers:
         assert sc.min_coset_rep((2, 0, 1, 3), (2, 2)) == (0, 2, 1, 3)
         assert sc.is_min_coset_rep((0, 2, 1, 3), (2, 2))
         assert not sc.is_min_coset_rep((2, 0, 1, 3), (2, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_min_coset_rep_has_fewest_inversions(self, n):
+        # Against every rearrangement of w inside the blocks of comp: the
+        # one with the fewest inversions is unique and is min_coset_rep.
+        for comp in compositions(n):
+            starts = [sum(comp[:k]) for k in range(len(comp))]
+            for w in sc.all_perms(n):
+                rearranged = [
+                    sum(parts, ())
+                    for parts in product(*(permutations(w[s:s + c]) for s, c in zip(starts, comp)))
+                ]
+                fewest = min(map(sc.inversions, rearranged))
+                best = [u for u in rearranged if sc.inversions(u) == fewest]
+                assert best == [sc.min_coset_rep(w, comp)]
+
+    @pytest.mark.parametrize("comp", [(1,), (1, 1, 1), (0, 2)], ids=["short", "long", "zero-part"])
+    def test_min_coset_rep_refuses_a_composition_not_of_len_w(self, comp):
+        for fn in (sc.min_coset_rep, sc.is_min_coset_rep):
+            with pytest.raises(ValueError, match="positive parts"):
+                fn((1, 0), comp)
 
 
 class TestProducts:
@@ -279,6 +300,21 @@ class TestFlagTypes:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             sc.flag_type_of((0, 0, 0, 0), Shape(2, 2))
+
+    @pytest.mark.parametrize(
+        "f", [sc.FlagType((1,), (1, 1)), sc.FlagType((1, 1, 1), (1, 1)), sc.FlagType((0, 2), (1, 1))],
+        ids=["short", "long", "zero-part"],
+    )
+    def test_flag_type_that_does_not_fit_the_shape_refused(self, f):
+        shape = Shape(2, 2)
+        unit = sc.unit_class(shape)
+        for call in (
+            lambda: sc.schubert_multiply(unit, unit, f, shape),
+            lambda: sc.point_class(f, shape),
+            lambda: sc.point_coefficient(unit, f, shape),
+        ):
+            with pytest.raises(ValueError, match="positive parts"):
+                call()
 
     def test_base_cell_codegree(self):
         # codegree of [X_gamma] counts compact positive roots with
