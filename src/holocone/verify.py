@@ -35,7 +35,7 @@ def verify22(
     outside 0..semigroup.MAX_BOUND raises ValueError before anything is
     written.
     """
-    semigroup.check_bound(bound)
+    bound = semigroup.check_bound(bound)
     shape = Shape(2, 2)
 
     def emit(line: str) -> None:

@@ -111,6 +111,12 @@ class TestCriterion1FacetReproduction:
             verify.verify22(bound=bound, out=buf)
         assert buf.getvalue() == ""
 
+    def test_verify22_reads_its_bound_as_an_int(self):
+        a, b = io.StringIO(), io.StringIO()
+        verify.verify22(bound=True, out=a)
+        verify.verify22(bound=1, out=b)
+        assert a.getvalue() == b.getvalue()
+
     def test_verify22_output_deterministic(self):
         a, b = io.StringIO(), io.StringIO()
         assert verify.verify22(bound=1, out=a) == verify.verify22(
