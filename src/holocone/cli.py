@@ -186,6 +186,8 @@ def cmd_lr(args) -> int:
     if None in (args.n, args.lam, args.mu, args.nu):
         raise ValueError("need --n, --lam, --mu and --nu")
     n = _int_of(args, "n")
+    if n < 1:
+        raise ValueError(f"--n: need a length of at least 1, got {n}")
     lam, mu, nu = (parse_ints(getattr(args, w), n, "--" + w) for w in ("lam", "mu", "nu"))
     print(lr.lr_coefficient(lam, mu, nu))
     return 0

@@ -16,8 +16,9 @@ c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal strip
 and product is read off `_skew`.
 
 - Skew side, nu and kappa fixed: `lr_count_tableaux(lam, mu, nu)` is
-  the entry mu of s_{nu/lam}; `lr_coefficient` validates, shifts and
-  reads it.  `semigroup` reads its block tables off `_skew`, and
+  the entry mu of s_{nu/lam} for partitions; `lr_coefficient` validates
+  its weights, shifts them to partitions and reads the same entry.
+  `semigroup` reads its block tables off `_skew`, and
   `_triple_expand` reads triple multiplicities
   [V_nu : V_lam (x) V_mu (x) V_delta] = sum over rho of
   c^nu_{lam,rho} c^rho_{mu,delta} off two levels of it: the rho of
@@ -40,9 +41,10 @@ and product is read off `_skew`.
 The public functions (`lr_coefficient`, `tensor_expand`,
 `triple_multiplicity`, `weyl_dim`) raise ValueError on weights of unequal
 length, not weakly decreasing or not integral (`weights.integral`: 3.0 reads
-as 3, 1.5 is refused).  The private functions trust their caller: they
-take tuples already validated and check nothing, so code that has
-validated its weights once calls them in its inner loops.
+as 3, 1.5 is refused); `lr_count_tableaux` takes partitions of any
+lengths, and refuses the same and a negative part.  The private functions trust
+their caller: they take tuples already validated and check nothing, so
+code that has validated its weights once calls them in its inner loops.
 
 Two memos, both keyed on partitions, so a key does not depend on how a
 weight happened to be shifted: `_skew_cache` holds the skew expansions,
@@ -90,8 +92,12 @@ def _strip_zeros(lam: GLWeight) -> GLWeight:
 
 
 def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
-    """c^nu_{lam,mu} for partitions (nonnegative, weakly decreasing):
-    the entry mu of s_{nu/lam}, with the letters capped at len(mu)."""
+    """c^nu_{lam,mu} for partitions (integral, nonnegative, weakly
+    decreasing, of any lengths): the entry mu of s_{nu/lam}, with the
+    letters capped at len(mu).  ValueError unless all three are partitions."""
+    lam, mu, nu = weights = [_check(w)[0] for w in (lam, mu, nu)]
+    if any(w and w[-1] < 0 for w in weights):
+        raise ValueError(f"not partitions: {lam}, {mu}, {nu}")
     mu = _strip_zeros(mu)
     return _skew(_strip_zeros(nu), _strip_zeros(lam), len(mu)).get(mu, 0)
 
@@ -103,7 +109,8 @@ def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     nu = shift(nu, -s)
     if sum(nu) != sum(lam) + sum(mu) or (nu and nu[-1] < 0):
         return 0
-    return lr_count_tableaux(lam, mu, nu)
+    mu = _strip_zeros(mu)
+    return _skew(_strip_zeros(nu), _strip_zeros(lam), len(mu)).get(mu, 0)
 
 
 def _canonical(lam: GLWeight, mu: GLWeight):

@@ -21,7 +21,11 @@ V_a (x) V_b = V_b (x) V_a, the rows of (b, a) repeat those of (a, b).
 The kappa of T_s come from one `lr._tensor` per unordered pair of shift
 classes: with w0 = w - w_last (1,...,1), V_a (x) V_b is V_a0 (x) V_b0
 shifted by a_last + b_last, so every pair of the classes of a0 and b0
-reads the one support.  The q side goes through duals: with
+reads the one support.  The deltas of s_{n/kappa} depend only on the
+translation class (n - kappa_last, kappa - kappa_last), so S takes one
+skew expansion per class, across all weights s.  Both matrices are
+built with array operations: the pairs, kappas and (kappa, n) are index
+arrays, with no Python loop over them.  The q side goes through duals: with
 w* = -reverse(w), [V_m : V_b (x) V_delta^*] = [V_m* : V_b* (x) V_delta],
 so the q-table is the same table built on the q-blocks, whose rows are
 mapped back by the star when they are written out.
@@ -44,7 +48,7 @@ deterministic.
 from __future__ import annotations
 
 import operator
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from typing import Dict, List, Tuple
 
 from . import lr, polyhedral, symq
@@ -75,6 +79,39 @@ def dominant_box_vectors(length: int, bound: int) -> List[Vector]:
     return list(combinations_with_replacement(range(bound, -bound - 1, -1), length))
 
 
+def _sorted_runs(rows):
+    """The stable order of the rows of a 2-D array by their bytes (a void
+    view of each row), and the mask, in that order, of the rows that
+    differ from the one before."""
+    import numpy as np
+
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    return order, np.concatenate([[True], keys[1:] != keys[:-1]])
+
+
+def _distinct(rows):
+    """(first, inverse): for each distinct row of a 2-D array, in the
+    order of their bytes, the index of its first copy, and for each row
+    the number of its distinct row."""
+    import numpy as np
+
+    order, new = _sorted_runs(rows)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _runs(starts, counts):
+    """The runs starts[i], ..., starts[i] + counts[i] - 1, concatenated."""
+    import numpy as np
+
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+
+
 def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     """Per Cauchy degree d, the rows (a, b, n) of boxed blocks with n in
     a (x) b (x) delta for some delta in deltas[d], as an int8 matrix of
@@ -85,82 +122,122 @@ def _incidences(length: int, bound: int, q: int, deltas: List[List[Vector]]):
     per unordered pair of shift classes {a0, b0}, shifted by
     a_last + b_last.  S_s marks (n, delta) for each kappa of weight s and
     boxed n with c^n_{kappa,delta} != 0, each delta in a fixed slot of
-    its degree |n| - s.  Both are 0/1 matrices, so every partial sum of
-    T_s @ S_s is an integer from 0 to the inner dimension; both take the
-    type `polyhedral._exact_dtype` gives for that dimension (float32
-    below 2**24), which holds those sums exactly, so an entry is nonzero
-    exactly when one term is.  No such delta has more parts than q or a part above
-    n_1 - kappa_last <= 3 bound, so |n| - s <= 3 q bound = len(deltas) - 1:
-    the box caps the degree, and no n beyond it is expanded.
+    its degree |n| - s, read off one `lr._skew` per translation class
+    (n - kappa_last, kappa - kappa_last) across all s.  Both are 0/1, so
+    every partial sum of T_s @ S_s is an integer from 0 to the inner
+    dimension; both take the type `polyhedral._exact_dtype` gives for the
+    largest (float32 below 2**24), which holds those sums exactly, so an
+    entry is nonzero exactly when one term is.  No such delta has more
+    parts than q or a part above n_1 - kappa_last <= 3 bound, so
+    |n| - s <= 3 q bound = len(deltas) - 1: the box caps the degree, and
+    no n beyond it is expanded.
     """
     import numpy as np
 
     blocks = dominant_box_vectors(length, bound)
-    mat = np.array(blocks, dtype=np.int8)
-    sums = [sum(n) for n in blocks]
+    # int16 holds every kappa (|kappa_i| <= 2 bound) and n - kappa_last.
+    mat = np.array(blocks, dtype=np.int16)
+    sums = mat.sum(axis=1)
     top = len(deltas) - 1
     width = max(map(len, deltas))
     slot = {delta: j for ds in deltas for j, delta in enumerate(ds)}
 
-    # A kappa is kept as (kappa - kappa_last without its zeros,
-    # kappa_last): one key per kappa, and the partition `lr._skew` takes.
-    zeroed = [tuple(x - a[-1] for x in a) for a in blocks]
-    supports: Dict[Tuple[Vector, Vector], List[Tuple[Vector, int]]] = {}
-    # s -> (unordered pairs (i, j), i <= j; T entries (pair, kappa); kappa key -> column)
-    groups: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]], Dict]] = {}
-    for i, a in enumerate(blocks):
-        for j in range(i, len(blocks)):
-            key = min(zeroed[i], zeroed[j]), max(zeroed[i], zeroed[j])
-            support = supports.get(key)
-            if support is None:
-                support = supports[key] = [
-                    (tuple(x - k[-1] for x in k if x != k[-1]), k[-1]) for k in lr._tensor(*key)
-                ]
-            shift = a[-1] + blocks[j][-1]
-            pairs, hits, kappas = groups.setdefault(sums[i] + sums[j], ([], [], {}))
-            for k0, last in support:
-                hits.append((len(pairs), kappas.setdefault((k0, last + shift), len(kappas))))
-            pairs.append((i, j))
+    # The shift classes w0 = w - w_last (1,...,1), and the support of
+    # V_a0 (x) V_b0 for each unordered pair of them, in triu order.
+    ids: Dict[Vector, int] = {}
+    cls = np.array([ids.setdefault(tuple(x - a[-1] for x in a), len(ids)) for a in blocks])
+    classes = list(ids)
+    supports = [lr._tensor(*sorted((x, y))) for i, x in enumerate(classes) for y in classes[i:]]
+    sizes = np.array(list(map(len, supports)))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(supports)), np.int16)
+    flat = flat.reshape(-1, length)
+
+    # The unordered pairs i <= j, grouped by s in order of first
+    # appearance, in (i, j) order within a group.
+    I, J = np.triu_indices(len(blocks))
+    first, inverse = _distinct((sums[I] + sums[J])[:, None])
+    rank = np.empty_like(first)
+    rank[np.argsort(first, kind="stable")] = np.arange(len(first))
+    order = np.argsort(rank[inverse], kind="stable")
+    I, J, group = I[order], J[order], rank[inverse][order]
+    pair_cut = np.searchsorted(group, np.arange(len(first) + 1))
+
+    # One entry per pair and kappa in a (x) b: the support of the pair's
+    # classes lo <= hi, number lo (2 C + 1 - lo) / 2 + hi - lo in triu
+    # order, shifted.  A kappa is one column of its group's T_s: keyed by
+    # the big-endian bytes of (group, kappa), the distinct kappas come
+    # sorted by group.
+    lo, hi = np.minimum(cls[I], cls[J]), np.maximum(cls[I], cls[J])
+    cp = lo * (2 * len(classes) + 1 - lo) // 2 + hi - lo
+    entry = np.repeat(np.arange(len(I)), sizes[cp])
+    kappa = flat[_runs(np.cumsum(sizes)[cp] - sizes[cp], sizes[cp])]
+    kappa += (mat[I, -1] + mat[J, -1])[entry, None]
+    key = np.empty((len(entry), length + 1), dtype=">i2")
+    key[:, 0] = group[entry]
+    key[:, 1:] = kappa
+    first, kid = _distinct(key)
+    kappas = kappa[first]
+    kappa_cut = np.searchsorted(group[entry[first]], np.arange(len(pair_cut)))
+
+    # The boxed n that contain a kappa, within the degree cap, and one skew
+    # expansion per translation class (n - kappa_last, kappa - kappa_last):
+    # both are partitions, and without their zeros `lr._skew` takes them.
+    inside = sums <= kappas.sum(axis=1)[:, None] + top
+    for c in range(length):
+        inside &= mat[:, c] >= kappas[:, c, None]
+    k, n = np.nonzero(inside)
+    shifted = np.hstack([mat[n], kappas[k]]) - kappas[k, -1:]
+    first, cid = _distinct(shifted)
+    rows = shifted[first]
+    skews = [
+        lr._skew(tuple(filter(None, nr)), tuple(filter(None, kr)), q)
+        for nr, kr in zip(rows[:, :length].tolist(), rows[:, length:].tolist())
+    ]
+    lengths = np.array(list(map(len, skews)))
+    slots = np.array([slot[delta] for skew in skews for delta in skew], dtype=np.intp)
+    count = lengths[cid]
+    columns = slots[_runs(np.cumsum(lengths)[cid] - count, count)] + np.repeat(n * width, count)
+    dtype = polyhedral._exact_dtype(np.diff(kappa_cut).max())
+    S = np.zeros((len(kappas), len(blocks) * width), dtype=dtype)
+    S[np.repeat(k, count), columns] = 1
 
     # One product per group, over the columns (n, delta slot) of every
     # boxed n; S_s is zero in the columns of an n with |n| - s > top.
-    rows, products = [], []
-    for s, (pairs, hits, kappas) in groups.items():
-        keys = list(kappas)
-        ks = [tuple(x + last for x in k0) + (last,) * (length - len(k0)) for k0, last in keys]
-        dtype = polyhedral._exact_dtype(len(ks))
-        S = np.zeros((len(ks), len(blocks) * width), dtype=dtype)
-        inside = (mat[None] >= np.array(ks)[:, None]).all(axis=2)
-        for k, n in zip(*(x.tolist() for x in np.nonzero(inside))):
-            if sums[n] - s <= top:
-                k0, last = keys[k]
-                # n contains kappa, so its parts equal to kappa's last part
-                # are its trailing ones: dropping them strips the zeros.
-                n0 = tuple(x - last for x in blocks[n] if x != last)
-                for delta in lr._skew(n0, k0, q):
-                    S[k, n * width + slot[delta]] = 1
-        T = np.zeros((len(pairs), len(ks)), dtype=dtype)
-        T[tuple(np.array(hits).T)] = 1
-        products.append(T @ S > 0)
-        rows += pairs
+    t_row = entry - pair_cut[group[entry]]
+    t_col = kid - kappa_cut[group[entry]]
+    t_cut = np.searchsorted(entry, pair_cut).tolist()
+    hit = np.empty((len(I), S.shape[1]), dtype=bool)
+    pair_cut, kappa_cut = pair_cut.tolist(), kappa_cut.tolist()
+    for g in range(len(pair_cut) - 1):
+        pairs, ks, ts = (slice(c[g], c[g + 1]) for c in (pair_cut, kappa_cut, t_cut))
+        T = np.zeros((pairs.stop - pairs.start, ks.stop - ks.start), dtype=dtype)
+        T[t_row[ts], t_col[ts]] = 1
+        np.greater(T @ S[ks], 0, out=hit[pairs])
 
-    hit = np.concatenate(products).reshape(len(rows), len(blocks), width)
-    r, n = np.nonzero(hit.any(axis=2))
-    # V_a (x) V_b = V_b (x) V_a: the cell (b, a, n) repeats (a, b, n).
-    ab = np.array(rows)[r]
-    twin = np.flatnonzero(ab[:, 0] != ab[:, 1])
-    r, n = np.r_[r, r[twin]], np.r_[n, n[twin]]
-    idx = np.column_stack([np.r_[ab, ab[twin, ::-1]], n])
-    inc = hit[r, n]
-    t = np.array(sums)
-    degree = t[idx[:, 2]] - t[idx[:, 0]] - t[idx[:, 1]]
+    # One row of `hit` per cell (pair, n); V_a (x) V_b = V_b (x) V_a, so
+    # the cell (b, a, n) of a pair a != b repeats (a, b, n).
+    hit = hit.reshape(-1, width)
+    cell = np.flatnonzero(hit.any(axis=1))
+    r, n = np.divmod(cell, len(blocks))
+    pick = np.concatenate([np.arange(len(cell)), np.flatnonzero(I[r] != J[r])])
+    # Degrees lie in 0..top; in the narrowest unsigned type the stable
+    # sort is a radix sort.
+    degree = (sums[n] - sums[I[r]] - sums[J[r]]).astype(np.min_scalar_type(top))[pick]
     order = np.argsort(degree, kind="stable")
-    cuts = np.searchsorted(degree[order], np.arange(top + 2))
+    cuts = np.searchsorted(degree[order], np.arange(top + 2)).tolist()
+    swap = order >= len(cell)
+    pick = pick[order]
+    r = r[pick]
+    a, b = I[r], J[r]
+    a[swap], b[swap] = b[swap], a[swap]
+    blocks8 = mat.astype(np.int8)
+    vals = np.empty((len(pick), 3, length), dtype=np.int8)
+    for j, x in enumerate((a, b, n[pick])):
+        vals[:, j] = np.take(blocks8, x, axis=0)
+    vals = vals.reshape(-1, 3 * length)
+    inc = np.take(hit, cell[pick], axis=0)
     return [
-        (
-            mat[idx[order[lo:hi]]].reshape(-1, 3 * length),
-            inc[order[lo:hi], : len(ds)],
-        )
+        (vals[lo:hi], inc[lo:hi, : len(ds)])
         for ds, lo, hi in zip(deltas, cuts, cuts[1:])
     ]
 
@@ -171,12 +248,8 @@ def _pattern_groups(inc):
     ascending indices of the rows equal to it."""
     import numpy as np
 
-    packed = np.packbits(inc, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-    return inc[order[starts]], np.split(order, starts[1:])
+    order, new = _sorted_runs(np.packbits(inc, axis=1))
+    return inc[order[new]], np.split(order, np.flatnonzero(new)[1:])
 
 
 def _join_blocks(p_inc, q_inc):

@@ -25,6 +25,9 @@ oracle is the package's earlier join: it streams triples one (p-pair,
 q-pair) at a time, uniting the products of their block sets over every
 Cauchy component, from tables built with `oracle_tensor_expand`, one
 product kappa (x) delta per Cauchy weight, directly on the q-blocks.
+The block-table oracle (`oracle_incidences`) is the package's earlier
+table build: Python loops over the block pairs and over every kappa and
+boxed n containing it, with one skew expansion per (kappa, n).
 The certificate oracle is the package's earlier search: it scans every
 Weyl pair matching a facet normal, where the package checks one, and
 keeps the earlier four-way verdict (`oracle_certified`), where the
@@ -43,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 Monomial = Tuple[int, ...]
 Poly = Dict[Monomial, int]
@@ -709,6 +712,88 @@ def oracle_block_tables(shape, bound):
             }
         )
     return tuple(tables)
+
+
+def oracle_incidences(length, bound, q, deltas):
+    """`semigroup._incidences` as the package built it before its tables
+    came from index arrays: Python loops over the pairs i <= j and over
+    every (kappa, boxed n containing kappa), one `lr._skew` per such pair,
+    and one T_s @ S_s product per weight s.  Same rows, same order, same
+    incidences."""
+    import numpy as np
+
+    from holocone import lr, polyhedral
+    from holocone.semigroup import dominant_box_vectors
+
+    Vector = Tuple[int, ...]
+    blocks = dominant_box_vectors(length, bound)
+    mat = np.array(blocks, dtype=np.int8)
+    sums = [sum(n) for n in blocks]
+    top = len(deltas) - 1
+    width = max(map(len, deltas))
+    slot = {delta: j for ds in deltas for j, delta in enumerate(ds)}
+
+    # A kappa is kept as (kappa - kappa_last without its zeros,
+    # kappa_last): one key per kappa, and the partition `lr._skew` takes.
+    zeroed = [tuple(x - a[-1] for x in a) for a in blocks]
+    supports: Dict[Tuple[Vector, Vector], List[Tuple[Vector, int]]] = {}
+    # s -> (unordered pairs (i, j), i <= j; T entries (pair, kappa); kappa key -> column)
+    groups: Dict[int, Tuple[List[Tuple[int, int]], List[Tuple[int, int]], Dict]] = {}
+    for i, a in enumerate(blocks):
+        for j in range(i, len(blocks)):
+            key = min(zeroed[i], zeroed[j]), max(zeroed[i], zeroed[j])
+            support = supports.get(key)
+            if support is None:
+                support = supports[key] = [
+                    (tuple(x - k[-1] for x in k if x != k[-1]), k[-1]) for k in lr._tensor(*key)
+                ]
+            shift = a[-1] + blocks[j][-1]
+            pairs, hits, kappas = groups.setdefault(sums[i] + sums[j], ([], [], {}))
+            for k0, last in support:
+                hits.append((len(pairs), kappas.setdefault((k0, last + shift), len(kappas))))
+            pairs.append((i, j))
+
+    # One product per group, over the columns (n, delta slot) of every
+    # boxed n; S_s is zero in the columns of an n with |n| - s > top.
+    rows, products = [], []
+    for s, (pairs, hits, kappas) in groups.items():
+        keys = list(kappas)
+        ks = [tuple(x + last for x in k0) + (last,) * (length - len(k0)) for k0, last in keys]
+        dtype = polyhedral._exact_dtype(len(ks))
+        S = np.zeros((len(ks), len(blocks) * width), dtype=dtype)
+        inside = (mat[None] >= np.array(ks)[:, None]).all(axis=2)
+        for k, n in zip(*(x.tolist() for x in np.nonzero(inside))):
+            if sums[n] - s <= top:
+                k0, last = keys[k]
+                # n contains kappa, so its parts equal to kappa's last part
+                # are its trailing ones: dropping them strips the zeros.
+                n0 = tuple(x - last for x in blocks[n] if x != last)
+                for delta in lr._skew(n0, k0, q):
+                    S[k, n * width + slot[delta]] = 1
+        T = np.zeros((len(pairs), len(ks)), dtype=dtype)
+        T[tuple(np.array(hits).T)] = 1
+        products.append(T @ S > 0)
+        rows += pairs
+
+    hit = np.concatenate(products).reshape(len(rows), len(blocks), width)
+    r, n = np.nonzero(hit.any(axis=2))
+    # V_a (x) V_b = V_b (x) V_a: the cell (b, a, n) repeats (a, b, n).
+    ab = np.array(rows)[r]
+    twin = np.flatnonzero(ab[:, 0] != ab[:, 1])
+    r, n = np.r_[r, r[twin]], np.r_[n, n[twin]]
+    idx = np.column_stack([np.r_[ab, ab[twin, ::-1]], n])
+    inc = hit[r, n]
+    t = np.array(sums)
+    degree = t[idx[:, 2]] - t[idx[:, 0]] - t[idx[:, 1]]
+    order = np.argsort(degree, kind="stable")
+    cuts = np.searchsorted(degree[order], np.arange(top + 2))
+    return [
+        (
+            mat[idx[order[lo:hi]]].reshape(-1, 3 * length),
+            inc[order[lo:hi], : len(ds)],
+        )
+        for ds, lo, hi in zip(deltas, cuts, cuts[1:])
+    ]
 
 
 def _oracle_iter_semigroup(shape, bound):

@@ -41,6 +41,15 @@ class TestLr:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("n, weight", [("-1", "1"), ("0", "")], ids=["n-negative", "n-zero"])
+    def test_length_below_one_refused_at_the_option(self, capsys, n, weight):
+        # --n 0 would need empty weights, and --n -1 no length at all: both
+        # are refused at --n, before any weight is read.
+        code = cli.main(["lr", "--n", n, "--lam", weight, "--mu", weight, "--nu", weight])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --n: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize(
         "n,lam,mu,nu",
         [(2, "E,0", "0,0", "E,0"), (3, "E,1,0", "1,1,0", "E,2,1")],

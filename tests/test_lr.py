@@ -87,6 +87,33 @@ class TestExamples:
         with pytest.raises(ValueError, match="integral"):
             fn(*weights)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            ((1.5,), (1,), (2.5,)),
+            ((0, -1), (1,), (1,)),
+            ((1,), (0, -1), (1,)),
+            ((1,), (1,), (1, 1, -1)),
+            ((0, 1), (1,), (1, 1)),
+            ((Fraction(1, 2),), (0,), (Fraction(1, 2),)),
+        ],
+        ids=["non-integral", "lam-negative", "mu-negative", "nu-negative", "increasing",
+             "fraction"],
+    )
+    def test_count_tableaux_takes_only_partitions(self, weights):
+        with pytest.raises(ValueError):
+            lr.lr_count_tableaux(*weights)
+
+    def test_count_tableaux_of_partitions_of_any_lengths(self):
+        # Zeros and lengths do not matter, and integral entries read as ints.
+        assert lr.lr_count_tableaux((2, 1), (2, 1, 0), (3, 2, 1)) == 2
+        assert lr.lr_count_tableaux((), (1,), (1,)) == 1
+        assert lr.lr_count_tableaux((1.0,), (Fraction(1),), (1, 1)) == 1
+        cases = [((2, 1), (1,), (3, 1)), ((1, 1), (2,), (2, 2)), ((2,), (2,), (2, 1, 1))]
+        for lam, mu, nu in cases:
+            want = oracle.oracle_lr_count_tableaux(lam, mu, nu)
+            assert lr.lr_count_tableaux(lam, mu, nu) == want
+
     def test_integral_entries_of_any_type_read_as_ints(self):
         assert lr.lr_coefficient((1.0, 0), (Fraction(1), 0), (2, 0)) == 1
         assert lr.triple_multiplicity((1.0, 0), (1, 0), (0, 0), (2, 0)) == 1

@@ -338,6 +338,94 @@ def test_block_table_expands_each_unordered_pair_once(monkeypatch):
         assert all(table[a, b] == table[b, a] for a, b in table)
 
 
+def assert_tables_equal(got, want):
+    """Two lists of per-degree (rows, incidences), equal byte for byte."""
+    assert len(got) == len(want)
+    for (vals, inc), (want_vals, want_inc) in zip(got, want):
+        assert vals.dtype == want_vals.dtype == np.int8
+        assert vals.shape == want_vals.shape and vals.tobytes() == want_vals.tobytes()
+        assert inc.dtype == want_inc.dtype == bool
+        assert np.array_equal(inc, want_inc)
+
+
+# The table cases, the widest blocks the box-1 join reaches, and short
+# blocks at large bounds, where a kappa and n - kappa_last span 4 bound.
+INCIDENCE_CASES = TABLE_CASES + [
+    (Shape(4, 3), 1),
+    (Shape(5, 2), 1),
+    (Shape(1, 1), 20),
+    (Shape(2, 1), 6),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,bound", INCIDENCE_CASES, ids=[f"U{s.p}{s.q}-b{b}" for s, b in INCIDENCE_CASES]
+)
+def test_incidences_match_the_loop_oracle(shape, bound):
+    # The same rows in the same order, and the same incidences, as the
+    # loop over pairs and (kappa, n) that the index arrays replace.
+    deltas = degree_deltas(shape, bound)
+    for length in {shape.p, shape.q}:
+        assert_tables_equal(
+            semigroup._incidences(length, bound, shape.q, deltas),
+            oracle.oracle_incidences(length, bound, shape.q, deltas),
+        )
+
+
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_incidences_match_the_loop_oracle_on_small_blocks(length, bound, q):
+    # A block of length `length` is the p-block of U(length, q) when
+    # length >= q, and its q-block of U(q, q) otherwise.
+    deltas = degree_deltas(Shape(max(length, q), q), bound)
+    assert_tables_equal(
+        semigroup._incidences(length, bound, q, deltas),
+        oracle.oracle_incidences(length, bound, q, deltas),
+    )
+
+
+@pytest.mark.parametrize(
+    "shape, bound, length, skews, old_skews, tensors",
+    [
+        (Shape(3, 1), 2, 3, 511, 987, 120),
+        (Shape(3, 1), 1, 3, 52, 75, 21),
+        (Shape(2, 2), 1, 2, 26, 40, 6),
+    ],
+    ids=["U31-b2-p", "U31-b1-p", "U22-b1"],
+)
+def test_one_skew_expansion_per_translation_class(
+    monkeypatch, shape, bound, length, skews, old_skews, tensors
+):
+    # The S side expands s_{n/kappa} once per translation class
+    # (n - kappa_last, kappa - kappa_last), where the loop oracle expands
+    # it once per (kappa, n).  The skews `lr._tensor` makes itself are not
+    # counted.
+    counts = {"skew": 0, "tensor": 0}
+    depth = [0]
+    skew, tensor = lr._skew, lr._tensor
+
+    def counted_skew(*args):
+        counts["skew"] += not depth[0]
+        return skew(*args)
+
+    def counted_tensor(*args):
+        counts["tensor"] += 1
+        depth[0] += 1
+        try:
+            return tensor(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(lr, "_skew", counted_skew)
+    monkeypatch.setattr(lr, "_tensor", counted_tensor)
+    deltas = degree_deltas(shape, bound)
+    semigroup._incidences(length, bound, shape.q, deltas)
+    assert counts == {"skew": skews, "tensor": tensors}
+    counts.update(skew=0, tensor=0)
+    oracle.oracle_incidences(length, bound, shape.q, deltas)
+    assert counts == {"skew": old_skews, "tensor": tensors}
+
+
 @pytest.mark.parametrize("shape, calls", [(Shape(2, 2), 1), (Shape(3, 1), 2)], ids=str)
 def test_one_block_table_per_block_length(monkeypatch, shape, calls):
     # U(p,p) reads its p-rows and q-rows from one table.
