@@ -81,7 +81,7 @@ def _check(*weights) -> List[GLWeight]:
 
 
 def shift(lam: GLWeight, a: int) -> GLWeight:
-    return tuple(x + a for x in lam) if a else tuple(lam)
+    return tuple(x + a for x in lam)
 
 
 def _strip_zeros(lam: GLWeight) -> GLWeight:
