@@ -1,12 +1,13 @@
 """Exact Littlewood-Richardson coefficients for U(n).
 
-Weights may have negative parts; everything is reduced to partitions by
-shifting with multiples of (1,...,1), which leaves all multiplicities
-unchanged.  There is one tableau walk: `_skew(nu, kappa, maxlen)`
-(partitions without trailing zeros) is the Schur expansion of
-s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one walk over the LR
-fillings of nu/kappa with free content (letters <= maxlen, the reverse
-reading word a lattice word).  The walk stores the cells of nu/kappa
+Weights may have negative parts; shifting by multiples of (1,...,1)
+leaves every multiplicity unchanged, and every entry point brings its
+weights to partitions by one rule, `_partition(w, s)`: w - s(1,...,1)
+without its trailing zeros, for s <= w_last.  There is one tableau walk:
+`_skew(nu, kappa, maxlen)` (partitions without trailing zeros) is the
+Schur expansion of s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one
+walk over the LR fillings of nu/kappa with free content (letters <=
+maxlen, the reverse reading word a lattice word).  The walk stores the cells of nu/kappa
 only, so its memory does not grow with nu_1, and it is a loop over
 them, not a recursion, so Python's recursion limit does not bound the
 number of cells.  With maxlen <= 1 there is no walk: the one delta of
@@ -84,11 +85,16 @@ def shift(lam: GLWeight, a: int) -> GLWeight:
     return tuple(x + a for x in lam)
 
 
-def _strip_zeros(lam: GLWeight) -> GLWeight:
-    out = list(lam)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def _last(w: GLWeight) -> int:
+    """w_last, or 0 for the empty weight."""
+    return w[-1] if w else 0
+
+
+def _partition(w: GLWeight, s: int) -> GLWeight:
+    """w - s(1,...,1) without its trailing zeros, the kernel's form of w:
+    exact when w is weakly decreasing and w_last >= s, for then the
+    entries equal to s form a suffix of w."""
+    return tuple(x - s for x in w if x != s)
 
 
 def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
@@ -96,32 +102,20 @@ def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     decreasing, of any lengths): the entry mu of s_{nu/lam}, with the
     letters capped at len(mu).  ValueError unless all three are partitions."""
     lam, mu, nu = weights = [_check(w)[0] for w in (lam, mu, nu)]
-    if any(w and w[-1] < 0 for w in weights):
+    if any(_last(w) < 0 for w in weights):
         raise ValueError(f"not partitions: {lam}, {mu}, {nu}")
-    mu = _strip_zeros(mu)
-    return _skew(_strip_zeros(nu), _strip_zeros(lam), len(mu)).get(mu, 0)
+    mu = _partition(mu, 0)
+    return _skew(_partition(nu, 0), _partition(lam, 0), len(mu)).get(mu, 0)
 
 
 def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     """c^nu_{lam,mu} for U(n) weights of equal length n."""
     lam, mu, nu = _check(lam, mu, nu)
-    lam, mu, s = _canonical(lam, mu)
-    nu = shift(nu, -s)
-    if sum(nu) != sum(lam) + sum(mu) or (nu and nu[-1] < 0):
+    a, b = _last(lam), _last(mu)
+    if sum(nu) != sum(lam) + sum(mu) or _last(nu) < a + b:
         return 0
-    mu = _strip_zeros(mu)
-    return _skew(_strip_zeros(nu), _strip_zeros(lam), len(mu)).get(mu, 0)
-
-
-def _canonical(lam: GLWeight, mu: GLWeight):
-    """(lam0, mu0, s): lam and mu shifted to end in 0, s the total removed."""
-    a = lam[-1] if lam else 0
-    b = mu[-1] if mu else 0
-    if a:
-        lam = tuple(x - a for x in lam)
-    if b:
-        mu = tuple(x - b for x in mu)
-    return lam, mu, a + b
+    mu = _partition(mu, b)
+    return _skew(_partition(nu, a + b), _partition(lam, a), len(mu)).get(mu, 0)
 
 
 def tensor_expand(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
@@ -134,31 +128,28 @@ def _tensor(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
 
     With lam and mu shifted to end in 0 and N = lam_1, the nu of
     V_lam (x) V_mu are the delta of s_{(mu + N)/(N - reverse(lam))},
-    padded to n parts and shifted back.
+    padded to n parts and shifted back by s = lam_n + mu_n.
     """
-    lam, mu, s = _canonical(lam, mu)
     n = len(lam)
     top = lam[0] if lam else 0
-    outer = _strip_zeros(shift(mu, top))
-    inner = _strip_zeros(tuple(top - x for x in reversed(lam)))
+    s = _last(lam) + _last(mu)
+    inner = tuple(top - x for x in reversed(lam) if x != top)
     return {
-        shift(nu + (0,) * (n - len(nu)), s): c
-        for nu, c in _skew(outer, inner, n).items()
+        tuple(x + s for x in nu) + (s,) * (n - len(nu)): c
+        for nu, c in _skew(_partition(mu, s - top), inner, n).items()
     }
 
 
-def triple_multiplicity(
-    lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight
-) -> int:
+def triple_multiplicity(lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight) -> int:
     """Multiplicity of V_nu in V_lam (x) V_mu (x) V_delta.
 
     Read off `_triple_expand` once delta and nu are shifted so that delta
     ends in 0.
     """
     lam, mu, delta, nu = _check(lam, mu, delta, nu)
-    s = delta[-1] if delta else 0
+    s = _last(delta)
     t = _triple_expand(lam, mu, shift(nu, -s), len(nu))
-    return t.get(_strip_zeros(shift(delta, -s)), 0)
+    return t.get(_partition(delta, s), 0)
 
 
 def _skew(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
@@ -255,16 +246,15 @@ def _triple_expand(lam: GLWeight, mu: GLWeight, nu: GLWeight, maxlen: int) -> Di
     and each s_{rho/kappa'} gives the delta.  The count is symmetric in
     lam and mu, so kappa is the larger of the two partitions by (|w|, w)
     and kappa' the other: the first walk then has the fewest cells.
-    Memoised on (nu, kappa, kappa', maxlen) after the shift to partitions
-    without trailing zeros; the returned dict is the cached one, and
-    callers must not change it.
+    Memoised on (nu, kappa, kappa', maxlen) in `_partition` form; the
+    returned dict is the cached one, and callers must not change it.
     """
-    lam, mu, s = _canonical(lam, mu)
-    if s:
-        nu = shift(nu, -s)
-    if nu and nu[-1] < 0:
+    a, b = _last(lam), _last(mu)
+    if _last(nu) < a + b:
         return {}
-    nu, lam, mu = _strip_zeros(nu), _strip_zeros(lam), _strip_zeros(mu)
+    nu = _partition(nu, a + b)
+    lam = _partition(lam, a)
+    mu = _partition(mu, b)
     if (sum(lam), lam) < (sum(mu), mu):
         lam, mu = mu, lam
     maxlen = min(maxlen, len(nu))

@@ -328,8 +328,11 @@ def reduce_mod_lineality(normal: Sequence, equalities: Sequence[Sequence]) -> In
 
     Two inequality normals cut out the same halfspace of {x : E x = 0}
     exactly when their reductions agree; this eliminates the pivot
-    coordinates of the RREF of the equality rows.
+    coordinates of the RREF of the equality rows.  ValueError unless
+    every equality has the normal's length.
     """
+    if any(len(e) != len(normal) for e in equalities):
+        raise ValueError("equalities and normal differ in length")
     v = list(primitive(normal))
     for r, pc in zip(*_echelon(equalities)):
         f = v[pc]

@@ -139,10 +139,9 @@ def is_chamber_facet(normal: Sequence, shape: Shape) -> bool:
     Chamber facets bound the product of dominant chambers rather than
     reflecting any branching condition, so they carry no certificate.
     """
-    return (
-        reduce_mod_lineality(normal, (trace_equality_normal(shape),))
-        in _chamber_keys(shape)
-    )
+    if len(normal) != 3 * shape.rank:
+        raise ValueError("normal must live on triples")
+    return reduce_mod_lineality(normal, (trace_equality_normal(shape),)) in _chamber_keys(shape)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,7 @@ each block, then integrality.
 
 from __future__ import annotations
 
-from operator import neg
+from operator import index, neg
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from . import lr
@@ -44,7 +44,13 @@ def natural_negation(delta: Sequence[int], q: int) -> Tuple[int, ...]:
 
 
 def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
-    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically."""
+    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically.
+    degree is read through `operator.index`; ValueError unless it is a
+    nonnegative integer."""
+    try:
+        degree = index(degree)
+    except TypeError:
+        raise ValueError(f"degree must be an integer, got {degree!r}") from None
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return sorted(

@@ -324,8 +324,8 @@ class TestSkew:
             ]
             assume(ends)
             i = data.draw(st.sampled_from(ends))
-            kappa = lr._strip_zeros(
-                tuple(x - (r in (i, i + 1)) for r, x in enumerate(nu))
+            kappa = lr._partition(
+                tuple(x - (r in (i, i + 1)) for r, x in enumerate(nu)), 0
             )
             if data.draw(st.booleans()):
                 kappa = _partition(data, 4, 6, inside=kappa)
@@ -334,7 +334,7 @@ class TestSkew:
         for d in range(sum(nu) + 1):
             c = oracle.oracle_lr_count_tableaux(kappa, (d,), nu)
             if c:
-                want[lr._strip_zeros((d,))] = c
+                want[lr._partition((d,), 0)] = c
         assert got == want
 
     @given(st.data(), st.booleans(), st.integers(1, 4))
@@ -423,6 +423,24 @@ class TestCanonicalCacheKey:
                 assert got == 6
         assert walks.call_count == 0
         assert lr._triple_cache == entries
+
+
+class TestPartitionForm:
+    @given(
+        st.lists(st.integers(-4, 4), max_size=5),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_shift_then_strip(self, parts, repeats, below):
+        # w weakly decreasing, possibly with negative parts, its last entry
+        # repeated, and s at most w_last (s = w_last strips every repeat);
+        # the empty weight occurs, with s <= 0.
+        w = tuple(sorted(parts, reverse=True))
+        if w:
+            w += (w[-1],) * repeats
+        s = lr._last(w) - below
+        assert lr._partition(w, s) == oracle._strip_zeros(lr.shift(w, -s))
 
 
 def _triple_by_oracle(lam, mu, nu, maxlen):

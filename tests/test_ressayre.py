@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracle
 from holocone import reference22, ressayre, schubert as sc, semigroup
-from holocone.polyhedral import cone_from_points, dot, facets_of_points, primitive
+from holocone.polyhedral import (cone_from_points, dot, facets_of_points, primitive,
+                                 reduce_mod_lineality)
 from holocone.weights import (Shape, WeylElement, all_weyl_elements, blocks, identity_weyl,
                               longest_weyl, pairing)
 
@@ -358,6 +359,26 @@ def test_input_of_the_wrong_length_is_value_error(call):
     s = Shape(2, 2)
     with pytest.raises(ValueError):
         call(s, identity_weyl(s))
+
+
+CHAMBER = ressayre.chamber_facet_normals(Shape(2, 2))[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ressayre.is_chamber_facet(CHAMBER + (0,), Shape(2, 2)), "triples"),
+        (lambda: ressayre.is_chamber_facet(CHAMBER[:11], Shape(2, 2)), "triples"),
+        (lambda: reduce_mod_lineality((1, 0, 0, 5), [(1, 1, 1)]), "length"),
+        (lambda: reduce_mod_lineality((1, 0), [(1, 1, 1)]), "length"),
+        (lambda: reduce_mod_lineality((1, 0, 0), [(1, 1, 1), (1, 1)]), "length"),
+    ],
+    ids=["chamber-long", "chamber-short", "reduce-long", "reduce-short", "reduce-second-row"],
+)
+def test_normal_of_the_wrong_length_is_value_error(call, message):
+    # zip would otherwise truncate the longer vector and answer anyway.
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestCertifyNormals:

@@ -95,6 +95,19 @@ class TestCauchyComponents:
         )
         assert total == lr.sym_power_dimension(4, 3) == 20
 
+    def test_degree_is_read_as_an_index(self):
+        # An integer of any integral type reads as its value; any other
+        # degree is refused before the partitions are listed.
+        s = Shape(2, 2)
+        want = symq.cauchy_components(s, 2)
+        assert symq.cauchy_components(s, np.int64(2)) == want
+        assert symq.cauchy_components(s, True) == symq.cauchy_components(s, 1)
+        for bad in (1.5, 2.0, "2", None, Fraction(2)):
+            with pytest.raises(ValueError, match="integer"):
+                symq.cauchy_components(s, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            symq.cauchy_components(s, -1)
+
     def test_dimension_identity_grid(self):
         # The Cauchy identity: sum over |delta| = d of
         # dim S^delta(C^p) * dim S^delta(C^q) = dim Sym^d(C^{pq}).
