@@ -6,13 +6,13 @@ weights to partitions by one rule, `_partition(w, s)`: w - s(1,...,1)
 without its trailing zeros, for s <= w_last.  There is one tableau walk:
 `_skew(nu, kappa, maxlen)` (partitions without trailing zeros) is the
 Schur expansion of s_{nu/kappa}, {delta: c^nu_{kappa,delta}}, from one
-walk over the LR fillings of nu/kappa with free content (letters <=
-maxlen, the reverse reading word a lattice word).  The walk stores the cells of nu/kappa
-only, so its memory does not grow with nu_1, and it is a loop over
-them, not a recursion, so Python's recursion limit does not bound the
-number of cells.  With maxlen <= 1 there is no walk: the one delta of
-at most one part is (d), d = |nu| - |kappa|, and by Pieri's rule
-c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal strip
+walk over the LR fillings of nu/kappa with free content (letters
+<= maxlen, the reverse reading word a lattice word).  The walk stores
+the cells of nu/kappa only, so its memory does not grow with nu_1, and
+it is a loop over them, not a recursion, so Python's recursion limit
+does not bound the number of cells.  With maxlen <= 1 there is no walk:
+the one delta of at most one part is (d), d = |nu| - |kappa|, and by
+Pieri's rule c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal strip
 (kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Every coefficient
 and product is read off `_skew`.
 
@@ -140,7 +140,9 @@ def _tensor(lam: GLWeight, mu: GLWeight) -> Dict[GLWeight, int]:
     }
 
 
-def triple_multiplicity(lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight) -> int:
+def triple_multiplicity(
+    lam: GLWeight, mu: GLWeight, delta: GLWeight, nu: GLWeight
+) -> int:
     """Multiplicity of V_nu in V_lam (x) V_mu (x) V_delta.
 
     Read off `_triple_expand` once delta and nu are shifted so that delta

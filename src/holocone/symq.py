@@ -44,9 +44,8 @@ def natural_negation(delta: Sequence[int], q: int) -> Tuple[int, ...]:
 
 
 def cauchy_components(shape: Shape, degree: int) -> List[CauchyComponent]:
-    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically.
-    degree is read through `operator.index`; ValueError unless it is a
-    nonnegative integer."""
+    """The Cauchy pieces of Sym^degree(M_{p,q}), ordered deterministically;
+    ValueError unless degree is a nonnegative integer (`operator.index`)."""
     try:
         degree = index(degree)
     except TypeError:
