@@ -13,8 +13,12 @@ it is a loop over them, not a recursion, so Python's recursion limit
 does not bound the number of cells.  With maxlen <= 1 there is no walk:
 the one delta of at most one part is (d), d = |nu| - |kappa|, and by
 Pieri's rule c^nu_{kappa,(d)} is 1 when nu/kappa is a horizontal strip
-(kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Every coefficient
-and product is read off `_skew`.
+(kappa_i >= nu_{i+1} for every i) and 0 otherwise.  Nor is there a walk
+when nu/kappa has at most two nonempty rows: with a cells in row i and
+b in row j > i, s_{nu/kappa} is the sum of s_{(a+b-t, t)} (trailing zero
+dropped) over max(0, nu_j - kappa_i) <= t <= min(a, b), one LR filling
+each, and one nonempty row gives s_{(a)}.  Every coefficient and product
+is read off `_skew`.
 
 - Skew side, nu and kappa fixed: `lr_count_tableaux(lam, mu, nu)` is
   the entry mu of s_{nu/lam} for partitions; `lr_coefficient` validates
@@ -60,6 +64,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb, prod
+from operator import index
 from typing import Dict, List, Tuple
 
 from . import polyhedral
@@ -94,7 +99,7 @@ def _partition(w: GLWeight, s: int) -> GLWeight:
     """w - s(1,...,1) without its trailing zeros, the kernel's form of w:
     exact when w is weakly decreasing and w_last >= s, for then the
     entries equal to s form a suffix of w."""
-    return tuple(x - s for x in w if x != s)
+    return tuple([x - s for x in w if x != s])
 
 
 def lr_count_tableaux(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
@@ -173,8 +178,9 @@ def _skew(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
 
 def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight, int]:
     """`_skew` without the memo, for maxlen <= len(nu): Pieri's rule in
-    closed form when maxlen <= 1, else the walk over the cells of nu/kappa
-    (see the module docstring)."""
+    closed form when maxlen <= 1, the two-row rule when nu/kappa has at
+    most two nonempty rows, else the walk over the cells of nu/kappa (see
+    the module docstring)."""
     if len(kappa) > len(nu) or any(k > n for k, n in zip(kappa, nu)):
         return {}
     if nu == kappa:
@@ -185,6 +191,19 @@ def _skew_fillings(nu: GLWeight, kappa: GLWeight, maxlen: int) -> Dict[GLWeight,
         strip = len(nu) <= len(kappa) + 1 and all(k >= n for k, n in zip(kappa, nu[1:]))
         return {(sum(nu) - sum(kappa),): 1} if maxlen and strip else {}
     kap = kappa + (0,) * (len(nu) - len(kappa))
+    rows = [r for r, (n, k) in enumerate(zip(nu, kap)) if n != k]
+    if len(rows) <= 2:
+        # Rows i <= j of a and b cells: row i is all 1s, and row j ends in
+        # t 2s, t <= a, that cover its nu_j - kappa_i cells under row i.
+        i, j = rows[0], rows[-1]
+        a = nu[i] - kap[i]
+        if i == j:
+            return {(a,): 1}
+        b = nu[j] - kap[j]
+        return {
+            (a + b - t, t) if t else (a + b,): 1
+            for t in range(max(0, nu[j] - kap[i]), min(a, b) + 1)
+        }
     # One flat list of letters: row r holds its skew columns kap_r..nu_r - 1
     # from index starts[r] + kap_r on, then maxlen, as no neighbour to the
     # right, so storage is the size of the skew diagram.  Cells in reverse
@@ -279,7 +298,14 @@ def weyl_dim(lam: GLWeight) -> int:
 
 
 def partitions(total: int, max_parts: int):
-    """All partitions of `total` into at most `max_parts` parts."""
+    """All partitions of `total` into at most `max_parts` parts; ValueError
+    unless both are nonnegative integers (`operator.index`)."""
+    try:
+        total, max_parts = index(total), index(max_parts)
+    except TypeError:
+        raise ValueError(f"not integers: {total!r}, {max_parts!r}") from None
+    if total < 0 or max_parts < 0:
+        raise ValueError(f"negative: {total}, {max_parts}")
     out: List[GLWeight] = []
 
     def rec(left: int, bound: int, parts: int, acc: List[int]):

@@ -38,7 +38,9 @@ part (N, E), so each (N, E) gets one memoised table of two double
 descriptions: the Farkas cone {(y, z) : y >= 0, N^T y + E^T z = 0},
 whose rays and lineality decide emptiness by the signs of (c, f)
 against them (Farkas' lemma), and the recession cone {N x >= 0,
-E x = 0}.  A slice query then runs no double description;
+E x = 0}.  A slice query then runs no double description: `slice_at`
+takes each constraint's constant as one dot product of its normal with
+(a, b), and `recession_cone` reads both cones off one table lookup.
 `clear_caches` empties the table.
 """
 
@@ -602,12 +604,18 @@ class Polyhedron:
         )
 
     def is_empty(self) -> bool:
-        """Farkas' lemma: empty iff some (y >= 0, z) with N^T y + E^T z = 0
-        has c . y + f . z < 0, i.e. iff a lineality vector of that cone
-        pairs nonzero with (c, f) or an extreme ray pairs negative."""
-        (rays, lin), _ = _slice_tables(self)
-        cf = tuple(c for _, c in self.inequalities) + tuple(f for _, f in self.equalities)
-        return any(dot(l, cf) != 0 for l in lin) or any(dot(r, cf) < 0 for r in rays)
+        """Whether no x satisfies the constraints (Farkas' lemma)."""
+        return _is_empty(self, _slice_tables(self)[0])
+
+
+def _is_empty(poly: Polyhedron, farkas) -> bool:
+    """Farkas' lemma: `poly` is empty iff some (y >= 0, z) with
+    N^T y + E^T z = 0 has c . y + f . z < 0, i.e. iff a lineality vector
+    of that cone, `farkas` = (rays, lineality), pairs nonzero with (c, f)
+    or an extreme ray pairs negative."""
+    rays, lin = farkas
+    cf = tuple(c for _, c in poly.inequalities) + tuple(f for _, f in poly.equalities)
+    return any(dot(l, cf) != 0 for l in lin) or any(dot(r, cf) < 0 for r in rays)
 
 
 # (N, E, ambient_dim) -> (Farkas cone, recession cone), each as the
@@ -648,10 +656,11 @@ def slice_at(cone: RationalCone, fixed_a: Sequence, fixed_b: Sequence) -> Polyhe
     if len(fixed_b) != m or cone.ambient_dim != 3 * m:
         raise ValueError("dimension mismatch for slice")
     c = cone.with_h_rep()
+    fixed = (*fixed_a, *fixed_b)
 
     def split(n):
-        na, nb, nc = n[:m], n[m : 2 * m], n[2 * m :]
-        return tuple(nc), dot(na, fixed_a) + dot(nb, fixed_b)
+        # dot stops at the end of `fixed`, after the A and B parts of n.
+        return tuple(n[2 * m :]), dot(n, fixed)
 
     ineqs = tuple(split(n) for n in c.inequalities)
     eqs = tuple(split(n) for n in (c.equalities or ()))
@@ -659,10 +668,12 @@ def slice_at(cone: RationalCone, fixed_a: Sequence, fixed_b: Sequence) -> Polyhe
 
 
 def recession_cone(poly: Polyhedron) -> RationalCone:
-    """{x : N x >= 0, E x = 0}, with both representations already set."""
-    if poly.is_empty():
+    """{x : N x >= 0, E x = 0}, with both representations already set;
+    ValueError if `poly` is empty.  One `_slice_tables` lookup gives both
+    the Farkas cone that decides emptiness and the recession cone."""
+    farkas, (rays, lin) = _slice_tables(poly)
+    if _is_empty(poly, farkas):
         raise ValueError("recession cone of an empty polyhedron")
-    rays, lin = _slice_tables(poly)[1]
     return RationalCone(
         poly.ambient_dim,
         rays=rays,

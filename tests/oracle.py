@@ -10,7 +10,8 @@ and the polyhedral elimination oracles run on a Fraction Gauss-Jordan
 reduced row echelon form (`rref`).  The double description oracle
 inserts the inequalities in the order given and keeps each zero-set as a
 Python set; emptiness of a polyhedron is decided by homogenising it and
-running that double description once per query.  The additive prune
+running that double description once per query; a slice of a cone over
+triples is split into its blocks normal by normal.  The additive prune
 oracle sums each l1 norm again wherever it needs one.  The violator
 scan oracle is the package's earlier scan: one integer (or exact object)
 matrix-vector product per constraint per block of rows.  Relation (A) and
@@ -404,6 +405,21 @@ def oracle_is_empty(poly) -> bool:
     ineqs, eqs = homogenization(poly)
     rays, lin = oracle_rays_from_halfspaces(ineqs, eqs, poly.ambient_dim + 1)
     return all(r[-1] <= 0 for r in rays) and all(l[-1] == 0 for l in lin)
+
+
+def oracle_slice_at(cone, fixed_a, fixed_b):
+    """(inequalities, equalities) of the slice {C : (a, b, C) in cone},
+    split block by block: a normal (N_A, N_B, N_C) of the cone gives the
+    C-part N_C and the constant N_A . a + N_B . b."""
+    m = len(fixed_a)
+
+    def split(n):
+        return tuple(n[2 * m :]), _dot(n[:m], fixed_a) + _dot(n[m : 2 * m], fixed_b)
+
+    return (
+        tuple(split(n) for n in cone.inequalities),
+        tuple(split(n) for n in cone.equalities or ()),
+    )
 
 
 def oracle_additive_prune(points):

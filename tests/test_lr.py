@@ -354,6 +354,34 @@ class TestSkew:
                 want[delta] = c
         assert got == want
 
+    def test_two_rows_match_tableau_counts(self):
+        # Every nu/kappa with at most two nonempty rows, nu_1 <= 6 and up
+        # to 4 rows (so an empty row can part the two), at every maxlen.
+        def inside(outer):
+            for w in itertools.product(*(range(x + 1) for x in outer)):
+                if list(w) == sorted(w, reverse=True):
+                    yield w
+
+        lr.clear_caches()
+        checked = 0
+        for nu in inside((6, 6, 6, 6)):
+            nu = lr._partition(nu, 0)
+            for kappa in inside(nu):
+                if sum(k != x for k, x in zip(kappa, nu)) > 2:
+                    continue
+                kappa = lr._partition(kappa, 0)
+                size = sum(nu) - sum(kappa)
+                want = {}
+                for delta in lr.partitions(size, len(nu)):
+                    c = oracle.oracle_lr_count_tableaux(kappa, delta, nu)
+                    if c:
+                        want[delta] = c
+                for m in range(1, len(nu) + 1):
+                    got = lr._skew(nu, kappa, m)
+                    assert got == {d: c for d, c in want.items() if len(d) <= m}
+                    checked += 1
+        assert checked > 1000
+
     def test_triple_multiplicity_matches_composition(self):
         # sum over kappa of c^kappa_{lam,mu} c^nu_{kappa,delta}, from the
         # validating public functions, on weights with negative parts.
@@ -423,6 +451,17 @@ class TestCanonicalCacheKey:
                 assert got == 6
         assert walks.call_count == 0
         assert lr._triple_cache == entries
+
+
+class TestPartitions:
+    @pytest.mark.parametrize("args", [(3, -1), (3, 1.5), (1.5, 2), (-1, 2)])
+    def test_refuses_negative_or_non_integer_arguments(self, args):
+        with pytest.raises(ValueError):
+            lr.partitions(*args)
+
+    def test_no_parts(self):
+        assert lr.partitions(0, 0) == [()]
+        assert lr.partitions(3, 0) == []
 
 
 class TestPartitionForm:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
-from holocone import lr, polyhedral as ph, semigroup
+from holocone import lr, polyhedral as ph, reference22, semigroup
 from holocone.weights import Shape
 
 
@@ -912,6 +912,54 @@ class TestSliceAndRecession:
         # one Farkas cone and one recession cone for all seven slices
         assert dd.call_count == 2
         assert len(ph._slice_cache) == 1
+
+    def test_slice_matches_block_split_oracle(self):
+        # The U(2,2) reference cone at seeded (a, b), with int entries and
+        # with Fractions in either block: same C-parts, same constants.
+        cone = reference22.reference_cone()
+        rng = random.Random(35)
+        for trial in range(40):
+            a, b = ([rng.randint(-4, 4) for _ in range(4)] for _ in range(2))
+            if trial % 2:
+                k = rng.randrange(4)
+                (a if trial % 4 == 1 else b)[k] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+            poly = ph.slice_at(cone, a, b)
+            ineqs, eqs = oracle.oracle_slice_at(cone, a, b)
+            assert (poly.inequalities, poly.equalities) == (ineqs, eqs)
+            got = [type(c) for _, c in poly.inequalities + poly.equalities]
+            assert got == [type(c) for _, c in ineqs + eqs]
+
+    def test_recession_of_a_slice_is_one_table_lookup(self):
+        ref = reference22.reference_cone()
+        poly = ph.slice_at(ref, (1, 0, 0, -1), (1, 0, 0, 0))
+        with mock.patch.object(ph, "_slice_tables", wraps=ph._slice_tables) as tables:
+            rec = ph.recession_cone(poly)
+        assert tables.call_count == 1
+        farkas, recession = ph._slice_tables(poly)
+        assert not ph._is_empty(poly, farkas)
+        assert (rec.rays, rec.lineality) == recession
+
+    def test_list_valued_normals(self):
+        # Lists in place of tuples, in a Polyhedron and in a sliced cone.
+        as_lists = ph.Polyhedron(
+            2, [([1, 0], Fraction(5)), ([0, 1], 7)], [([1, -1], 0)]
+        )
+        as_tuples = ph.Polyhedron(
+            2, (((1, 0), Fraction(5)), ((0, 1), 7)), (((1, -1), 0),)
+        )
+        assert not as_lists.is_empty() and as_lists.contains((1, 1))
+        rec = ph.recession_cone(as_lists).with_v_rep()
+        assert (rec.rays, rec.lineality) == (((1, 1),), ())
+        want = ph.recession_cone(as_tuples)
+        assert (rec.rays, rec.lineality) == (want.rays, want.lineality)
+        cone = ph.RationalCone(
+            6,
+            inequalities=([-1, 0, -1, 0, 1, 0],),
+            equalities=([1, 1, 1, 1, -1, -1],),
+        )
+        poly = ph.slice_at(cone, [1, -1], [1, -1])
+        assert poly == ph.slice_at(self._rank_one_cone(), (1, -1), (1, -1))
+        assert ph.recession_cone(poly).rays == ((1, -1),)
 
     def test_lr_clear_caches_empties_slice_tables(self):
         ph.slice_at(self._rank_one_cone(), (1, -1), (1, -1)).is_empty()
